@@ -36,11 +36,11 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_attack::{candidate_endpoints, undirected_entry, AttackContext, LossGradients, TargetedAttack};
-use geattack_explain::gnnexplainer::GnnExplainer;
-use geattack_explain::GnnExplainerConfig;
-use geattack_graph::{computation_subgraph, Graph, Perturbation};
-use geattack_tensor::{grad::grad, init, Matrix, Tape, Var};
+use geattack_attack::{candidate_endpoints, AttackContext, LossGradients, TargetGradient, TargetedAttack};
+use geattack_explain::{GnnExplainer, GnnExplainerConfig};
+use geattack_gnn::EdgeSlots;
+use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph, Perturbation};
+use geattack_tensor::{grad::grad, init, Tape};
 
 /// Hyper-parameters of GEAttack.
 #[derive(Clone, Debug)]
@@ -62,12 +62,6 @@ pub struct GeAttackConfig {
     pub candidate_pool: usize,
     /// Standard deviation of the random mask initialization `M_A^0`.
     pub mask_init_std: f64,
-    /// Score shortlist candidates across threads through the rayon work queue
-    /// (within a single outer iteration). The reductions and the final argmin
-    /// stay serial, so parallel and serial selection are identical — pinned by
-    /// `parallel_and_serial_candidate_scoring_agree`. Ignored without the
-    /// `parallel` feature.
-    pub parallel_scoring: bool,
     /// GNNExplainer hyper-parameters mimicked by the inner loop (size/entropy
     /// regularizer coefficients).
     pub explainer: GnnExplainerConfig,
@@ -84,7 +78,6 @@ impl Default for GeAttackConfig {
             hops: 2,
             candidate_pool: 48,
             mask_init_std: 0.1,
-            parallel_scoring: true,
             explainer: GnnExplainerConfig::default(),
             seed: 0,
         }
@@ -104,204 +97,162 @@ impl GeAttack {
         Self { config }
     }
 
-    /// Builds the differentiable explainer penalty
-    /// `Σ_j M_A^T[target, j] · B[target, j]` on `tape`, where the mask `M_A^T` is
-    /// obtained by `T` differentiable gradient-descent steps of the GNNExplainer
-    /// objective evaluated at the (sub)adjacency `a_sub`.
+    /// Gradient of the scaled explainer penalty `λ · Σ_j M_A^T[t, j] · B[t, j]`
+    /// with respect to the adjacency, read at every shortlist candidate `v` as
+    /// `∂/∂Â[t,v] + ∂/∂Â[v,t]` (in shortlist order).
     ///
-    /// Returns the scalar penalty. `b_row` holds `B[target, ·]` restricted to the
-    /// subgraph columns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn explainer_penalty(
+    /// The explainer term lives on the target's computation subgraph augmented
+    /// with the shortlist. Its adjacency is the slot-value vector `a` of
+    /// [`candidate_slots`], recorded as a tape input. The mask `M_A^T` holds
+    /// one entry per slot and is obtained by `T` differentiable gradient-descent
+    /// steps of the GNNExplainer objective (Algorithm 1 lines 3-8). Every
+    /// candidate has `B[t,v] = 1`, and those are the only `B` entries whose
+    /// gradient is read: an entry off the slot pattern only ever meets
+    /// `Â[t,j] = 0` factors, so it adds nothing to a candidate's gradient.
+    pub(crate) fn penalty_gradient(
         &self,
-        tape: &Tape,
         model: &geattack_gnn::Gcn,
-        a_sub: Var,
-        x_sub: Var,
-        target_local: usize,
+        working: &Graph,
+        target: usize,
+        shortlist: &[usize],
         target_label: usize,
-        b_row: &Matrix,
         rng: &mut impl rand::Rng,
-    ) -> Var {
-        let k = a_sub.rows();
+    ) -> Vec<f64> {
+        let sub = computation_subgraph(working, target, self.config.hops, shortlist);
+        let tl = sub.target_local;
+        let (slots, local) = candidate_slots(&sub, shortlist);
         let explainer = GnnExplainer::new(self.config.explainer.clone());
 
-        // M_A^0: random initialization, as in Algorithm 1 line 3.
-        let mut mask = tape.input(init::normal(k, k, 0.0, self.config.mask_init_std, rng));
-
-        // Inner loop (Algorithm 1 lines 5-8): T differentiable gradient steps of
-        // the explainer objective. `grad` emits tape operations, so the final mask
-        // keeps its dependency on `a_sub`. The frozen parameters and the
-        // mask-independent projection X·W₁ are shared across the steps (they do
-        // not depend on the mask, and X·W₁ does not depend on `a_sub` either, so
-        // the outer gradient is unchanged).
-        let params = model.insert_params_frozen(tape);
-        let xw1 = tape.matmul(x_sub, params.w1);
+        let tape = Tape::new();
+        let a = tape.input(slots.values().clone());
+        // The frozen parameters and the projection X·W₁ depend on neither the
+        // mask nor `a`, so the inner steps share them.
+        let params = model.insert_params_frozen(&tape);
+        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
+        let mut mask = tape.input(init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, rng));
+        // `grad` emits tape operations, so the final mask keeps its dependency
+        // on `a`.
         for _ in 0..self.config.inner_steps {
-            let inner_loss =
-                explainer.explainer_loss_projected(tape, model, a_sub, xw1, &params, mask, target_local, target_label);
-            let step = grad(tape, inner_loss, &[mask])[0];
+            let inner_loss = explainer.loss(&tape, model, &slots, a, xw1, &params, mask, tl, target_label);
+            let step = grad(&tape, inner_loss, &[mask])[0];
             mask = tape.sub(mask, tape.mul_scalar(step, self.config.inner_lr));
         }
 
-        // Σ_j M_A^T[target, j] · B[target, j]: a single row of the (symmetrized)
-        // mask, weighted by the clean-graph complement indicator.
-        let sym = tape.mul_scalar(tape.add(mask, tape.transpose(mask)), 0.5);
-        let target_row = tape.gather_rows(sym, &[target_local]);
-        let weighted = tape.mul(target_row, tape.constant(b_row.clone()));
-        tape.sum_all(weighted)
-    }
-
-    /// One outer iteration of Algorithm 1: computes the joint gradient and returns
-    /// the best candidate endpoint together with its score, or `None` when there
-    /// are no candidates.
-    fn select_edge(
-        &self,
-        gradients: &LossGradients<'_>,
-        ctx: &AttackContext<'_>,
-        working: &Graph,
-        added: &std::collections::HashSet<usize>,
-        rng: &mut impl rand::Rng,
-    ) -> Option<usize> {
-        let candidates = candidate_endpoints(working, ctx.target, &[]);
-        if candidates.is_empty() {
-            return None;
-        }
-
-        // (1) Full-graph L_GNN gradient — the "graph attack" part (Section 4.1).
-        let g_attack = gradients.targeted(working, ctx.target, ctx.target_label);
-
-        // (2) Shortlist the most promising candidates by that gradient.
-        let mut ranked: Vec<usize> = candidates.clone();
-        ranked.sort_by(|&a, &bnd| {
-            undirected_entry(&g_attack, ctx.target, a)
-                .partial_cmp(&undirected_entry(&g_attack, ctx.target, bnd))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let shortlist: Vec<usize> = ranked.into_iter().take(self.config.candidate_pool.max(1)).collect();
-
-        // (3) Explainer term on the computation subgraph augmented with the
-        // shortlist, differentiated with respect to the (sub)adjacency.
-        let sub = computation_subgraph(working, ctx.target, self.config.hops, &shortlist);
-        // B[target, j] = 0 iff j is the target itself, a clean-graph neighbor, or
-        // an endpoint inserted by an earlier outer iteration (Algorithm 1 line
-        // 10) — the same values the dense `B = 11ᵀ − I − A` bookkeeping produced,
-        // without ever materializing an n×n matrix.
-        let b_row = Matrix::from_fn(1, sub.num_nodes(), |_, j| {
-            let g = sub.to_global(j);
-            if g == ctx.target || ctx.graph.has_edge(ctx.target, g) || added.contains(&g) {
-                0.0
-            } else {
-                1.0
-            }
-        });
-
-        let tape = Tape::new();
-        let a_sub = tape.input(sub.dense_adjacency());
-        let x_sub = tape.constant(sub.features.clone());
-        let penalty = self.explainer_penalty(
-            &tape,
-            ctx.model,
-            a_sub,
-            x_sub,
-            sub.target_local,
-            ctx.target_label,
-            &b_row,
-            rng,
-        );
+        let penalty_slots: Vec<usize> = local.iter().map(|&lv| slots.slot(tl, lv).unwrap()).collect();
+        let sym = slots.symmetrize(&tape, mask);
+        let penalty = tape.sum_all(tape.gather_rows(sym, &penalty_slots));
         let scaled = tape.mul_scalar(penalty, self.config.lambda);
-        let g_penalty_sub = tape.value(grad(&tape, scaled, &[a_sub])[0]);
-
-        // (4) Score every shortlist candidate: its attack-gradient entry and its
-        // explainer-penalty entry. This per-candidate map is the inner-attack
-        // parallelism axis — it fans out across the rayon work queue, while
-        // every reduction below (scales, strong-pool filter, argmin) stays
-        // serial over the order-preserved entries, so parallel and serial
-        // selection are identical.
-        let tl = sub.target_local;
-        let attack_entry = |v: usize| undirected_entry(&g_attack, ctx.target, v);
-        let penalty_entry = |v: usize| {
-            sub.to_local(v)
-                .map(|lv| g_penalty_sub[(tl, lv)] + g_penalty_sub[(lv, tl)])
-                .unwrap_or(0.0)
-        };
-        let scored: Vec<(usize, f64, f64)> =
-            self.score_candidates(&shortlist, |v| (v, attack_entry(v), penalty_entry(v)));
-
-        // (5) Combine the two components and greedily pick the candidate whose
-        // insertion most decreases the joint loss (the most negative symmetrized
-        // entry). Each component is normalized by its largest absolute value over
-        // the shortlist so that λ acts as a dimensionless trade-off (see the
-        // module-level calibration note).
-        let best_attack = scored.iter().map(|&(_, a, _)| a).fold(f64::INFINITY, f64::min);
-        let attack_scale = scored
-            .iter()
-            .map(|&(_, a, _)| a.abs())
-            .fold(0.0f64, f64::max)
-            .max(1e-12);
-        let penalty_scale = scored.iter().map(|&(_, _, p)| p.abs()).fold(0.0f64, f64::max);
-        let penalty_weight = if penalty_scale > 1e-12 {
-            self.config.lambda / (20.0 * penalty_scale)
-        } else {
-            0.0
-        };
-
-        // Trade stealth only among candidates that still carry a meaningful share
-        // of the best attack gradient, so moderate λ cannot select an edge that is
-        // stealthy but useless for the attack (the paper's λ ≈ 20 operating point
-        // keeps ASR-T at 100%).
-        let strong: Vec<(usize, f64, f64)> = scored
-            .iter()
-            .copied()
-            .filter(|&(_, a, _)| best_attack < 0.0 && a <= 0.2 * best_attack)
-            .collect();
-        let pool = if strong.is_empty() { scored } else { strong };
-
-        pool.into_iter()
-            .min_by(|&(_, a1, p1), &(_, a2, p2)| {
-                let s1 = a1 / attack_scale + penalty_weight * p1;
-                let s2 = a2 / attack_scale + penalty_weight * p2;
-                s1.partial_cmp(&s2).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(v, _, _)| v)
+        let g = tape.value(grad(&tape, scaled, &[a])[0]);
+        local.iter().map(|&lv| slots.undirected(&g, tl, lv)).collect()
     }
+}
 
-    /// Maps `score` over the shortlist — across threads through the rayon work
-    /// queue when `parallel_scoring` is enabled, serially otherwise. Results
-    /// come back in shortlist order either way.
-    fn score_candidates<R: Send>(&self, shortlist: &[usize], score: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        #[cfg(feature = "parallel")]
-        if self.config.parallel_scoring && shortlist.len() >= 2 {
-            use rayon::prelude::*;
-            return shortlist.par_iter().map(|&v| score(v)).collect();
+/// Algorithm 1's greedy outer loop, shared by both joint attacks. Each
+/// iteration computes the full-graph `L_GNN` gradient (Section 4.1),
+/// shortlists the `pool` most promising candidates by it, asks `penalties` for
+/// the explainer term's gradient at every shortlist node, and inserts the edge
+/// [`choose_by_normalized_score`] picks. `B = 11ᵀ − I − A` (line 3) is tracked
+/// implicitly: the candidates are exactly the target's non-neighbours in the
+/// working graph, so inserting `(t, v)` (line 10) also zeroes `B[t, v]`.
+pub(crate) fn greedy_joint_attack(
+    ctx: &AttackContext<'_>,
+    pool: usize,
+    (lambda, divisor, strong_only): (f64, f64, bool),
+    mut penalties: impl FnMut(&Graph, &[usize]) -> Vec<f64>,
+) -> Perturbation {
+    let mut perturbation = Perturbation::new();
+    let mut working = ctx.graph.clone();
+    let gradients = LossGradients::new(ctx.model, ctx.graph.features());
+    for _ in 0..ctx.budget {
+        let candidates = candidate_endpoints(&working, ctx.target, &[]);
+        if candidates.is_empty() {
+            break;
         }
-        shortlist.iter().map(|&v| score(v)).collect()
+        let g_attack = gradients.targeted(&working, ctx.target, ctx.target_label);
+        let shortlist = shortlist(&g_attack, candidates, pool);
+        let scored = shortlist
+            .iter()
+            .zip(penalties(&working, &shortlist))
+            .map(|(&v, p)| (v, g_attack.undirected(v), p))
+            .collect();
+        let chosen = choose_by_normalized_score(scored, lambda, divisor, strong_only);
+        perturbation.add_edge(ctx.target, chosen);
+        working.add_edge(ctx.target, chosen);
     }
+    perturbation
+}
+
+/// Picks the `(candidate, attack entry, penalty entry)` whose combined score
+/// `a / max|a| + λ / (divisor · max|p|) · p` is most negative: each component
+/// is normalized by its largest absolute shortlist value, so λ acts as a
+/// dimensionless trade-off (see the module-level calibration note).
+///
+/// With `strong_only`, stealth is traded only among candidates that still
+/// carry at least a fifth of the best attack gradient, so moderate λ cannot
+/// select an edge that is stealthy but useless for the attack (the paper's
+/// λ ≈ 20 operating point keeps ASR-T at 100%).
+fn choose_by_normalized_score(scored: Vec<(usize, f64, f64)>, lambda: f64, divisor: f64, strong_only: bool) -> usize {
+    let attack_scale = scored
+        .iter()
+        .map(|&(_, a, _)| a.abs())
+        .fold(0.0f64, f64::max)
+        .max(1e-12);
+    let penalty_scale = scored.iter().map(|&(_, _, p)| p.abs()).fold(0.0f64, f64::max);
+    let penalty_weight = if penalty_scale > 1e-12 {
+        lambda / (divisor * penalty_scale)
+    } else {
+        0.0
+    };
+    let best_attack = scored.iter().map(|&(_, a, _)| a).fold(f64::INFINITY, f64::min);
+    let strong: Vec<(usize, f64, f64)> = scored
+        .iter()
+        .copied()
+        .filter(|&(_, a, _)| strong_only && best_attack < 0.0 && a <= 0.2 * best_attack)
+        .collect();
+    let pool = if strong.is_empty() { scored } else { strong };
+    pool.into_iter()
+        .min_by(|&(_, a1, p1), &(_, a2, p2)| {
+            let s1 = a1 / attack_scale + penalty_weight * p1;
+            let s2 = a2 / attack_scale + penalty_weight * p2;
+            s1.partial_cmp(&s2).unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(v, _, _)| v)
+        .expect("shortlist is non-empty")
+}
+
+/// The `pool` candidates whose insertion most decreases `L_GNN` (most negative
+/// undirected gradient entry first): the shortlist both joint attacks score.
+fn shortlist(g_attack: &TargetGradient, mut candidates: Vec<usize>, pool: usize) -> Vec<usize> {
+    candidates.sort_by(|&a, &b| {
+        g_attack
+            .undirected(a)
+            .partial_cmp(&g_attack.undirected(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    candidates.truncate(pool.max(1));
+    candidates
+}
+
+/// `sub`'s edge slots plus zero-valued candidate slots `(t,v)`/`(v,t)` for
+/// every shortlist node `v`, and the shortlist's local ids.
+pub(crate) fn candidate_slots(sub: &ComputationSubgraph, shortlist: &[usize]) -> (EdgeSlots, Vec<usize>) {
+    let local: Vec<usize> = shortlist
+        .iter()
+        .map(|&v| sub.to_local(v).expect("shortlist nodes are in the subgraph"))
+        .collect();
+    let pairs: Vec<(usize, usize)> = local.iter().map(|&lv| (sub.target_local, lv)).collect();
+    (EdgeSlots::with_extra_pairs(sub, &pairs), local)
 }
 
 impl TargetedAttack for GeAttack {
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.geattack");
-        // B = 11ᵀ − I − A (Algorithm 1, line 3), tracked implicitly: the clean
-        // graph answers has_edge queries and `added` records the endpoints whose
-        // B entries were zeroed by line 10.
-        let mut added = std::collections::HashSet::new();
         let mut rng =
             ChaCha8Rng::seed_from_u64(self.config.seed ^ (ctx.target as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut perturbation = Perturbation::new();
-        let mut working = ctx.graph.clone();
-        let gradients = LossGradients::new(ctx.model, ctx.graph.features());
-
-        for _ in 0..ctx.budget {
-            let Some(chosen) = self.select_edge(&gradients, ctx, &working, &added, &mut rng) else {
-                break;
-            };
-            perturbation.add_edge(ctx.target, chosen);
-            working.add_edge(ctx.target, chosen);
-            // Algorithm 1 line 10: Â[i,j] = 1 and B[i,j] = 0.
-            added.insert(chosen);
-        }
-        perturbation
+        let rule = (self.config.lambda, 20.0, true);
+        greedy_joint_attack(ctx, self.config.candidate_pool, rule, |working, shortlist| {
+            self.penalty_gradient(ctx.model, working, ctx.target, shortlist, ctx.target_label, &mut rng)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -411,33 +362,6 @@ mod tests {
         let ge = GeAttack::new(config).attack(&ctx);
         let fga = FgaT::default().attack(&ctx);
         assert_eq!(ge.added(), fga.added());
-    }
-
-    #[test]
-    fn parallel_and_serial_candidate_scoring_agree() {
-        // The per-candidate scoring fan-out must not change which edges are
-        // selected: the work queue preserves input order and all reductions are
-        // serial, so parallel == serial selection, pinned here.
-        let (graph, model) = small_setup(66);
-        let (victim, target_label) = pick_victim(&graph, &model);
-        let ctx = AttackContext {
-            model: &model,
-            graph: &graph,
-            target: victim,
-            target_label,
-            budget: 3,
-        };
-        let parallel = GeAttack::new(GeAttackConfig {
-            parallel_scoring: true,
-            ..quick_config()
-        })
-        .attack(&ctx);
-        let serial = GeAttack::new(GeAttackConfig {
-            parallel_scoring: false,
-            ..quick_config()
-        })
-        .attack(&ctx);
-        assert_eq!(parallel, serial, "candidate-scoring parallelism changed the selection");
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub mod engine;
 pub mod error;
 pub mod evaluation;
 pub mod geattack;
+#[cfg(test)]
+mod masked_oracle;
 pub mod persist;
 pub mod pg_geattack;
 pub mod pipeline;

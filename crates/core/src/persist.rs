@@ -35,7 +35,7 @@ use crate::targets::Victim;
 /// Version salt folded into every cache key. Bump on any change to the
 /// preparation pipeline's semantics (generators, training, victim selection,
 /// PGExplainer training): old entries become unreachable instead of stale.
-pub const CODE_VERSION_SALT: &str = "prepare-v2";
+pub const CODE_VERSION_SALT: &str = "prepare-v3";
 
 /// Version of the encoded payload layout, checked before decoding.
 /// v2: adjacency as a count-prefixed sorted `u < v` edge list (O(|E|)) instead
@@ -404,10 +404,10 @@ mod tests {
     /// with [`CODE_VERSION_SALT`], never on their own.
     #[test]
     fn cache_keys_match_golden_values() {
-        assert_eq!(cache_key(&tiny_config(7)), "7eefaea543d80bd55d28e39b46cd54f3");
+        assert_eq!(cache_key(&tiny_config(7)), "a5ce6dc69df5b730707b9179b60c87e2");
         let mut pg = tiny_config(7);
         pg.explainer = ExplainerKind::PgExplainer;
-        assert_eq!(cache_key(&pg), "001f055a3e13fdce150992b4a83b6914");
+        assert_eq!(cache_key(&pg), "7c33407bbffa3538e11ec7ee7141ad73");
     }
 
     #[test]

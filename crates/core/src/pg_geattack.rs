@@ -7,10 +7,12 @@
 //! `λ Σ σ(ω_{vj}(Â)) · B[v, j]` is therefore differentiable with respect to `Â`
 //! and the attack follows the same greedy outer loop as [`crate::geattack`].
 
-use geattack_attack::{candidate_endpoints, undirected_entry, AttackContext, LossGradients, TargetedAttack};
-use geattack_explain::pgexplainer::{PgExplainer, SubgraphEdges};
+use geattack_attack::{AttackContext, TargetedAttack};
+
+use crate::geattack::{candidate_slots, greedy_joint_attack};
+use geattack_explain::PgExplainer;
 use geattack_graph::{computation_subgraph, Graph, Perturbation};
-use geattack_tensor::{grad::grad, nn, Matrix, Tape};
+use geattack_tensor::{grad::grad, Tape};
 
 /// Hyper-parameters of GEAttack-PG.
 #[derive(Clone, Debug)]
@@ -48,128 +50,60 @@ impl PgGeAttack {
         Self { config, explainer }
     }
 
-    /// Gradient of the PGExplainer penalty with respect to the subgraph adjacency.
+    /// Gradient of the scaled PGExplainer penalty with respect to the
+    /// adjacency, read at every shortlist candidate `v` as
+    /// `∂/∂Â[t,v] + ∂/∂Â[v,t]` (in shortlist order).
     ///
     /// The penalty sums the explainer's gates over the target's candidate /
-    /// adversarial edges (entries where `B = 1`), evaluated on the current
-    /// perturbed adjacency. Gradients flow through the GCN embeddings.
-    fn penalty_gradient(
+    /// adversarial pairs (entries where `B = 1`), evaluated on the current
+    /// perturbed adjacency. Gradients flow through the GCN embeddings, which
+    /// [`geattack_gnn::Gcn::masked_hidden`] computes on the subgraph's slot
+    /// values plus zero-valued candidate slots for the shortlist.
+    pub(crate) fn penalty_gradient(
         &self,
         model: &geattack_gnn::Gcn,
         working: &Graph,
         target: usize,
         shortlist: &[usize],
-        clean: &Graph,
-        zeroed: &std::collections::HashSet<usize>,
-    ) -> (Matrix, geattack_graph::ComputationSubgraph) {
+    ) -> Vec<f64> {
         let sub = computation_subgraph(working, target, self.config.hops, shortlist);
         let tl = sub.target_local;
-        let k = sub.num_nodes();
 
-        // Penalty edges: the target paired with every subgraph node that is not a
-        // clean-graph neighbor (B = 1), i.e. candidate and already-added
-        // adversarial endpoints. `B = 11ᵀ − I − A` is tracked implicitly: an
-        // entry is zero iff it is the diagonal, a clean edge, or was zeroed by
-        // an earlier outer iteration.
-        let mut penalty_edges = Vec::new();
-        for j in 0..k {
-            let g = sub.to_global(j);
-            if j != tl && !clean.has_edge(target, g) && !zeroed.contains(&g) {
-                let (u, v) = if tl < j { (tl, j) } else { (j, tl) };
-                penalty_edges.push((u, v));
-            }
+        // Penalty pairs: the target with every subgraph node that is not its
+        // neighbour in the working graph (B = 1). `B = 11ᵀ − I − A` is tracked
+        // implicitly: clean edges and edges added by earlier outer iterations
+        // are the working graph's edges.
+        let penalty_pairs: Vec<(usize, usize)> = (0..sub.num_nodes())
+            .filter(|&j| j != tl && !working.has_edge(target, sub.to_global(j)))
+            .map(|j| (tl.min(j), tl.max(j)))
+            .collect();
+        if penalty_pairs.is_empty() {
+            return vec![0.0; shortlist.len()];
         }
-        if penalty_edges.is_empty() {
-            return (Matrix::zeros(k, k), sub);
-        }
-        let edges = SubgraphEdges {
-            src_indices: penalty_edges.iter().map(|&(u, _)| u).collect(),
-            dst_indices: penalty_edges.iter().map(|&(_, v)| v).collect(),
-            src_incidence: Matrix::from_fn(
-                penalty_edges.len(),
-                k,
-                |e, c| if penalty_edges[e].0 == c { 1.0 } else { 0.0 },
-            ),
-            dst_incidence: Matrix::from_fn(
-                penalty_edges.len(),
-                k,
-                |e, c| if penalty_edges[e].1 == c { 1.0 } else { 0.0 },
-            ),
-            edges: penalty_edges,
-        };
+        let (slots, local) = candidate_slots(&sub, shortlist);
 
         let tape = Tape::new();
-        let a_sub = tape.input(sub.dense_adjacency());
-        let x_sub = tape.constant(sub.features.clone());
+        let a = tape.input(slots.values().clone());
+        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
         let gcn_params = model.insert_params_frozen(&tape);
-        // Embeddings as a function of the (sub)adjacency, so ∂gate/∂Â is non-zero.
-        let a_norm = nn::gcn_normalize(&tape, a_sub);
-        let z = model.hidden_layer(&tape, a_norm, x_sub, &gcn_params);
+        // Embeddings as a function of the adjacency, so ∂gate/∂Â is non-zero.
+        let z = model.masked_hidden(&tape, &slots, a, xw1, &gcn_params);
         let pg_params = self.explainer.insert_params_frozen(&tape);
-        let logits = PgExplainer::edge_logits(&tape, z, &edges, tl, &pg_params);
+        let logits = PgExplainer::edge_logits(&tape, z, &penalty_pairs, tl, &pg_params);
         let gates = tape.sigmoid(logits);
         let penalty = tape.mul_scalar(tape.sum_all(gates), self.config.lambda);
-        let g = tape.value(grad(&tape, penalty, &[a_sub])[0]);
-        (g, sub)
+        let g = tape.value(grad(&tape, penalty, &[a])[0]);
+        local.iter().map(|&lv| slots.undirected(&g, tl, lv)).collect()
     }
 }
 
 impl TargetedAttack for PgGeAttack {
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.pg-geattack");
-        let mut zeroed = std::collections::HashSet::new();
-        let mut perturbation = Perturbation::new();
-        let mut working = ctx.graph.clone();
-        let gradients = LossGradients::new(ctx.model, ctx.graph.features());
-
-        for _ in 0..ctx.budget {
-            let candidates = candidate_endpoints(&working, ctx.target, &[]);
-            if candidates.is_empty() {
-                break;
-            }
-            let g_attack = gradients.targeted(&working, ctx.target, ctx.target_label);
-            let mut ranked = candidates.clone();
-            ranked.sort_by(|&a, &bnd| {
-                undirected_entry(&g_attack, ctx.target, a)
-                    .partial_cmp(&undirected_entry(&g_attack, ctx.target, bnd))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let shortlist: Vec<usize> = ranked.into_iter().take(self.config.candidate_pool.max(1)).collect();
-
-            let (g_penalty, sub) =
-                self.penalty_gradient(ctx.model, &working, ctx.target, &shortlist, ctx.graph, &zeroed);
-            let tl = sub.target_local;
-            // Normalize both gradient components (see geattack.rs for the rationale).
-            let attack_entry = |v: usize| undirected_entry(&g_attack, ctx.target, v);
-            let penalty_entry = |v: usize| {
-                sub.to_local(v)
-                    .map(|lv| g_penalty[(tl, lv)] + g_penalty[(lv, tl)])
-                    .unwrap_or(0.0)
-            };
-            let attack_scale = shortlist
-                .iter()
-                .map(|&v| attack_entry(v).abs())
-                .fold(0.0f64, f64::max)
-                .max(1e-12);
-            let penalty_scale = shortlist.iter().map(|&v| penalty_entry(v).abs()).fold(0.0f64, f64::max);
-            let penalty_weight = if penalty_scale > 1e-12 {
-                self.config.lambda / (50.0 * penalty_scale)
-            } else {
-                0.0
-            };
-            let chosen = shortlist
-                .into_iter()
-                .min_by(|&a, &bnd| {
-                    let score = |v: usize| attack_entry(v) / attack_scale + penalty_weight * penalty_entry(v);
-                    score(a).partial_cmp(&score(bnd)).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("shortlist is non-empty");
-
-            perturbation.add_edge(ctx.target, chosen);
-            working.add_edge(ctx.target, chosen);
-            zeroed.insert(chosen);
-        }
-        perturbation
+        let rule = (self.config.lambda, 50.0, false);
+        greedy_joint_attack(ctx, self.config.candidate_pool, rule, |working, shortlist| {
+            self.penalty_gradient(ctx.model, working, ctx.target, shortlist)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -180,6 +114,7 @@ impl TargetedAttack for PgGeAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geattack_attack::candidate_endpoints;
     use geattack_explain::PgExplainerConfig;
     use geattack_gnn::{train, Gcn, TrainConfig};
     use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
@@ -255,17 +190,14 @@ mod tests {
             },
         );
         let shortlist: Vec<usize> = candidate_endpoints(&graph, victim, &[]).into_iter().take(8).collect();
-        let zeroed = std::collections::HashSet::new();
-        let (g, sub) = attack.penalty_gradient(&model, &graph, victim, &shortlist, &graph, &zeroed);
-        assert_eq!(g.shape(), (sub.num_nodes(), sub.num_nodes()));
-        assert!(!g.has_non_finite());
+        let g = attack.penalty_gradient(&model, &graph, victim, &shortlist);
+        assert_eq!(g.len(), shortlist.len());
+        assert!(g.iter().all(|v| v.is_finite()));
         // Some candidate entry must receive gradient signal from the explainer.
-        let tl = sub.target_local;
-        let any_signal = shortlist
-            .iter()
-            .filter_map(|&v| sub.to_local(v))
-            .any(|lv| (g[(tl, lv)] + g[(lv, tl)]).abs() > 0.0);
-        assert!(any_signal, "PGExplainer penalty produced no gradient on candidates");
+        assert!(
+            g.iter().any(|v| v.abs() > 0.0),
+            "PGExplainer penalty produced no gradient on candidates"
+        );
     }
 
     #[test]

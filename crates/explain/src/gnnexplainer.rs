@@ -1,51 +1,26 @@
 //! GNNExplainer (Ying et al., NeurIPS 2019), structure-mask variant.
 //!
-//! For a target node, GNNExplainer learns a soft adjacency mask `M_A` over the
-//! node's computation subgraph by minimizing
-//! `L = -log f(A ⊙ σ(M_A), X)^{ŷ}_{v} + α‖σ(M_A)‖₁ + β H(σ(M_A))`
+//! For a target node, GNNExplainer learns a soft mask `M_A` over the edges of
+//! the node's computation subgraph by minimizing
+//! `L = -log f(A ⊙ σ(M_A), X)^{ŷ}_{v} + α‖σ(M_A) ⊙ A‖₁ + β H(σ(M_A) ⊙ A)`
 //! (Eq. 2/3 of the GEAttack paper plus the standard size/entropy regularizers of
 //! the reference implementation). Edges with the largest mask values form the
 //! explanation subgraph `G_S`.
 //!
-//! Two mask parameterizations are implemented:
-//!
-//! * **Dense-compat** — the classic `k×k` matrix mask over the subgraph's dense
-//!   adjacency. Costs `O(k²)` memory and time per epoch but reproduces the
-//!   historical byte-for-byte output.
-//! * **Per-edge** — a length-`2|E_sub|` vector with one entry per *directed*
-//!   stored edge of the subgraph's CSR, scattered onto the masked adjacency via
-//!   sparse tape ops. Costs `O(|E_sub|·d)` per epoch and never materializes a
-//!   `k×k` matrix, which is what makes explaining hubs of 100k-node graphs
-//!   feasible. The loss is the same function of the mask values at edge
-//!   positions (dense mask entries at non-edges receive zero gradient, so the
-//!   two parameterizations optimize the same effective variables); only the
-//!   random initialization and floating-point summation order differ.
+//! The mask holds one entry per directed adjacency slot of
+//! [`EdgeSlots`] (the reference implementations' length-`|E|` `edge_mask`), and
+//! the masked forward pass is the shared [`Gcn::masked_log_probs`]. A mask
+//! entry off the adjacency would get zero gradient, so this optimizes the same
+//! variables as a dense `k×k` mask at `O(|E_sub|·d)` per epoch.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_gnn::Gcn;
-use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph};
-use geattack_tensor::{grad::grad_values, init, nn, Adam, Matrix, Optimizer, SparseMatrix, Tape, Var};
+use geattack_gnn::{EdgeSlots, Gcn, GcnParamVars};
+use geattack_graph::{computation_subgraph, Graph};
+use geattack_tensor::{grad::grad_values, init, nn, Adam, Optimizer, Tape, Var};
 
 use crate::explainer::{Explainer, Explanation};
-
-/// Subgraph-node count above which [`MaskMode::Auto`] switches from the dense
-/// `k×k` mask to the per-edge vector mask. Every scenario preset that existed
-/// before the sparse-core refactor stays far below this, so `Auto` reproduces
-/// the historical reports byte-for-byte at those scales.
-pub const AUTO_PER_EDGE_NODE_THRESHOLD: usize = 4096;
-
-/// How the explainer parameterizes its structure mask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaskMode {
-    /// Dense below [`AUTO_PER_EDGE_NODE_THRESHOLD`] subgraph nodes, per-edge above.
-    Auto,
-    /// Always the dense `k×k` matrix mask (historical behavior).
-    DenseCompat,
-    /// Always the per-edge vector mask (scales to huge subgraphs).
-    PerEdge,
-}
 
 /// Hyper-parameters of the GNNExplainer mask optimization (defaults follow the
 /// reference implementation the paper uses).
@@ -65,8 +40,6 @@ pub struct GnnExplainerConfig {
     pub mask_init_std: f64,
     /// RNG seed for mask initialization.
     pub seed: u64,
-    /// Structure-mask parameterization.
-    pub mask_mode: MaskMode,
 }
 
 impl Default for GnnExplainerConfig {
@@ -79,7 +52,6 @@ impl Default for GnnExplainerConfig {
             entropy_coeff: 1.0,
             mask_init_std: 0.1,
             seed: 0,
-            mask_mode: MaskMode::Auto,
         }
     }
 }
@@ -97,330 +69,41 @@ impl GnnExplainer {
         Self { config }
     }
 
-    /// Builds the masked, symmetrized adjacency `A ⊙ σ((M + Mᵀ)/2)` on the tape.
-    /// Exposed for reuse by GEAttack's inner loop, which mimics exactly this
-    /// computation.
-    pub fn masked_adjacency(tape: &Tape, a_sub: Var, mask: Var) -> Var {
-        let sym = tape.mul_scalar(tape.add(mask, tape.transpose(mask)), 0.5);
-        let gate = tape.sigmoid(sym);
-        tape.mul(a_sub, gate)
-    }
-
-    /// The explainer objective `L_Explainer` of Eq. (2)/(3): negative log-likelihood
-    /// of the explained class under the masked adjacency, plus size and entropy
-    /// regularizers. Exposed for reuse by GEAttack.
+    /// The explainer objective `L_Explainer` of Eq. (2)/(3) over a per-slot mask
+    /// `m` (`nnz×1`): negative log-likelihood of the explained class under the
+    /// gates `a ⊙ σ((m_e + m_{rev(e)})/2)`, plus size and entropy regularizers
+    /// of `σ(m)` weighted by `a` — the slot form of the dense `σ(M) ⊙ A`.
+    ///
+    /// `a` holds the slot values ([`EdgeSlots::values`]); GEAttack records it as
+    /// a tape input to differentiate the loss with respect to the adjacency.
+    /// `xw1` is the subgraph's feature projection `X·W₁` and `params` the frozen
+    /// model parameters, both shared across epochs and inner steps.
     #[allow(clippy::too_many_arguments)]
-    pub fn explainer_loss(
+    pub fn loss(
         &self,
         tape: &Tape,
         model: &Gcn,
-        a_sub: Var,
-        x_sub: Var,
-        mask: Var,
-        target_local: usize,
-        explained_class: usize,
-    ) -> Var {
-        let params = model.insert_params_frozen(tape);
-        let xw1 = tape.matmul(x_sub, params.w1);
-        self.explainer_loss_projected(tape, model, a_sub, xw1, &params, mask, target_local, explained_class)
-    }
-
-    /// [`GnnExplainer::explainer_loss`] with the frozen parameters and the
-    /// mask-independent projection `X·W₁` supplied by the caller, so per-epoch
-    /// (and per-inner-step) loops pay only the mask-dependent work. Values and
-    /// mask/adjacency gradients are bit-identical to [`GnnExplainer::explainer_loss`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn explainer_loss_projected(
-        &self,
-        tape: &Tape,
-        model: &Gcn,
-        a_sub: Var,
+        slots: &EdgeSlots,
+        a: Var,
         xw1: Var,
-        params: &geattack_gnn::GcnParamVars,
-        mask: Var,
-        target_local: usize,
-        explained_class: usize,
-    ) -> Var {
-        let masked = Self::masked_adjacency(tape, a_sub, mask);
-        let log_probs = model.log_probs_from_raw_adj_projected(tape, masked, xw1, params);
-        let nll = nn::node_class_nll(tape, log_probs, target_local, explained_class, model.num_classes());
-
-        // Regularizers operate only on entries corresponding to existing edges.
-        let gate = tape.sigmoid(mask);
-        let gated_edges = tape.mul(gate, a_sub);
-        let size_reg = tape.mul_scalar(tape.sum_all(gated_edges), self.config.size_coeff);
-
-        // Binary entropy of the gated edge weights. Sigmoid is mathematically
-        // inside (0,1) but saturates to exactly 0/1 in f64 for |logit| ≳ 37, so
-        // the logs are epsilon-stabilized (same fix as PGExplainer's loss).
-        let eps = 1e-12;
-        let one_minus = tape.add_scalar(tape.mul_scalar(gate, -1.0), 1.0);
-        let ent = tape.neg(tape.add(
-            tape.mul(gate, tape.ln(tape.add_scalar(gate, eps))),
-            tape.mul(one_minus, tape.ln(tape.add_scalar(one_minus, eps))),
-        ));
-        let ent_edges = tape.mul(ent, a_sub);
-        let denom = tape.value_ref(a_sub).sum().max(1.0);
-        let ent_reg = tape.mul_scalar(tape.sum_all(ent_edges), self.config.entropy_coeff / denom);
-
-        tape.add(tape.add(nll, size_reg), ent_reg)
-    }
-
-    fn use_per_edge(&self, subgraph_nodes: usize) -> bool {
-        match self.config.mask_mode {
-            MaskMode::DenseCompat => false,
-            MaskMode::PerEdge => true,
-            MaskMode::Auto => subgraph_nodes > AUTO_PER_EDGE_NODE_THRESHOLD,
-        }
-    }
-
-    /// Historical dense-mask optimization (`k×k` mask over the dense adjacency).
-    fn explain_dense(
-        &self,
-        model: &Gcn,
-        sub: &ComputationSubgraph,
-        target: usize,
-        explained_class: usize,
-    ) -> Explanation {
-        let k = sub.num_nodes();
-
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed.wrapping_add(target as u64));
-        let mut mask = init::normal(k, k, 0.0, self.config.mask_init_std, &mut rng);
-        let mut optimizer = Adam::new(self.config.lr);
-
-        // The dense adjacency is materialized once for the whole optimization
-        // (the CSR stays the source of truth); the feature projection X·W₁ does
-        // not depend on the mask either, so both feed every epoch's tape as
-        // constants — bit-identical to recomputing them per epoch.
-        let a_sub_value = sub.dense_adjacency();
-        let xw1_value = sub.features.matmul(&model.params().w1);
-
-        for _ in 0..self.config.epochs {
-            let tape = Tape::new();
-            let a_sub = tape.constant(a_sub_value.clone());
-            let xw1 = tape.constant(xw1_value.clone());
-            let params = model.insert_params_frozen(&tape);
-            let m = tape.input(mask.clone());
-            let loss =
-                self.explainer_loss_projected(&tape, model, a_sub, xw1, &params, m, sub.target_local, explained_class);
-            let grads = grad_values(&tape, loss, &[m]);
-            let mut mask_params = vec![mask];
-            optimizer.step(&mut mask_params, &grads);
-            mask = mask_params.pop().unwrap();
-        }
-
-        let edges = mask_to_edge_weights(&a_sub_value, &mask, |local| sub.to_global(local));
-        Explanation::from_edge_weights(target, explained_class, edges)
-    }
-
-    /// Per-edge vector-mask optimization: one mask entry per directed stored
-    /// edge, masked adjacency assembled with sparse tape ops only.
-    fn explain_per_edge(
-        &self,
-        model: &Gcn,
-        sub: &ComputationSubgraph,
-        target: usize,
-        explained_class: usize,
-    ) -> Explanation {
-        let layout = EdgeMaskLayout::new(sub);
-        if layout.nnz() == 0 {
-            return Explanation::from_edge_weights(target, explained_class, Vec::new());
-        }
-
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed.wrapping_add(target as u64));
-        let mut mask = if layout.num_nodes <= AUTO_PER_EDGE_NODE_THRESHOLD {
-            // Replay the dense k×k init's draw sequence and keep the values at
-            // edge positions: the dense mask's non-edge entries receive zero
-            // gradient, so starting from the same effective variables makes the
-            // two parameterizations directly comparable on small graphs.
-            let mut m = Matrix::zeros(layout.nnz(), 1);
-            let mut e = 0usize;
-            for i in 0..layout.num_nodes {
-                let neighbors = sub.csr.neighbors(i);
-                let mut cursor = 0usize;
-                for j in 0..layout.num_nodes {
-                    let draw = self.config.mask_init_std * init::standard_normal(&mut rng);
-                    if cursor < neighbors.len() && neighbors[cursor] == j {
-                        m[(e, 0)] = draw;
-                        e += 1;
-                        cursor += 1;
-                    }
-                }
-            }
-            m
-        } else {
-            // Above the compat threshold the dense replay would cost O(k²) RNG
-            // draws; huge subgraphs get an O(nnz) init of the same distribution.
-            init::normal(layout.nnz(), 1, 0.0, self.config.mask_init_std, &mut rng)
-        };
-        let mut optimizer = Adam::new(self.config.lr);
-        let xw1_value = sub.features.matmul(&model.params().w1);
-
-        for _ in 0..self.config.epochs {
-            let tape = Tape::new();
-            let xw1 = tape.constant(xw1_value.clone());
-            let params = model.insert_params_frozen(&tape);
-            let m = tape.input(mask.clone());
-            let loss = self.per_edge_loss(
-                &tape,
-                model,
-                &layout,
-                xw1,
-                &params,
-                m,
-                sub.target_local,
-                explained_class,
-            );
-            let grads = grad_values(&tape, loss, &[m]);
-            let mut mask_params = vec![mask];
-            optimizer.step(&mut mask_params, &grads);
-            mask = mask_params.pop().unwrap();
-        }
-
-        let edges = layout.edge_weights(&mask, |local| sub.to_global(local));
-        Explanation::from_edge_weights(target, explained_class, edges)
-    }
-
-    /// The explainer objective over a per-edge mask vector `m` (`nnz×1`, one
-    /// entry per directed stored edge). Same function of the mask values as
-    /// [`GnnExplainer::explainer_loss_projected`] restricted to edge positions:
-    /// masked value of edge `(i,j)` is `σ((m_{ij}+m_{ji})/2)`, the GCN
-    /// normalization runs over the masked degrees `1 + Σ_j masked_{ij}`, and the
-    /// size/entropy regularizers sum `σ(m)` over the directed edges.
-    #[allow(clippy::too_many_arguments)]
-    fn per_edge_loss(
-        &self,
-        tape: &Tape,
-        model: &Gcn,
-        layout: &EdgeMaskLayout,
-        xw1: Var,
-        params: &geattack_gnn::GcnParamVars,
+        params: &GcnParamVars,
         m: Var,
         target_local: usize,
         explained_class: usize,
     ) -> Var {
-        let k = layout.num_nodes;
-        let r = tape.sparse_constant(layout.incidence.clone());
-
-        // Symmetrized gate per directed edge: σ((m_e + m_{rev(e)})/2).
-        let sym = tape.mul_scalar(tape.add(m, tape.gather_rows(m, &layout.rev)), 0.5);
-        let gate = tape.sigmoid(sym);
-
-        // Masked GCN normalization without a k×k matrix: degrees are self-loop
-        // plus the row sums of the gated edge values, and the normalized value
-        // of edge e is gate_e · s_row(e) · s_col(e) with s = deg^{-1/2}.
-        let deg = tape.add_scalar(tape.spmm(r, gate), 1.0);
-        let s = tape.pow_scalar(deg, -0.5);
-        let self_loop = tape.mul(s, s);
-        let edge_vals = tape.mul(
-            tape.mul(gate, tape.gather_rows(s, &layout.row_idx)),
-            tape.gather_rows(s, &layout.col_idx),
-        );
-
-        // Ã_masked · X as a gather-scale-scatter plus the self-loop term.
-        let prop = |x: Var| {
-            let cols = x.cols();
-            let gathered = tape.gather_rows(x, &layout.col_idx);
-            let weighted = tape.mul(tape.col_broadcast(edge_vals, cols), gathered);
-            tape.add(tape.spmm(r, weighted), tape.mul(tape.col_broadcast(self_loop, cols), x))
-        };
-
-        let pre = tape.add(prop(xw1), tape.row_broadcast(params.b1, k));
-        let h = tape.relu(pre);
-        let logits = tape.add(prop(tape.matmul(h, params.w2)), tape.row_broadcast(params.b2, k));
-        let log_probs = nn::log_softmax_rows(tape, logits);
+        let gates = tape.mul(a, tape.sigmoid(slots.symmetrize(tape, m)));
+        let log_probs = model.masked_log_probs(tape, slots, gates, xw1, params);
         let nll = nn::node_class_nll(tape, log_probs, target_local, explained_class, model.num_classes());
 
-        // Size and entropy regularizers over the raw (unsymmetrized) directed
-        // mask entries — the per-edge analogue of `σ(M) ⊙ A` in the dense loss.
-        let gate_raw = tape.sigmoid(m);
-        let size_reg = tape.mul_scalar(tape.sum_all(gate_raw), self.config.size_coeff);
+        // Regularizers count only the slots that are edges (a = 1).
+        let gate = tape.sigmoid(m);
+        let size_reg = tape.mul_scalar(tape.sum_all(tape.mul(gate, a)), self.config.size_coeff);
 
-        let eps = 1e-12;
-        let one_minus = tape.add_scalar(tape.mul_scalar(gate_raw, -1.0), 1.0);
-        let ent = tape.neg(tape.add(
-            tape.mul(gate_raw, tape.ln(tape.add_scalar(gate_raw, eps))),
-            tape.mul(one_minus, tape.ln(tape.add_scalar(one_minus, eps))),
-        ));
-        let denom = (layout.nnz() as f64).max(1.0);
-        let ent_reg = tape.mul_scalar(tape.sum_all(ent), self.config.entropy_coeff / denom);
+        let ent = nn::binary_entropy(tape, gate);
+        let denom = tape.value_ref(a).sum().max(1.0);
+        let ent_reg = tape.mul_scalar(tape.sum_all(tape.mul(ent, a)), self.config.entropy_coeff / denom);
 
         tape.add(tape.add(nll, size_reg), ent_reg)
-    }
-}
-
-/// Index bookkeeping for the per-edge mask: directed stored edges of the
-/// subgraph CSR in row-major order, the permutation pairing each directed edge
-/// with its reverse, and the `k × nnz` row-incidence matrix used to reduce
-/// per-edge values back to per-node rows.
-struct EdgeMaskLayout {
-    num_nodes: usize,
-    /// Source node of each directed edge (row-major CSR order).
-    row_idx: Vec<usize>,
-    /// Destination node of each directed edge.
-    col_idx: Vec<usize>,
-    /// `rev[e]` is the index of the reversed edge `(j,i)` of `e = (i,j)`.
-    rev: Vec<usize>,
-    /// `k × nnz` 0/1 matrix with `R[i,e] = 1` iff edge `e` leaves node `i`.
-    incidence: SparseMatrix,
-}
-
-impl EdgeMaskLayout {
-    fn new(sub: &ComputationSubgraph) -> Self {
-        let k = sub.num_nodes();
-        let mut row_idx = Vec::new();
-        let mut col_idx = Vec::new();
-        let mut offsets = vec![0usize; k + 1];
-        for i in 0..k {
-            let neighbors = sub.csr.neighbors(i);
-            offsets[i + 1] = offsets[i] + neighbors.len();
-            for &j in neighbors {
-                row_idx.push(i);
-                col_idx.push(j);
-            }
-        }
-        let rev: Vec<usize> = row_idx
-            .iter()
-            .zip(&col_idx)
-            .map(|(&i, &j)| {
-                let pos = sub
-                    .csr
-                    .neighbors(j)
-                    .binary_search(&i)
-                    .expect("CSR adjacency must be symmetric");
-                offsets[j] + pos
-            })
-            .collect();
-        let incidence_rows: Vec<Vec<(usize, f64)>> = (0..k)
-            .map(|i| (offsets[i]..offsets[i + 1]).map(|e| (e, 1.0)).collect())
-            .collect();
-        let incidence = SparseMatrix::from_rows(k, row_idx.len(), &incidence_rows);
-        Self {
-            num_nodes: k,
-            row_idx,
-            col_idx,
-            rev,
-            incidence,
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
-    /// Final per-edge weights `σ((m_{ij}+m_{ji})/2)` for the undirected edges
-    /// `i < j`, with local ids mapped to global ones.
-    fn edge_weights(&self, mask: &Matrix, to_global: impl Fn(usize) -> usize) -> Vec<(usize, usize, f64)> {
-        let mut edges = Vec::with_capacity(self.nnz() / 2);
-        for e in 0..self.nnz() {
-            let (i, j) = (self.row_idx[e], self.col_idx[e]);
-            if i < j {
-                let raw = 0.5 * (mask[(e, 0)] + mask[(self.rev[e], 0)]);
-                let weight = 1.0 / (1.0 + (-raw).exp());
-                edges.push((to_global(i), to_global(j), weight));
-            }
-        }
-        edges
     }
 }
 
@@ -433,37 +116,56 @@ impl Explainer for GnnExplainer {
     fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.gnnexplainer");
         let sub = computation_subgraph(graph, target, self.config.hops, &[]);
-        if self.use_per_edge(sub.num_nodes()) {
-            self.explain_per_edge(model, &sub, target, explained_class)
-        } else {
-            self.explain_dense(model, &sub, target, explained_class)
+        let slots = EdgeSlots::new(&sub);
+        if slots.nnz() == 0 {
+            return Explanation::from_edge_weights(target, explained_class, Vec::new());
         }
+
+        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed.wrapping_add(target as u64));
+        let mut mask = init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, &mut rng);
+        let mut optimizer = Adam::new(self.config.lr);
+        // X·W₁ depends on the mask no more than the slot values do, so both
+        // feed every epoch's tape as constants.
+        let xw1_value = sub.features.matmul(&model.params().w1);
+
+        for _ in 0..self.config.epochs {
+            let tape = Tape::new();
+            let xw1 = tape.constant(xw1_value.clone());
+            let a = tape.constant(slots.values().clone());
+            let params = model.insert_params_frozen(&tape);
+            let m = tape.input(mask.clone());
+            let loss = self.loss(
+                &tape,
+                model,
+                &slots,
+                a,
+                xw1,
+                &params,
+                m,
+                sub.target_local,
+                explained_class,
+            );
+            let grads = grad_values(&tape, loss, &[m]);
+            let mut mask_params = vec![mask];
+            optimizer.step(&mut mask_params, &grads);
+            mask = mask_params.pop().unwrap();
+        }
+
+        // The weight of edge (i,j), i < j, is σ((m_ij + m_ji)/2).
+        let edges = (0..slots.nnz())
+            .filter(|&e| slots.row(e) < slots.col(e))
+            .map(|e| {
+                let raw = 0.5 * (mask[(e, 0)] + mask[(slots.rev()[e], 0)]);
+                let weight = 1.0 / (1.0 + (-raw).exp());
+                (sub.to_global(slots.row(e)), sub.to_global(slots.col(e)), weight)
+            })
+            .collect();
+        Explanation::from_edge_weights(target, explained_class, edges)
     }
 
     fn name(&self) -> &'static str {
         "GNNExplainer"
     }
-}
-
-/// Converts a learned mask over a local adjacency into per-edge weights with
-/// global node ids. The weight of edge `(i, j)` is `σ((M[i,j] + M[j,i]) / 2)`.
-pub fn mask_to_edge_weights(
-    adjacency: &Matrix,
-    mask: &Matrix,
-    to_global: impl Fn(usize) -> usize,
-) -> Vec<(usize, usize, f64)> {
-    let k = adjacency.rows();
-    let mut edges = Vec::new();
-    for i in 0..k {
-        for j in (i + 1)..k {
-            if adjacency[(i, j)] > 0.5 {
-                let raw = 0.5 * (mask[(i, j)] + mask[(j, i)]);
-                let weight = 1.0 / (1.0 + (-raw).exp());
-                edges.push((to_global(i), to_global(j), weight));
-            }
-        }
-    }
-    edges
 }
 
 #[cfg(test)]
@@ -550,137 +252,5 @@ mod tests {
             spread > 1e-3,
             "mask weights did not differentiate edges (spread {spread})"
         );
-    }
-
-    #[test]
-    fn mask_to_edge_weights_respects_adjacency() {
-        let adjacency = Matrix::from_vec(3, 3, vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let mask = Matrix::from_fn(3, 3, |i, j| (i + j) as f64);
-        let edges = mask_to_edge_weights(&adjacency, &mask, |l| l + 10);
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0].0, 10);
-        assert_eq!(edges[0].1, 11);
-        assert!(edges.iter().all(|&(_, _, w)| (0.0..=1.0).contains(&w)));
-    }
-
-    #[test]
-    fn per_edge_loss_matches_dense_loss_for_matched_masks() {
-        // With the per-edge mask set to the dense mask's values at edge
-        // positions, the two losses are the same mathematical function — they
-        // must agree to floating-point reordering tolerance.
-        let (graph, model) = small_setup();
-        let target = (0..graph.num_nodes()).max_by_key(|&i| graph.degree(i)).unwrap();
-        let explained_class = model.predict_proba(&graph).argmax_row(target);
-        let explainer = GnnExplainer::default();
-        let sub = computation_subgraph(&graph, target, explainer.config.hops, &[]);
-        let k = sub.num_nodes();
-
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let dense_mask = init::normal(k, k, 0.0, 0.5, &mut rng);
-        let a_sub_value = sub.dense_adjacency();
-
-        let tape = Tape::new();
-        let a_sub = tape.constant(a_sub_value.clone());
-        let x_sub = tape.constant(sub.features.clone());
-        let m = tape.input(dense_mask.clone());
-        let dense_loss =
-            tape.value(explainer.explainer_loss(&tape, &model, a_sub, x_sub, m, sub.target_local, explained_class))
-                [(0, 0)];
-
-        let layout = EdgeMaskLayout::new(&sub);
-        let mut per_edge = Matrix::zeros(layout.nnz(), 1);
-        for e in 0..layout.nnz() {
-            per_edge[(e, 0)] = dense_mask[(layout.row_idx[e], layout.col_idx[e])];
-        }
-        let tape = Tape::new();
-        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
-        let params = model.insert_params_frozen(&tape);
-        let m = tape.input(per_edge);
-        let sparse_loss = tape.value(explainer.per_edge_loss(
-            &tape,
-            &model,
-            &layout,
-            xw1,
-            &params,
-            m,
-            sub.target_local,
-            explained_class,
-        ))[(0, 0)];
-
-        assert!(
-            (dense_loss - sparse_loss).abs() < 1e-9,
-            "per-edge loss {sparse_loss} diverged from dense loss {dense_loss}"
-        );
-    }
-
-    #[test]
-    fn per_edge_mask_matches_dense_top_edges() {
-        // Full pipeline pinning: both parameterizations optimize the same
-        // objective from different random inits, so on a seed graph they must
-        // agree on the edge set and on which edges matter most.
-        let (graph, model) = small_setup();
-        let target = (0..graph.num_nodes()).max_by_key(|&i| graph.degree(i)).unwrap();
-        let dense = GnnExplainer::new(GnnExplainerConfig {
-            epochs: 80,
-            mask_mode: MaskMode::DenseCompat,
-            ..Default::default()
-        })
-        .explain(&model, &graph, target);
-        let sparse = GnnExplainer::new(GnnExplainerConfig {
-            epochs: 80,
-            mask_mode: MaskMode::PerEdge,
-            ..Default::default()
-        })
-        .explain(&model, &graph, target);
-
-        // Identical edge coverage.
-        let dense_edges: std::collections::BTreeSet<(usize, usize)> = dense
-            .ranked_edges
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .collect();
-        let sparse_edges: std::collections::BTreeSet<(usize, usize)> = sparse
-            .ranked_edges
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .collect();
-        assert_eq!(dense_edges, sparse_edges, "edge sets differ between mask modes");
-
-        // The top-ranked edges agree as a set.
-        let top = 3.min(dense.ranked_edges.len());
-        let dense_top: std::collections::BTreeSet<(usize, usize)> = dense.ranked_edges[..top]
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .collect();
-        let sparse_top: std::collections::BTreeSet<(usize, usize)> = sparse.ranked_edges[..top]
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .collect();
-        assert_eq!(dense_top, sparse_top, "top-{top} edges differ between mask modes");
-    }
-
-    #[test]
-    fn auto_mode_matches_dense_compat_below_threshold() {
-        // Every pre-existing scenario stays below the Auto threshold, so Auto
-        // must reproduce the dense-compat output bit-for-bit there.
-        let (graph, model) = small_setup();
-        let target = graph.num_nodes() / 3;
-        let auto = GnnExplainer::new(GnnExplainerConfig {
-            epochs: 10,
-            ..Default::default()
-        })
-        .explain(&model, &graph, target);
-        let dense = GnnExplainer::new(GnnExplainerConfig {
-            epochs: 10,
-            mask_mode: MaskMode::DenseCompat,
-            ..Default::default()
-        })
-        .explain(&model, &graph, target);
-        assert_eq!(auto.ranked_edges.len(), dense.ranked_edges.len());
-        for (a, d) in auto.ranked_edges.iter().zip(dense.ranked_edges.iter()) {
-            assert_eq!(a.0, d.0);
-            assert_eq!(a.1, d.1);
-            assert_eq!(a.2.to_bits(), d.2.to_bits());
-        }
     }
 }

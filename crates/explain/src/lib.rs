@@ -14,6 +14,6 @@ pub mod metrics;
 pub mod pgexplainer;
 
 pub use explainer::{Explainer, Explanation};
-pub use gnnexplainer::{GnnExplainer, GnnExplainerConfig, MaskMode};
+pub use gnnexplainer::{GnnExplainer, GnnExplainerConfig};
 pub use metrics::{detection_scores, mean_scores, DetectionScores};
 pub use pgexplainer::{PgExplainer, PgExplainerConfig, PgMlpParams};

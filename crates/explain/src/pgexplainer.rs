@@ -16,8 +16,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_gnn::{BatchedForward, Gcn};
-use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph};
+use geattack_gnn::{BatchedForward, EdgeSlots, Gcn};
+use geattack_graph::{computation_subgraph, Graph};
 use geattack_tensor::{grad::grad_values, init, nn, Adam, Matrix, Optimizer, Tape, Var};
 
 use crate::explainer::{Explainer, Explanation};
@@ -122,6 +122,22 @@ impl PgMlpParams {
             b2,
         }
     }
+
+    /// Records the parameters on `tape` as trainable inputs.
+    pub fn insert(&self, tape: &Tape) -> PgMlpVars {
+        self.record(|m| tape.input(m))
+    }
+
+    fn record(&self, mut leaf: impl FnMut(Matrix) -> Var) -> PgMlpVars {
+        PgMlpVars {
+            w_src: leaf(self.w_src.clone()),
+            w_dst: leaf(self.w_dst.clone()),
+            w_tgt: leaf(self.w_tgt.clone()),
+            b1: leaf(self.b1.clone()),
+            w2: leaf(self.w2.clone()),
+            b2: leaf(self.b2.clone()),
+        }
+    }
 }
 
 /// Tape handles to the MLP parameters.
@@ -148,91 +164,6 @@ impl PgMlpVars {
     }
 }
 
-/// The local edge list of a computation subgraph plus the incidence matrices used
-/// to turn per-edge mask values into a dense masked adjacency.
-#[derive(Clone, Debug)]
-pub struct SubgraphEdges {
-    /// Local `(u, v)` pairs with `u < v`.
-    pub edges: Vec<(usize, usize)>,
-    /// `|E| x k` one-hot rows selecting each edge's source endpoint.
-    pub src_incidence: Matrix,
-    /// `|E| x k` one-hot rows selecting each edge's destination endpoint.
-    pub dst_incidence: Matrix,
-    /// Local source indices (row gather order for embeddings).
-    pub src_indices: Vec<usize>,
-    /// Local destination indices.
-    pub dst_indices: Vec<usize>,
-}
-
-impl SubgraphEdges {
-    /// Extracts the edge list and incidence matrices of a local adjacency matrix.
-    pub fn from_adjacency(adjacency: &Matrix) -> Self {
-        let k = adjacency.rows();
-        let mut edges = Vec::new();
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if adjacency[(i, j)] > 0.5 {
-                    edges.push((i, j));
-                }
-            }
-        }
-        let m = edges.len();
-        let mut src_incidence = Matrix::zeros(m, k);
-        let mut dst_incidence = Matrix::zeros(m, k);
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            src_incidence[(e, u)] = 1.0;
-            dst_incidence[(e, v)] = 1.0;
-        }
-        Self {
-            src_indices: edges.iter().map(|&(u, _)| u).collect(),
-            dst_indices: edges.iter().map(|&(_, v)| v).collect(),
-            edges,
-            src_incidence,
-            dst_incidence,
-        }
-    }
-
-    /// Extracts the edge list and incidence matrices straight from a
-    /// computation subgraph's CSR — same edges in the same `(i, j)` `i < j`
-    /// row-major order as [`SubgraphEdges::from_adjacency`] on the dense
-    /// adjacency, without materializing the `k×k` matrix.
-    pub fn from_subgraph(sub: &ComputationSubgraph) -> Self {
-        let k = sub.num_nodes();
-        let mut edges = Vec::with_capacity(sub.num_edges());
-        for i in 0..k {
-            for &j in sub.csr.neighbors(i) {
-                if i < j {
-                    edges.push((i, j));
-                }
-            }
-        }
-        let m = edges.len();
-        let mut src_incidence = Matrix::zeros(m, k);
-        let mut dst_incidence = Matrix::zeros(m, k);
-        for (e, &(u, v)) in edges.iter().enumerate() {
-            src_incidence[(e, u)] = 1.0;
-            dst_incidence[(e, v)] = 1.0;
-        }
-        Self {
-            src_indices: edges.iter().map(|&(u, _)| u).collect(),
-            dst_indices: edges.iter().map(|&(_, v)| v).collect(),
-            edges,
-            src_incidence,
-            dst_incidence,
-        }
-    }
-
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True if the subgraph has no edges.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-}
-
 /// A trained PGExplainer.
 #[derive(Clone, Debug)]
 pub struct PgExplainer {
@@ -255,26 +186,19 @@ impl PgExplainer {
 
     /// Records the MLP parameters on a tape as constants.
     pub fn insert_params_frozen(&self, tape: &Tape) -> PgMlpVars {
-        let p = &self.params;
-        PgMlpVars {
-            w_src: tape.constant(p.w_src.clone()),
-            w_dst: tape.constant(p.w_dst.clone()),
-            w_tgt: tape.constant(p.w_tgt.clone()),
-            b1: tape.constant(p.b1.clone()),
-            w2: tape.constant(p.w2.clone()),
-            b2: tape.constant(p.b2.clone()),
-        }
+        self.params.record(|m| tape.constant(m))
     }
 
-    /// Differentiable per-edge logits for a subgraph, given endpoint embeddings
-    /// `z` (`k x h`, a tape variable so gradients can flow back into the adjacency
-    /// when GEAttack needs them).
-    pub fn edge_logits(tape: &Tape, z: Var, edges: &SubgraphEdges, target_local: usize, params: &PgMlpVars) -> Var {
+    /// Differentiable logits of the local edges `(u, v)`, given endpoint
+    /// embeddings `z` (`k x h`, a tape variable so gradients can flow back into
+    /// the adjacency when GEAttack needs them).
+    pub fn edge_logits(tape: &Tape, z: Var, edges: &[(usize, usize)], target_local: usize, params: &PgMlpVars) -> Var {
         assert!(!edges.is_empty(), "edge_logits requires at least one edge");
-        let z_src = tape.gather_rows(z, &edges.src_indices);
-        let z_dst = tape.gather_rows(z, &edges.dst_indices);
-        let tgt_rows: Vec<usize> = vec![target_local; edges.len()];
-        let z_tgt = tape.gather_rows(z, &tgt_rows);
+        let src: Vec<usize> = edges.iter().map(|&(u, _)| u).collect();
+        let dst: Vec<usize> = edges.iter().map(|&(_, v)| v).collect();
+        let z_src = tape.gather_rows(z, &src);
+        let z_dst = tape.gather_rows(z, &dst);
+        let z_tgt = tape.gather_rows(z, &vec![target_local; edges.len()]);
         let pre = tape.add(
             tape.add(tape.matmul(z_src, params.w_src), tape.matmul(z_dst, params.w_dst)),
             tape.matmul(z_tgt, params.w_tgt),
@@ -285,50 +209,34 @@ impl PgExplainer {
         tape.add(out, tape.row_broadcast(params.b2, out.rows()))
     }
 
-    /// Builds the dense masked adjacency `A ⊙ mask` from per-edge gate values
-    /// (`|E| x 1`), placing each gate symmetrically at its edge's two entries.
-    pub fn masked_adjacency_from_gates(tape: &Tape, a_sub: Var, gates: Var, edges: &SubgraphEdges) -> Var {
-        let k = a_sub.rows();
-        let src = tape.constant(edges.src_incidence.clone());
-        let dst = tape.constant(edges.dst_incidence.clone());
-        let scaled_src = tape.mul(src, tape.col_broadcast(gates, k));
-        let upper = tape.matmul(tape.transpose(scaled_src), dst);
-        let sym = tape.add(upper, tape.transpose(upper));
-        tape.mul(a_sub, sym)
-    }
-
-    /// The PGExplainer training loss for one instance, given embeddings `z` for
-    /// the subgraph nodes and the precomputed (epoch-invariant) feature
-    /// projection `X·W₁` of the subgraph.
+    /// The PGExplainer training loss for one instance: the explained class's
+    /// negative log-likelihood under the MLP's gates — each undirected edge's
+    /// gate weighs both of its directed slots — plus size and entropy
+    /// regularizers of the gates. `edges` are the subgraph's edges in the
+    /// order of [`EdgeSlots::pair`], `z` holds the subgraph nodes' embeddings
+    /// and `xw1` the subgraph's epoch-invariant feature projection `X·W₁`.
     #[allow(clippy::too_many_arguments)]
-    fn instance_loss_projected(
+    pub fn instance_loss(
         &self,
         tape: &Tape,
         model: &Gcn,
-        sub: &ComputationSubgraph,
-        edges: &SubgraphEdges,
+        slots: &EdgeSlots,
+        edges: &[(usize, usize)],
         z: Var,
         xw1: Var,
+        target_local: usize,
         explained_class: usize,
         params: &PgMlpVars,
     ) -> Var {
-        let logits = Self::edge_logits(tape, z, edges, sub.target_local, params);
+        let logits = Self::edge_logits(tape, z, edges, target_local, params);
         let gates = tape.sigmoid(logits);
-        let a_sub = tape.constant(sub.dense_adjacency());
-        let masked = Self::masked_adjacency_from_gates(tape, a_sub, gates, edges);
+        let weights = tape.gather_rows(gates, slots.pair());
         let gcn_params = model.insert_params_frozen(tape);
-        let log_probs = model.log_probs_from_raw_adj_projected(tape, masked, xw1, &gcn_params);
-        let nll = nn::node_class_nll(tape, log_probs, sub.target_local, explained_class, model.num_classes());
+        let log_probs = model.masked_log_probs(tape, slots, weights, xw1, &gcn_params);
+        let nll = nn::node_class_nll(tape, log_probs, target_local, explained_class, model.num_classes());
 
         let size_reg = tape.mul_scalar(tape.sum_all(gates), self.config.size_coeff);
-        let one_minus = tape.add_scalar(tape.mul_scalar(gates, -1.0), 1.0);
-        // Saturated gates make sigmoid exactly 0/1 in f64 and ln(0) = -inf, so
-        // the element-wise entropy is stabilized with a small epsilon.
-        let eps = 1e-12;
-        let ent = tape.neg(tape.add(
-            tape.mul(gates, tape.ln(tape.add_scalar(gates, eps))),
-            tape.mul(one_minus, tape.ln(tape.add_scalar(one_minus, eps))),
-        ));
+        let ent = nn::binary_entropy(tape, gates);
         let ent_reg = tape.mul_scalar(tape.mean_all(ent), self.config.entropy_coeff);
         tape.add(tape.add(nll, size_reg), ent_reg)
     }
@@ -380,13 +288,14 @@ impl PgExplainer {
             params: params.clone(),
         };
 
-        // Per-instance state that never changes across epochs — the computation
-        // subgraph, its edge list, the gathered embeddings, the explained class
+        // Per-instance state that never changes across epochs — the slot
+        // layout, the edge list, the gathered embeddings, the explained class
         // and the feature projection X·W₁ — is extracted once instead of being
         // rebuilt `epochs` times (values are identical either way).
         struct InstanceState {
-            sub: ComputationSubgraph,
-            edges: SubgraphEdges,
+            target_local: usize,
+            slots: EdgeSlots,
+            edges: Vec<(usize, usize)>,
             z_value: Matrix,
             xw1_value: Matrix,
             explained_class: usize,
@@ -395,14 +304,15 @@ impl PgExplainer {
             .iter()
             .filter_map(|&node| {
                 let sub = computation_subgraph(graph, node, config.hops, &[]);
-                let edges = SubgraphEdges::from_subgraph(&sub);
+                let edges = sub.csr.edges();
                 if edges.is_empty() {
                     return None;
                 }
                 let z_value = embeddings.gather_rows(&sub.nodes);
                 let xw1_value = sub.features.matmul(&model.params().w1);
                 Some(InstanceState {
-                    sub,
+                    target_local: sub.target_local,
+                    slots: EdgeSlots::new(&sub),
                     edges,
                     z_value,
                     xw1_value,
@@ -416,25 +326,19 @@ impl PgExplainer {
                 let tape = Tape::new();
                 let z = tape.constant(instance.z_value.clone());
                 let xw1 = tape.constant(instance.xw1_value.clone());
-                let param_vars = PgMlpVars {
-                    w_src: tape.input(params.w_src.clone()),
-                    w_dst: tape.input(params.w_dst.clone()),
-                    w_tgt: tape.input(params.w_tgt.clone()),
-                    b1: tape.input(params.b1.clone()),
-                    w2: tape.input(params.w2.clone()),
-                    b2: tape.input(params.b2.clone()),
-                };
+                let param_vars = params.insert(&tape);
                 let current = Self {
                     config: config.clone(),
                     params: params.clone(),
                 };
-                let loss = current.instance_loss_projected(
+                let loss = current.instance_loss(
                     &tape,
                     model,
-                    &instance.sub,
+                    &instance.slots,
                     &instance.edges,
                     z,
                     xw1,
+                    instance.target_local,
                     instance.explained_class,
                     &param_vars,
                 );
@@ -487,7 +391,7 @@ impl PgExplainer {
     ) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.pgexplainer");
         let sub = computation_subgraph(graph, target, self.config.hops, &[]);
-        let edges = SubgraphEdges::from_subgraph(&sub);
+        let edges = sub.csr.edges();
         if edges.is_empty() {
             return Explanation::from_edge_weights(target, explained_class, vec![]);
         }
@@ -498,7 +402,6 @@ impl PgExplainer {
         let gates = tape.value(tape.sigmoid(logits));
 
         let weighted = edges
-            .edges
             .iter()
             .enumerate()
             .map(|(e, &(u, v))| (sub.to_global(u), sub.to_global(v), gates[(e, 0)]))
@@ -533,28 +436,20 @@ mod tests {
 
     #[test]
     fn subgraph_edges_incidence_consistency() {
+        // Star 0-1, 0-2: the MLP scores the edges in `EdgeSlots::pair` order,
+        // and each gate weighs both directed slots of its edge.
         let adj = Matrix::from_vec(3, 3, vec![0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
-        let edges = SubgraphEdges::from_adjacency(&adj);
-        assert_eq!(edges.edges, vec![(0, 1), (0, 2)]);
-        assert_eq!(edges.src_incidence.shape(), (2, 3));
-        assert_eq!(edges.src_incidence[(0, 0)], 1.0);
-        assert_eq!(edges.dst_incidence[(1, 2)], 1.0);
-        assert_eq!(edges.src_indices, vec![0, 0]);
-        assert_eq!(edges.dst_indices, vec![1, 2]);
-    }
-
-    #[test]
-    fn masked_adjacency_from_gates_places_values_symmetrically() {
-        let adj = Matrix::from_vec(3, 3, vec![0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
-        let edges = SubgraphEdges::from_adjacency(&adj);
+        let graph = Graph::new(adj, Matrix::eye(3), vec![0, 1, 1], 2);
+        let sub = computation_subgraph(&graph, 0, 1, &[]);
+        assert_eq!(sub.csr.edges(), vec![(0, 1), (0, 2)]);
+        let slots = EdgeSlots::new(&sub);
         let tape = Tape::new();
-        let a = tape.constant(adj.clone());
         let gates = tape.constant(Matrix::col_vector(&[0.25, 0.75]));
-        let masked = tape.value(PgExplainer::masked_adjacency_from_gates(&tape, a, gates, &edges));
-        assert!((masked[(0, 1)] - 0.25).abs() < 1e-12);
-        assert!((masked[(1, 0)] - 0.25).abs() < 1e-12);
-        assert!((masked[(0, 2)] - 0.75).abs() < 1e-12);
-        assert_eq!(masked[(1, 2)], 0.0);
+        let weights = tape.value(tape.gather_rows(gates, slots.pair()));
+        for (i, j, w) in [(0, 1, 0.25), (1, 0, 0.25), (0, 2, 0.75), (2, 0, 0.75)] {
+            assert_eq!(weights[(slots.slot(i, j).unwrap(), 0)], w);
+        }
+        assert_eq!(slots.slot(1, 2), None);
     }
 
     #[test]

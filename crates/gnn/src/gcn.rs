@@ -174,28 +174,12 @@ impl Gcn {
         nn::log_softmax_rows(tape, logits)
     }
 
-    /// Differentiable forward pass that starts from a **raw** adjacency variable
-    /// and performs the GCN normalization on the tape, so gradients with respect to
-    /// raw edge insertions are available (used by FGA / IG-Attack / GEAttack).
+    /// Differentiable forward pass that starts from a **raw** dense adjacency
+    /// variable and performs the GCN normalization on the tape. This `O(n²)`
+    /// path is the test oracle for the sparse adjacency gradients and for the
+    /// masked GCN of [`crate::masked`].
     pub fn log_probs_from_raw_adj(&self, tape: &Tape, a_raw: Var, x: Var, params: &GcnParamVars) -> Var {
-        let xw1 = tape.matmul(x, params.w1);
-        self.log_probs_from_raw_adj_projected(tape, a_raw, xw1, params)
-    }
-
-    /// [`Gcn::log_probs_from_raw_adj`] with the first-layer feature projection
-    /// `X·W₁` already computed. The projection depends on neither the adjacency
-    /// nor any explainer mask, so optimization loops that rebuild the forward
-    /// pass every epoch (GNNExplainer, PGExplainer, GEAttack's inner steps)
-    /// hoist it out — the values (and the gradients with respect to the
-    /// adjacency or mask) are bit-identical, only the redundant `k·d·h` matmul
-    /// per epoch disappears.
-    pub fn log_probs_from_raw_adj_projected(&self, tape: &Tape, a_raw: Var, xw1: Var, params: &GcnParamVars) -> Var {
-        let a_norm = nn::gcn_normalize(tape, a_raw);
-        let pre = tape.add(tape.matmul(a_norm, xw1), tape.row_broadcast(params.b1, a_norm.rows()));
-        let h = tape.relu(pre);
-        let h2 = tape.matmul(a_norm, tape.matmul(h, params.w2));
-        let logits = tape.add(h2, tape.row_broadcast(params.b2, h2.rows()));
-        nn::log_softmax_rows(tape, logits)
+        self.log_probs(tape, nn::gcn_normalize(tape, a_raw), x, params)
     }
 
     // ---- sparse forward paths ---------------------------------------------------

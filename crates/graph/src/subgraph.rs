@@ -16,9 +16,9 @@ use crate::graph::Graph;
 /// A node-induced subgraph with bookkeeping to translate between local and global
 /// node ids.
 ///
-/// The local adjacency is stored as CSR; callers that need the dense `k x k`
-/// matrix (the dense-compat explainer path and small fixtures) materialize it
-/// once via [`ComputationSubgraph::dense_adjacency`]. At 100k-node scales the
+/// The local adjacency is stored as CSR; only test oracles and small fixtures
+/// materialize the dense `k x k` matrix, via
+/// [`ComputationSubgraph::dense_adjacency`]. At 100k-node scales the
 /// 2-hop neighbourhood of a hub can span tens of thousands of nodes, where the
 /// dense matrix would be multi-gigabyte — the CSR stays proportional to the
 /// local edge count.
@@ -47,9 +47,9 @@ impl ComputationSubgraph {
         self.csr.num_edges()
     }
 
-    /// Materializes the local dense adjacency (`k x k`). `O(k²)` — hoist the
-    /// call outside optimization loops, and avoid it entirely on huge
-    /// neighbourhoods (use [`ComputationSubgraph::csr`] instead).
+    /// Materializes the local dense adjacency (`k x k`), the input of the
+    /// dense test oracles. `O(k²)`: production code uses
+    /// [`ComputationSubgraph::csr`].
     pub fn dense_adjacency(&self) -> Matrix {
         self.csr.to_dense()
     }

@@ -71,8 +71,9 @@ pub fn node_class_nll(tape: &Tape, log_probs: Var, node: usize, class: usize, n_
 /// `Ã = D^{-1/2} (A + I) D^{-1/2}` with `D_ii = 1 + Σ_j A_ij`.
 ///
 /// The normalization is part of the computation graph, so gradients with respect to
-/// the raw adjacency matrix `A` (needed by FGA, IG-Attack and GEAttack) account for
-/// the degree renormalization caused by inserting an edge.
+/// the raw adjacency account for the degree renormalization an edge insertion
+/// causes. This `O(n²)` form is the test oracle of the sparse attack gradients
+/// and of the masked GCN.
 pub fn gcn_normalize(tape: &Tape, a: Var) -> Var {
     assert_eq!(a.rows(), a.cols(), "gcn_normalize expects a square adjacency matrix");
     let n = a.rows();
@@ -95,6 +96,18 @@ pub fn gcn_normalize_matrix(a: &Matrix) -> Matrix {
     let deg = a_hat.row_sums();
     let inv_sqrt: Vec<f64> = (0..n).map(|i| 1.0 / deg[(i, 0)].sqrt()).collect();
     Matrix::from_fn(n, n, |i, j| a_hat[(i, j)] * inv_sqrt[i] * inv_sqrt[j])
+}
+
+/// Element-wise binary entropy `-(g ln g + (1-g) ln(1-g))` of gate values in
+/// `[0, 1]`. A saturated sigmoid is exactly 0 or 1 in f64 (|logit| ≳ 37), so
+/// the logs are epsilon-stabilized.
+pub fn binary_entropy(tape: &Tape, g: Var) -> Var {
+    let eps = 1e-12;
+    let one_minus = tape.add_scalar(tape.mul_scalar(g, -1.0), 1.0);
+    tape.neg(tape.add(
+        tape.mul(g, tape.ln(tape.add_scalar(g, eps))),
+        tape.mul(one_minus, tape.ln(tape.add_scalar(one_minus, eps))),
+    ))
 }
 
 /// A dense layer `x @ w + b` with the bias broadcast over rows.

@@ -105,11 +105,21 @@ fn report_schema_covers_the_whole_grid() {
 fn checked_in_quick_spec_stays_valid() {
     // The CI smoke job runs `geattack-sweep examples/sweeps/quick.json`; keep
     // the checked-in spec parsing and satisfying the acceptance grid shape.
-    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../examples/sweeps/quick.json"))
-        .expect("examples/sweeps/quick.json exists");
-    let spec = SweepSpec::from_json(&text).expect("checked-in spec parses");
+    let spec = checked_in_spec("quick");
     assert!(spec.families.len() >= 2, "acceptance: >= 2 families");
     assert!(spec.attackers.len() >= 2, "acceptance: >= 2 attackers");
     assert!(spec.seeds.len() >= 2, "acceptance: >= 2 seeds");
     assert!(spec.quick, "the smoke spec must stay quick");
+
+    // The paper-attackers spec the benchmark's `paper` workload runs.
+    let paper = checked_in_spec("paper");
+    assert_eq!(paper.name, "paper");
+    assert_eq!(paper.attackers, ["geattack", "fga-t", "fga-t&e", "ig"]);
+    assert_eq!(paper.explainers, ["gnnexplainer", "pgexplainer"]);
+}
+
+fn checked_in_spec(name: &str) -> SweepSpec {
+    let path = format!("{}/../examples/sweeps/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    SweepSpec::from_json(&text).unwrap_or_else(|e| panic!("{path} parses: {e}"))
 }
