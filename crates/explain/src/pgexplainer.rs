@@ -437,11 +437,30 @@ mod tests {
     #[test]
     fn subgraph_edges_incidence_consistency() {
         // Star 0-1, 0-2: the MLP scores the edges in `EdgeSlots::pair` order,
-        // and each gate weighs both directed slots of its edge.
+        // so the i-th subgraph edge owns pair index i on both directed slots.
         let adj = Matrix::from_vec(3, 3, vec![0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
         let graph = Graph::new(adj, Matrix::eye(3), vec![0, 1, 1], 2);
         let sub = computation_subgraph(&graph, 0, 1, &[]);
-        assert_eq!(sub.csr.edges(), vec![(0, 1), (0, 2)]);
+        let edges = sub.csr.edges();
+        assert_eq!(edges, vec![(0, 1), (0, 2)]);
+        let slots = EdgeSlots::new(&sub);
+        assert_eq!(slots.nnz(), 2 * edges.len());
+        for e in 0..slots.nnz() {
+            let (u, v) = edges[slots.pair()[e]];
+            let (i, j) = (slots.row(e), slots.col(e));
+            assert_eq!((i.min(j), i.max(j)), (u, v));
+            assert_eq!(slots.rev()[slots.rev()[e]], e);
+            assert_eq!(slots.pair()[slots.rev()[e]], slots.pair()[e]);
+        }
+    }
+
+    #[test]
+    fn masked_adjacency_from_gates_places_values_symmetrically() {
+        // Each edge's gate weighs both directed slots of that edge, and no
+        // slot exists for the non-edge 1-2.
+        let adj = Matrix::from_vec(3, 3, vec![0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        let graph = Graph::new(adj, Matrix::eye(3), vec![0, 1, 1], 2);
+        let sub = computation_subgraph(&graph, 0, 1, &[]);
         let slots = EdgeSlots::new(&sub);
         let tape = Tape::new();
         let gates = tape.constant(Matrix::col_vector(&[0.25, 0.75]));
