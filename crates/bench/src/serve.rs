@@ -74,9 +74,11 @@
 //! process can exit cleanly.
 //!
 //! `stats` exports the daemon-lifetime view: request counters (served,
-//! failed, cancelled, rejected, live and peak in-flight), the worker-pool
-//! queue, the shared cache's counters with a live hit rate, the engine's cell
-//! counters and its per-cell / per-phase latency histograms as
+//! failed, cancelled, rejected, live and peak in-flight, and open
+//! connections — the handler threads the daemon holds, joined as their
+//! connections close), the worker-pool queue, the shared cache's counters
+//! with a live hit rate, the engine's cell counters and its per-cell /
+//! per-phase latency histograms as
 //! `{count,p50,p95,p99,max}` summaries — plus per-request `request_wait` /
 //! `request_run` histograms separating time-in-queue from time-executing.
 //!
@@ -111,7 +113,7 @@ use geattack_scenarios::SweepSpec;
 
 use crate::pool::{AdmissionError, WorkerPool};
 
-pub use geattack_fleet::client::{connect_retry, control, submit, SubmitOutcome};
+pub use geattack_fleet::client::{connect_retry, control, submit, SubmitOutcome, MAX_RESPONSE_LINE_BYTES};
 
 /// Serializes one protocol event as a compact single line.
 fn line(value: &Value) -> String {
@@ -292,6 +294,9 @@ struct ServeShared {
     rejected: AtomicU64,
     /// Highest number of requests ever executing at once.
     peak_in_flight: AtomicUsize,
+    /// Connection handler threads the accept loop holds: open connections
+    /// plus any that closed since the loop last reaped finished handlers.
+    open_connections: AtomicUsize,
     next_id: AtomicU64,
     /// Cancellation tokens of admitted, not-yet-finished requests, by id.
     active: Mutex<HashMap<u64, CancelToken>>,
@@ -441,6 +446,10 @@ fn stats_value(shared: &ServeShared) -> Value {
                 (
                     "peak_in_flight",
                     Value::Number(shared.peak_in_flight.load(Ordering::SeqCst) as f64),
+                ),
+                (
+                    "open_connections",
+                    Value::Number(shared.open_connections.load(Ordering::SeqCst) as f64),
                 ),
             ]),
         ),
@@ -757,7 +766,9 @@ fn handle_control(shared: &ServeShared, kind: &str, request: &Value) -> Value {
 
 /// Longest request line the daemon reads, newline included. Sweep specs are
 /// well under a kilobyte; the cap keeps one peer from growing a handler's
-/// buffer without bound.
+/// buffer without bound. The client side bounds the daemon's response lines
+/// the same way, at [`MAX_RESPONSE_LINE_BYTES`] (16 MiB: the largest CI `done`
+/// event is ~10 KB, and `huge.json`'s is ~1.2 KB).
 pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// One request line read off a connection.
@@ -897,6 +908,7 @@ pub fn serve(listener: TcpListener, engine: &Engine, options: ServeOptions) -> s
         cancelled: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         peak_in_flight: AtomicUsize::new(0),
+        open_connections: AtomicUsize::new(0),
         next_id: AtomicU64::new(1),
         active: Mutex::new(HashMap::new()),
         draining: AtomicBool::new(false),
@@ -904,6 +916,15 @@ pub fn serve(listener: TcpListener, engine: &Engine, options: ServeOptions) -> s
     });
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
+        // Join handlers whose connection has closed, so a long-lived daemon
+        // holds one thread per open connection, not one per connection ever
+        // accepted.
+        let (finished, open): (Vec<_>, Vec<_>) = handlers.into_iter().partition(|h| h.is_finished());
+        for handle in finished {
+            let _ = handle.join();
+        }
+        handlers = open;
+        shared.open_connections.store(handlers.len(), Ordering::SeqCst);
         if let Some(term) = options.term_signal {
             if term.load(Ordering::SeqCst) {
                 shared.draining.store(true, Ordering::SeqCst);
@@ -922,9 +943,11 @@ pub fn serve(listener: TcpListener, engine: &Engine, options: ServeOptions) -> s
                     drop(stream);
                     continue;
                 }
-                let shared = Arc::clone(&shared);
+                // Counted before the handler can answer a `stats` request.
+                shared.open_connections.store(handlers.len() + 1, Ordering::SeqCst);
+                let handler_shared = Arc::clone(&shared);
                 handlers.push(std::thread::spawn(move || {
-                    if let Err(e) = handle_connection(stream, &shared) {
+                    if let Err(e) = handle_connection(stream, &handler_shared) {
                         eprintln!("serve: connection ended: {e}");
                     }
                 }));

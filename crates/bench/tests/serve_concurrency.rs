@@ -1,7 +1,8 @@
 //! Concurrency behavior of the serve daemon: simultaneous requests execute in
 //! parallel with byte-identical reports, cancellation aborts one session
 //! without disturbing the daemon, admission control rejects when the queue is
-//! full, and drain/term-signal shut the daemon down cleanly.
+//! full, drain/term-signal shut the daemon down cleanly, and closed
+//! connections do not pile up handler threads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -45,11 +46,13 @@ fn daemon_with(engine: Engine, options: ServeOptions) -> (String, std::thread::J
     (addr, handle)
 }
 
-/// FGA-T under another name, whose `build` returns only once `parties` builds
-/// are waiting at the same time. Requests that use it can only finish while
-/// they run side by side, so their overlap holds by construction rather than
-/// by timing. The wait gives up after a minute, turning a regression into a
-/// failed assertion instead of a hung test.
+/// FGA-T under another name, whose `build` returns only once `parties` have
+/// arrived: other builds, or the test thread itself through
+/// [`Rendezvous::arrive`]. Requests that use it can only finish while they run
+/// side by side, or once the test lets them go, so their overlap with other
+/// requests holds by construction rather than by timing. Builds after the
+/// last party pass straight through. The wait gives up after a minute,
+/// turning a regression into a failed assertion instead of a hung test.
 struct Rendezvous {
     parties: usize,
     arrived: Mutex<usize>,
@@ -63,6 +66,13 @@ impl Rendezvous {
             arrived: Mutex::new(0),
             all_here: Condvar::new(),
         })
+    }
+
+    /// Counts the test thread in as one party, releasing the waiting builds
+    /// once all have arrived.
+    fn arrive(&self) {
+        *self.arrived.lock().unwrap() += 1;
+        self.all_here.notify_all();
     }
 }
 
@@ -88,6 +98,13 @@ fn engine_with(plugin: Arc<Rendezvous>) -> Engine {
     let mut engine = Engine::new().serial(true);
     engine.register_attacker(plugin).expect("plugin registers");
     engine
+}
+
+/// [`spec_json`] with FGA-T replaced by the [`Rendezvous`] attacker.
+fn rendezvous_spec_json(name: &str, seeds: &[u64]) -> String {
+    let text = spec_json(name, seeds);
+    assert!(text.contains(r#""fga-t", "rna""#), "spec_json's attacker list moved");
+    text.replace(r#""fga-t", "rna""#, r#""rendezvous", "rna""#)
 }
 
 /// Sends raw NDJSON lines over one connection, one parsed response per line.
@@ -119,12 +136,8 @@ fn number(value: &Value, name: &str) -> f64 {
 
 #[test]
 fn concurrent_clients_get_byte_identical_reports_and_overlap_in_flight() {
-    let with_rendezvous = |text: String| {
-        assert!(text.contains(r#""fga-t", "rna""#), "spec_json's attacker list moved");
-        text.replace(r#""fga-t", "rna""#, r#""rendezvous", "rna""#)
-    };
-    let spec_a = with_rendezvous(spec_json("conc-a", &[0]));
-    let spec_b = with_rendezvous(spec_json("conc-b", &[1]));
+    let spec_a = rendezvous_spec_json("conc-a", &[0]);
+    let spec_b = rendezvous_spec_json("conc-b", &[1]);
     // The references run one at a time, so their rendezvous has one party.
     let reference = |text: &str| {
         engine_with(Rendezvous::new(1))
@@ -178,18 +191,25 @@ fn concurrent_clients_get_byte_identical_reports_and_overlap_in_flight() {
 
 #[test]
 fn cancelling_a_request_mid_flight_leaves_the_daemon_healthy() {
-    let (addr, handle) = daemon(ServeOptions {
-        workers: 1,
-        queue_limit: 4,
-        ..Default::default()
-    });
+    // The first cell's attacker build waits for the test, so the request is
+    // still in flight when the cancel lands.
+    let gate = Rendezvous::new(2);
+    let (addr, handle) = daemon_with(
+        engine_with(Arc::clone(&gate)),
+        ServeOptions {
+            workers: 1,
+            queue_limit: 4,
+            ..Default::default()
+        },
+    );
 
     // Submit a 6-cell sweep on a raw connection so the event stream is visible
     // line by line.
     let stream = connect_retry(&addr, Duration::from_secs(10)).expect("connects");
     let mut writer = std::io::BufWriter::new(stream.try_clone().expect("clone"));
     let mut reader = BufReader::new(stream);
-    let spec: Value = serde_json::from_str(&spec_json("cancel-me", &[0, 1, 2, 3, 4, 5])).expect("valid json");
+    let spec: Value =
+        serde_json::from_str(&rendezvous_spec_json("cancel-me", &[0, 1, 2, 3, 4, 5])).expect("valid json");
     writeln!(writer, "{}", serde_json::to_string(&spec).expect("compact")).expect("sends");
     writer.flush().expect("flushes");
 
@@ -209,6 +229,7 @@ fn cancelling_a_request_mid_flight_leaves_the_daemon_healthy() {
     // Cancel it from a second connection.
     let cancelled = &raw_request(&addr, &[&format!(r#"{{"request":"cancel","id":{id}}}"#)])[0];
     assert!(matches!(field(cancelled, "event"), Value::String(e) if e == "cancelled"));
+    gate.arrive();
 
     // The stream must terminate with an error event mentioning the
     // cancellation; skipped cells surface as failed events of kind
@@ -261,20 +282,25 @@ fn cancelling_a_request_mid_flight_leaves_the_daemon_healthy() {
 
 #[test]
 fn full_queue_rejects_with_a_protocol_error() {
-    let (addr, handle) = daemon(ServeOptions {
-        workers: 1,
-        queue_limit: 0,
-        ..Default::default()
-    });
+    let gate = Rendezvous::new(2);
+    let (addr, handle) = daemon_with(
+        engine_with(Arc::clone(&gate)),
+        ServeOptions {
+            workers: 1,
+            queue_limit: 0,
+            ..Default::default()
+        },
+    );
 
-    // Occupy the single worker, signalling once the first cell is running.
+    // Occupy the single worker, signalling once the first cell is running;
+    // its attacker build holds the worker until the test lets it go.
     let (started_tx, started_rx) = mpsc::channel();
     let first = {
         let addr = addr.clone();
         std::thread::spawn(move || {
             submit(
                 &addr,
-                &spec_json("occupy", &[0, 1]),
+                &rendezvous_spec_json("occupy", &[0, 1]),
                 Duration::from_secs(60),
                 move |p| {
                     if p.contains("started") {
@@ -291,6 +317,7 @@ fn full_queue_rejects_with_a_protocol_error() {
     // With a zero-length queue the concurrent request is rejected outright.
     let err = submit(&addr, &spec_json("rejected", &[0]), Duration::from_secs(30), |_| {}).unwrap_err();
     assert!(err.contains("queue full"), "{err}");
+    gate.arrive();
     first.join().expect("client").expect("occupying request completes");
 
     let stats = &raw_request(&addr, &[r#"{"request":"stats"}"#])[0];
@@ -371,12 +398,47 @@ fn hostile_lines_get_error_events_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn finished_connections_are_reaped_not_held_for_the_daemon_lifetime() {
+    let (addr, handle) = daemon(ServeOptions::default());
+    // One connection per request, as the loadtest and fleet clients do.
+    for _ in 0..64 {
+        let health = &raw_request(&addr, &[r#"{"request":"health"}"#])[0];
+        assert!(matches!(field(health, "status"), Value::String(s) if s == "ok"));
+    }
+    // Handlers exit once their client hangs up and are joined on the accept
+    // loop's next turn, so the count settles at this stats connection plus at
+    // most the previous one. A daemon that kept every handler stays above 64.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let open = loop {
+        let stats = &raw_request(&addr, &[r#"{"request":"stats"}"#])[0];
+        let open = number(&field(stats, "requests"), "open_connections");
+        if open <= 2.0 || Instant::now() >= deadline {
+            break open;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        (1.0..=2.0).contains(&open),
+        "open_connections = {open} after 64 closed connections"
+    );
+
+    let _ = raw_request(&addr, &[r#"{"request":"drain"}"#]);
+    handle.join().expect("daemon thread").expect("daemon exits cleanly");
+}
+
+#[test]
 fn drain_refuses_new_sweeps_but_finishes_the_one_in_flight() {
-    let (addr, handle) = daemon(ServeOptions {
-        workers: 1,
-        queue_limit: 4,
-        ..Default::default()
-    });
+    // The in-flight sweep's attacker build waits for the test, so it is still
+    // running when the drain lands.
+    let gate = Rendezvous::new(2);
+    let (addr, handle) = daemon_with(
+        engine_with(Arc::clone(&gate)),
+        ServeOptions {
+            workers: 1,
+            queue_limit: 4,
+            ..Default::default()
+        },
+    );
 
     let (started_tx, started_rx) = mpsc::channel();
     let in_flight = {
@@ -384,7 +446,7 @@ fn drain_refuses_new_sweeps_but_finishes_the_one_in_flight() {
         std::thread::spawn(move || {
             submit(
                 &addr,
-                &spec_json("drain-rt", &[0, 1]),
+                &rendezvous_spec_json("drain-rt", &[0, 1]),
                 Duration::from_secs(60),
                 move |p| {
                     if p.contains("started") {
@@ -424,6 +486,7 @@ fn drain_refuses_new_sweeps_but_finishes_the_one_in_flight() {
     }
     drop(reader);
     drop(writer);
+    gate.arrive();
 
     let outcome = in_flight.join().expect("client").expect("in-flight request finishes");
     assert_eq!(outcome.sweep, "drain-rt");

@@ -17,7 +17,7 @@
 //! refusals look at the message, and the coordinator treats every failure the
 //! same way — retry on another worker.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -26,6 +26,44 @@ use serde::Value;
 use geattack_core::engine::CancelToken;
 use geattack_core::sweep::{Shard, ShardReport};
 use geattack_scenarios::SweepSpec;
+
+/// Longest daemon response line a client reads, newline included. A longer
+/// line fails the call instead of growing the client's buffer without bound.
+///
+/// The largest `done` event of the CI sweeps is ~10 KB (`paper.json`'s 16
+/// cells); `huge.json`'s is ~1.2 KB, because a report grows with the number
+/// of cells, not with graph size. 16 MiB leaves room for grids of tens of
+/// thousands of cells. The daemon's own bound on request lines is
+/// `geattack_bench::serve::MAX_REQUEST_LINE_BYTES`.
+pub const MAX_RESPONSE_LINE_BYTES: usize = 16 << 20;
+
+/// Appends the rest of the current response line to `buf`, holding at most
+/// [`MAX_RESPONSE_LINE_BYTES`] + 1 bytes of it. `Ok(true)` means `buf` ends
+/// with the newline; `Ok(false)` means the daemon closed the connection
+/// first. On an I/O error the bytes read so far stay in `buf`, so a caller may
+/// retry after a read timeout; a line over the cap is an `InvalidData` error.
+fn read_response_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    // One byte past the cap tells an over-long line from one that fits.
+    let budget = (MAX_RESPONSE_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+    reader.by_ref().take(budget).read_until(b'\n', buf)?;
+    if buf.len() > MAX_RESPONSE_LINE_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("daemon response line longer than {MAX_RESPONSE_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(buf.last() == Some(&b'\n'))
+}
+
+/// Renders a failed response read: an over-long line as itself, anything
+/// else as a lost connection.
+fn read_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        e.to_string()
+    } else {
+        format!("connection lost: {e}")
+    }
+}
 
 /// What a successful [`submit`] brings back. A request with any failed cell
 /// never reaches `done` (the server terminates it with an `error` event), so
@@ -109,10 +147,9 @@ pub fn control(addr: &str, request: &str, timeout: Duration) -> Result<Value, St
     let mut reader = BufReader::new(stream);
     writeln!(writer, "{request}").map_err(|e| format!("cannot send request: {e}"))?;
     writer.flush().map_err(|e| format!("cannot send request: {e}"))?;
-    let mut response = String::new();
-    reader
-        .read_line(&mut response)
-        .map_err(|e| format!("connection lost: {e}"))?;
+    let mut response = Vec::new();
+    read_response_line(&mut reader, &mut response).map_err(read_error)?;
+    let response = String::from_utf8(response).map_err(|e| format!("malformed response: {e}"))?;
     serde_json::from_str(response.trim()).map_err(|e| format!("malformed response: {e}"))
 }
 
@@ -130,14 +167,20 @@ pub fn submit(
 
     let stream = connect_retry(addr, timeout)?;
     let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     writeln!(writer, "{request}").map_err(|e| format!("cannot send request: {e}"))?;
     writer.flush().map_err(|e| format!("cannot send request: {e}"))?;
 
     let mut request_id = None;
-    for response in reader.lines() {
-        let response = response.map_err(|e| format!("connection lost: {e}"))?;
-        let value: Value = serde_json::from_str(&response).map_err(|e| format!("malformed event: {e}"))?;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        read_response_line(&mut reader, &mut line).map_err(read_error)?;
+        if line.is_empty() {
+            break;
+        }
+        let response = std::str::from_utf8(&line).map_err(|e| format!("malformed event: {e}"))?;
+        let value: Value = serde_json::from_str(response.trim()).map_err(|e| format!("malformed event: {e}"))?;
         let event = event_name(&value)?;
         let position = || match value.get_field("position") {
             Ok(Value::Number(p)) => *p as usize,
@@ -362,14 +405,13 @@ impl ServeClient {
     /// across read-timeout ticks.
     fn read_event_line(&self, reader: &mut BufReader<TcpStream>, cancel: &CancelToken) -> Result<String, String> {
         let idle_deadline = Instant::now() + self.idle_timeout;
-        let mut buf = String::new();
+        let mut buf = Vec::new();
         loop {
-            match reader.read_line(&mut buf) {
-                // `read_line` returns `Ok` at EOF even without a trailing
-                // newline, so a buffer not ending in '\n' is a mid-line
-                // disconnect, not a complete event line.
-                Ok(_) if buf.ends_with('\n') => return Ok(buf),
-                Ok(_) => return Err(format!("worker {} closed the connection mid-stream", self.addr)),
+            match read_response_line(reader, &mut buf) {
+                Ok(true) => return String::from_utf8(buf).map_err(|e| format!("malformed event: {e}")),
+                // EOF before the newline is a mid-line disconnect, not a
+                // complete event line.
+                Ok(false) => return Err(format!("worker {} closed the connection mid-stream", self.addr)),
                 Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
                     // Partial data (if any) stays appended to `buf`.
                     if cancel.is_cancelled() {
@@ -385,7 +427,7 @@ impl ServeClient {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(format!("connection lost: {e}")),
+                Err(e) => return Err(read_error(e)),
             }
         }
     }
@@ -472,6 +514,61 @@ mod tests {
             err.contains("closed the connection mid-stream"),
             "a partial line at EOF must diagnose as a disconnect, not malformed JSON: {err}"
         );
+    }
+
+    /// A fake daemon that answers each of `connections` requests with one
+    /// line that never ends: it streams past [`MAX_RESPONSE_LINE_BYTES`]
+    /// without a newline, then holds the connection open until the client
+    /// hangs up.
+    fn flooding_daemon(connections: usize) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = std::thread::spawn(move || {
+            for _ in 0..connections {
+                let (stream, _) = listener.accept().expect("client connects");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .expect("read timeout");
+                let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
+                let mut request = String::new();
+                reader.read_line(&mut request).expect("request line");
+                let mut writer = stream;
+                let chunk = vec![b'x'; 64 << 10];
+                let mut sent = 0;
+                while sent <= MAX_RESPONSE_LINE_BYTES && writer.write_all(&chunk).is_ok() {
+                    sent += chunk.len();
+                }
+                // Returns once the client closes (or the timeout passes).
+                let _ = reader.read(&mut [0u8; 1]);
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn an_endless_response_line_fails_the_call_at_the_cap() {
+        let (addr, daemon) = flooding_daemon(3);
+        let client = ServeClient::new(addr).with_timeouts(Duration::from_secs(5), Duration::from_secs(30));
+        let assert_capped = |err: String| {
+            assert!(
+                err.contains(&format!("longer than {MAX_RESPONSE_LINE_BYTES} bytes")),
+                "an over-long line must fail at the cap: {err}"
+            )
+        };
+        assert_capped(client.stats().expect_err("control call is capped"));
+        assert_capped(
+            client
+                .submit(r#"{"name":"flood"}"#, |_| {})
+                .expect_err("submit is capped"),
+        );
+        let spec = SweepSpec::from_json(r#"{"name":"flood","families":["tree-cycles"],"attackers":["rna"]}"#)
+            .expect("spec parses");
+        assert_capped(
+            client
+                .submit_shard(&spec, Shard { index: 0, count: 1 }, &CancelToken::new(), |_| {})
+                .expect_err("shard submit is capped"),
+        );
+        daemon.join().expect("fake daemon exits once every client hung up");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Full-batch GCN training with validation-based early stopping.
 
+use std::rc::Rc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -61,48 +63,62 @@ pub struct TrainedGcn {
     pub history: Vec<EpochStats>,
 }
 
-/// How the full-graph normalized adjacency enters the per-epoch tape. The two
-/// representations are bit-identical in every value they produce (the SpMM
-/// kernel replays the dense matmul's exact accumulation order); the dense one is
-/// the O(n²·f) oracle the tests pin the O(nnz·f) sparse one against.
-enum AdjacencyRepr {
-    Sparse(SparseMatrix),
+/// How the full-graph normalized adjacency and the features enter the
+/// per-epoch tape. The two representations are bit-identical in every value
+/// they produce (the SpMM kernel replays the dense matmul's exact accumulation
+/// order, zero entries skipped); the dense one is the O(n²·f) oracle the tests
+/// pin the O(nnz·f) sparse one against.
+enum Operands {
+    /// CSR adjacency and CSR features, shared with every epoch's tape.
+    Sparse {
+        a_norm: Rc<SparseMatrix>,
+        x: Rc<SparseMatrix>,
+    },
     #[cfg(test)]
-    Dense(Matrix),
+    Dense { a_norm: Matrix, x: Matrix },
 }
 
-impl AdjacencyRepr {
-    fn log_probs(&self, tape: &Tape, model: &Gcn, x: Var, params: &GcnParamVars) -> Var {
+impl Operands {
+    fn log_probs(&self, tape: &Tape, model: &Gcn, params: &GcnParamVars) -> Var {
         match self {
             #[cfg(test)]
-            AdjacencyRepr::Dense(m) => {
-                let a_norm = tape.constant(m.clone());
+            Operands::Dense { a_norm, x } => {
+                let a_norm = tape.constant(a_norm.clone());
+                let x = tape.constant(x.clone());
                 model.log_probs(tape, a_norm, x, params)
             }
-            AdjacencyRepr::Sparse(s) => {
-                let a_norm = tape.sparse_constant(s.clone());
-                model.log_probs_sparse(tape, a_norm, x, params)
+            Operands::Sparse { a_norm, x } => {
+                let a_norm = tape.sparse_constant(Rc::clone(a_norm));
+                let xw1 = tape.spmm(tape.sparse_constant(Rc::clone(x)), params.w1);
+                model.log_probs_sparse_projected(tape, a_norm, xw1, params)
             }
         }
     }
 }
 
 /// Trains a two-layer GCN on `graph` using the labelled nodes in `split.train`,
-/// early-stopping on `split.val`, on the CSR SpMM core.
+/// early-stopping on `split.val`, on the CSR SpMM core: both the adjacency and
+/// the (1–5%-dense) features are multiplied as sparse operands.
 pub fn train(graph: &Graph, split: &DataSplit, config: &TrainConfig) -> TrainedGcn {
-    let repr = AdjacencyRepr::Sparse(geattack_graph::normalized_adjacency_csr(graph).matrix);
-    train_with_repr(graph, split, config, repr)
+    let operands = Operands::Sparse {
+        a_norm: Rc::new(geattack_graph::normalized_adjacency_csr(graph).matrix),
+        x: Rc::new(SparseMatrix::from_dense(graph.features())),
+    };
+    train_with(graph, split, config, operands)
 }
 
-/// [`train`] on the dense adjacency — the oracle the sparse path is pinned
-/// against bit-for-bit.
+/// [`train`] on the dense adjacency and dense features — the oracle the sparse
+/// path is pinned against bit-for-bit.
 #[cfg(test)]
 fn train_dense_oracle(graph: &Graph, split: &DataSplit, config: &TrainConfig) -> TrainedGcn {
-    let repr = AdjacencyRepr::Dense(geattack_graph::normalized_adjacency(graph));
-    train_with_repr(graph, split, config, repr)
+    let operands = Operands::Dense {
+        a_norm: geattack_graph::normalized_adjacency(graph),
+        x: graph.features().clone(),
+    };
+    train_with(graph, split, config, operands)
 }
 
-fn train_with_repr(graph: &Graph, split: &DataSplit, config: &TrainConfig, repr: AdjacencyRepr) -> TrainedGcn {
+fn train_with(graph: &Graph, split: &DataSplit, config: &TrainConfig, operands: Operands) -> TrainedGcn {
     assert!(!split.train.is_empty(), "training split is empty");
     let _span = geattack_telemetry::span_labeled(
         geattack_telemetry::Level::Phase,
@@ -113,7 +129,6 @@ fn train_with_repr(graph: &Graph, split: &DataSplit, config: &TrainConfig, repr:
     let mut model = Gcn::new(graph.num_features(), config.hidden, graph.num_classes(), &mut rng);
     let mut optimizer = Adam::new(config.lr).with_weight_decay(config.weight_decay);
 
-    let x_value = graph.features().clone();
     let train_labels: Vec<usize> = split.train.iter().map(|&i| graph.label(i)).collect();
     let val_labels: Vec<usize> = split.val.iter().map(|&i| graph.label(i)).collect();
 
@@ -126,9 +141,8 @@ fn train_with_repr(graph: &Graph, split: &DataSplit, config: &TrainConfig, repr:
         let _epoch_span =
             geattack_telemetry::span_labeled(geattack_telemetry::Level::Detail, "gnn.epoch", epoch.to_string());
         let tape = Tape::new();
-        let x = tape.constant(x_value.clone());
         let params = model.insert_params(&tape);
-        let log_probs = repr.log_probs(&tape, &model, x, &params);
+        let log_probs = operands.log_probs(&tape, &model, &params);
         let train_loss = nn::masked_nll(&tape, log_probs, &split.train, &train_labels, graph.num_classes());
 
         let val_loss = if split.val.is_empty() {

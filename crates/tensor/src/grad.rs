@@ -37,21 +37,13 @@ pub fn grad(tape: &Tape, output: Var, wrt: &[Var]) -> Vec<Var> {
 /// differentiate through them again. The dense gradients remain fully
 /// differentiable tape expressions, including through spmm nodes (the
 /// dense-operand backward of an spmm is another spmm).
+///
+/// Only paths from a requested variable to `output` are differentiated: a
+/// node whose gradient cannot reach any `wrt` or `sparse_wrt` operand gets no
+/// backward nodes, so constants such as input features cost nothing in the
+/// backward pass.
 pub fn grad_full(tape: &Tape, output: Var, wrt: &[Var], sparse_wrt: &[SparseVar]) -> (Vec<Var>, Vec<Vec<f64>>) {
     assert_eq!(output.shape(), (1, 1), "grad: output must be a 1x1 scalar");
-
-    // Mark every ancestor of `output` so the backward sweep can skip unrelated nodes.
-    let mut needed = vec![false; output.id() + 1];
-    let mut stack = vec![output.id()];
-    needed[output.id()] = true;
-    while let Some(id) = stack.pop() {
-        for &p in tape.parents_of(id).as_slice() {
-            if !needed[p] {
-                needed[p] = true;
-                stack.push(p);
-            }
-        }
-    }
 
     // One accumulation buffer per requested sparse operand, aligned with its
     // registered positions. Accumulation happens eagerly (values, not tape ops)
@@ -60,12 +52,13 @@ pub fn grad_full(tape: &Tape, output: Var, wrt: &[Var], sparse_wrt: &[SparseVar]
         .iter()
         .map(|s| (s.id(), vec![0.0; tape.sparse_positions(*s).len()]))
         .collect();
+    let live = live_nodes(tape, output, wrt, sparse_wrt);
 
     let mut grads: Vec<Option<Var>> = vec![None; output.id() + 1];
     grads[output.id()] = Some(tape.constant(Matrix::ones(1, 1)));
 
     for id in (0..=output.id()).rev() {
-        if !needed[id] {
+        if !live[id] {
             continue;
         }
         let Some(g) = grads[id] else { continue };
@@ -82,7 +75,7 @@ pub fn grad_full(tape: &Tape, output: Var, wrt: &[Var], sparse_wrt: &[SparseVar]
                 }
             }
         }
-        let (first, second) = vjp(tape, id, &op, parents, g);
+        let (first, second) = vjp(tape, id, &op, parents, g, &live);
         if let Some((slot, contribution)) = first {
             accumulate(tape, &mut grads, slot, contribution);
         }
@@ -116,6 +109,34 @@ pub fn grad_values(tape: &Tape, output: Var, wrt: &[Var]) -> Vec<Matrix> {
     grad(tape, output, wrt).into_iter().map(|v| tape.value(v)).collect()
 }
 
+/// Marks the nodes up to `output` whose gradient can reach a requested
+/// operand: the `wrt` nodes themselves, every spmm over a requested sparse
+/// operand (its output gradient feeds the masked SDDMM), and every node with a
+/// live parent. Parents precede their children on the tape, so one forward
+/// pass settles every node.
+///
+/// The sweep visits only live nodes and [`vjp`] emits contributions only into
+/// live parents. Every child of a live node is live, so a live node still
+/// receives every contribution it would without pruning, recorded in the same
+/// relative order; the gradients that reach `wrt` are unchanged bit for bit,
+/// including when they are differentiated again.
+fn live_nodes(tape: &Tape, output: Var, wrt: &[Var], sparse_wrt: &[SparseVar]) -> Vec<bool> {
+    let mut live = vec![false; output.id() + 1];
+    for w in wrt {
+        if let Some(l) = live.get_mut(w.id()) {
+            *l = true;
+        }
+    }
+    tape.with_nodes(|nodes| {
+        for (id, node) in nodes[..live.len()].iter().enumerate() {
+            live[id] = live[id]
+                || matches!(node.op, Op::Spmm { sparse } if sparse_wrt.iter().any(|s| s.id() == sparse))
+                || node.parents.as_slice().iter().any(|&p| live[p]);
+        }
+    });
+    live
+}
+
 fn accumulate(tape: &Tape, grads: &mut [Option<Var>], id: usize, contribution: Var) {
     grads[id] = Some(match grads[id] {
         Some(existing) => tape.add(existing, contribution),
@@ -131,23 +152,31 @@ fn one(slot: usize, v: Var) -> Contribs {
     (Some((slot, v)), None)
 }
 
-fn two(a: (usize, Var), b: (usize, Var)) -> Contribs {
-    (Some(a), Some(b))
-}
-
-/// Vector-Jacobian products of a single node: for each parent, the gradient
-/// contribution flowing into it given the output gradient `g` of node `id`.
-fn vjp(tape: &Tape, id: usize, op: &Op, parents: &[usize], g: Var) -> Contribs {
+/// Vector-Jacobian products of a single node: for each live parent, the
+/// gradient contribution flowing into it given the output gradient `g` of node
+/// `id`. Dead parents get nothing; binary ops build only their live side, in
+/// the order the full rule would record it.
+fn vjp(tape: &Tape, id: usize, op: &Op, parents: &[usize], g: Var, live: &[bool]) -> Contribs {
+    if !parents.iter().any(|&p| live[p]) {
+        return (None, None);
+    }
     let parent_var = |k: usize| tape.var_for(parents[k]);
+    let wants = |k: usize| live[parents[k]];
     match op {
         Op::Leaf => (None, None),
-        Op::Add => two((parents[0], g), (parents[1], g)),
-        Op::Sub => two((parents[0], g), (parents[1], tape.neg(g))),
+        Op::Add => (wants(0).then_some((parents[0], g)), wants(1).then_some((parents[1], g))),
+        Op::Sub => (
+            wants(0).then_some((parents[0], g)),
+            wants(1).then(|| (parents[1], tape.neg(g))),
+        ),
         Op::Neg => one(parents[0], tape.neg(g)),
         Op::Mul => {
             let a = parent_var(0);
             let b = parent_var(1);
-            two((parents[0], tape.mul(g, b)), (parents[1], tape.mul(g, a)))
+            (
+                wants(0).then(|| (parents[0], tape.mul(g, b))),
+                wants(1).then(|| (parents[1], tape.mul(g, a))),
+            )
         }
         Op::AddScalar(_) => one(parents[0], g),
         Op::MulScalar(s) => one(parents[0], tape.mul_scalar(g, *s)),
@@ -157,11 +186,15 @@ fn vjp(tape: &Tape, id: usize, op: &Op, parents: &[usize], g: Var) -> Contribs {
             one(parents[0], tape.mul(g, deriv))
         }
         Op::MatMul => {
-            let a = parent_var(0);
-            let b = parent_var(1);
-            let bt = tape.transpose(b);
-            let at = tape.transpose(a);
-            two((parents[0], tape.matmul(g, bt)), (parents[1], tape.matmul(at, g)))
+            // Transposes before products: node order sets the accumulation
+            // order of a later double backward, which must not depend on which
+            // sides are live.
+            let bt = wants(0).then(|| tape.transpose(parent_var(1)));
+            let at = wants(1).then(|| tape.transpose(parent_var(0)));
+            (
+                bt.map(|bt| (parents[0], tape.matmul(g, bt))),
+                at.map(|at| (parents[1], tape.matmul(at, g))),
+            )
         }
         Op::Transpose => one(parents[0], tape.transpose(g)),
         Op::Sigmoid => {
@@ -279,6 +312,28 @@ mod tests {
         let y = tape.sum_all(x);
         let g = grad(&tape, y, &[z]);
         assert!(tape.value(g[0]).approx_eq(&Matrix::zeros(3, 1), 1e-12));
+    }
+
+    #[test]
+    fn unrequested_constants_get_no_backward_nodes() {
+        // `X` is a constant, so d sum(X·W) / dW needs Xᵀ but never the n×f
+        // `∂L/∂X = G·Wᵀ`: no node recorded by `grad` may have X's shape.
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::from_fn(5, 3, |i, j| (i as f64) - 0.5 * (j as f64)));
+        let w = tape.input(Matrix::from_fn(3, 2, |i, j| 0.1 * (i + j) as f64 + 0.2));
+        let loss = tape.sum_all(tape.matmul(x, w));
+        let before = tape.len();
+        let g = grad(&tape, loss, &[w]);
+        assert_eq!(g[0].shape(), w.shape());
+        for id in before..tape.len() {
+            assert_ne!(
+                tape.var_for(id).shape(),
+                x.shape(),
+                "node {id} is a gradient for the constant X"
+            );
+        }
+        let expected = tape.value(x).transpose().matmul(&Matrix::ones(5, 2));
+        assert_eq!(tape.value(g[0]).as_slice(), expected.as_slice());
     }
 
     #[test]

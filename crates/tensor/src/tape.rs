@@ -268,6 +268,10 @@ impl Tape {
         f(&self.nodes.borrow()[id])
     }
 
+    pub(crate) fn with_nodes<R>(&self, f: impl FnOnce(&[Node]) -> R) -> R {
+        f(&self.nodes.borrow())
+    }
+
     pub(crate) fn parents_of(&self, id: usize) -> Parents {
         self.nodes.borrow()[id].parents
     }
@@ -290,8 +294,10 @@ impl Tape {
 
     /// Registers a sparse matrix as a constant operand (never differentiated
     /// against; asking for its gradient yields zeros at zero positions).
-    pub fn sparse_constant(&self, matrix: SparseMatrix) -> SparseVar {
-        self.sparse_push(Rc::new(matrix), Rc::new(Vec::new()))
+    /// Passing an `Rc` shares the matrix with the caller instead of copying
+    /// it, so a loop can register the same operand on every fresh tape.
+    pub fn sparse_constant(&self, matrix: impl Into<Rc<SparseMatrix>>) -> SparseVar {
+        self.sparse_push(matrix.into(), Rc::new(Vec::new()))
     }
 
     /// Registers a sparse matrix as an input whose gradient will be requested at
