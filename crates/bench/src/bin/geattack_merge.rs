@@ -12,8 +12,7 @@
 //! unsharded run of the same spec writes — the CI `shard-equivalence` job
 //! `cmp`s the two — and lands in the same place, `results/sweep_<name>.json`.
 
-use geattack_bench::cli::paths_only;
-use geattack_bench::runner::write_json;
+use geattack_bench::cli::{paths_only, write_json_or_exit};
 use geattack_core::sweep::{merge_shards, ShardReport};
 
 fn main() {
@@ -64,6 +63,6 @@ fn main() {
         std::process::exit(2);
     });
     print!("{}", report.to_markdown());
-    let path = write_json(&format!("sweep_{}", report.sweep), &report.to_json());
+    let path = write_json_or_exit(&format!("sweep_{}", report.sweep), &report.to_json());
     println!("(JSON written to {})", path.display());
 }

@@ -31,7 +31,7 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use geattack_bench::runner::write_json;
+use geattack_bench::cli::write_json_or_exit;
 use geattack_bench::serve::{serve, sigterm_flag, submit, ServeOptions};
 use geattack_core::engine::Engine;
 
@@ -178,6 +178,6 @@ fn submit_command(mut args: impl Iterator<Item = String>) {
         eprintln!("submit failed: {e}");
         std::process::exit(1);
     });
-    let path = write_json(&format!("served_{}", outcome.sweep), &outcome.report_pretty);
+    let path = write_json_or_exit(&format!("served_{}", outcome.sweep), &outcome.report_pretty);
     println!("(JSON written to {})", path.display());
 }

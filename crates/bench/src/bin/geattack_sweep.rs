@@ -29,55 +29,34 @@
 //!   closed cell/phase-level span: preparation, each attacker x budget run,
 //!   cache and codec activity). Tracing never changes the report bytes.
 //! * `--dry-run` prints the enumerated cell plan (with shard assignments when
-//!   `--shard` is given) without running anything; `--list-families` prints
-//!   the scenario registry.
+//!   `--shard` is given) without running anything.
+//! * `--list-families` prints Table 3: every registered family's statistics
+//!   at `--scale` (default 0.25, `--full` = 1.0) and `--seed`.
 //!
-//! The shared flags override the spec's axes explicitly: `--scale F` replaces
-//! the scales axis, `--victims N` the per-cell victim count, `--seed N` offsets
-//! every seed, `--runs N` replaces the seeds axis with `seed..seed+N`, and
-//! `--quick`/`--full` override the training profile. `--dataset` does not apply
-//! (families come from the spec) and is rejected.
+//! The shared flags override the spec's axes ([`Options::apply_to`]).
 
-use geattack_bench::cli::Options;
-use geattack_bench::runner::write_json;
+use geattack_bench::cli::{write_json_or_exit, Options};
+use geattack_bench::render::family_statistics;
 use geattack_core::engine::{CellEvent, Engine};
 use geattack_scenarios::SweepSpec;
-
-/// Applies the shared CLI flags to the parsed spec (documented in the module
-/// header); every flag either takes effect or aborts, never silently ignored.
-fn apply_flag_overrides(spec: &mut SweepSpec, options: &Options) {
-    if options.dataset.is_some() {
-        eprintln!("--dataset does not apply to sweeps; name the families in the spec instead");
-        std::process::exit(2);
-    }
-    if options.cache_budget_mb.is_some() && options.cache_dir.is_none() {
-        eprintln!("--cache-budget-mb requires --cache-dir (there is no cache to bound otherwise)");
-        std::process::exit(2);
-    }
-    if let Some(scale) = options.scale {
-        spec.scales = vec![scale];
-    }
-    if let Some(victims) = options.victims {
-        spec.victims = victims;
-    }
-    if let Some(runs) = options.runs {
-        spec.seeds = (0..runs.max(1) as u64).collect();
-    }
-    if options.seed != 0 {
-        spec.seeds = spec.seeds.iter().map(|&s| s + options.seed).collect();
-    }
-    if let Some(full) = options.full {
-        spec.quick = !full;
-    }
-}
 
 fn main() {
     let parsed = Options::parse_sweep("SWEEP_SPEC.json");
     if parsed.options.list_families {
-        for name in geattack_scenarios::FAMILY_NAMES {
-            println!("{name}");
+        let options = &parsed.options;
+        let scale = options
+            .scale
+            .unwrap_or(if options.full == Some(true) { 1.0 } else { 0.25 });
+        if !(scale > 0.0 && scale <= 1.0) {
+            eprintln!("--scale {scale} out of (0, 1]");
+            std::process::exit(2);
         }
+        print!("{}", family_statistics(scale, options.seed));
         return;
+    }
+    if parsed.options.cache_budget_mb.is_some() && parsed.options.cache_dir.is_none() {
+        eprintln!("--cache-budget-mb requires --cache-dir (there is no cache to bound otherwise)");
+        std::process::exit(2);
     }
     let [spec_path] = parsed.positional.as_slice() else {
         eprintln!("expected exactly one sweep spec path, got {:?}", parsed.positional);
@@ -91,7 +70,7 @@ fn main() {
         eprintln!("{spec_path}: {e}");
         std::process::exit(2);
     });
-    apply_flag_overrides(&mut spec, &parsed.options);
+    parsed.options.apply_to(&mut spec);
     spec.validate().unwrap_or_else(|e| {
         eprintln!("{spec_path} (after flag overrides): {e}");
         std::process::exit(2);
@@ -153,7 +132,9 @@ fn main() {
             CellEvent::Planned { .. } | CellEvent::Started { .. } => {}
             CellEvent::Finished { position, cells, .. } => {
                 let cell = plan.iter().find(|c| c.position == position);
-                let (nodes, victims) = cells.first().map(|c| (c.nodes, c.victims)).unwrap_or((0, 0));
+                // Degree-bucket budgets each attack their own victims.
+                let nodes = cells.first().map_or(0, |c| c.nodes);
+                let victims = cells.iter().map(|c| c.victims).max().unwrap_or(0);
                 if let Some(cell) = cell {
                     eprintln!(
                         "[{} scale {} seed {} {}] prepared: {nodes} nodes, {victims} victims",
@@ -183,7 +164,7 @@ fn main() {
     let artifact = match &parsed.options.shard {
         Some(shard) => {
             let name = format!("sweep_{}.shard{}of{}", spec.name, shard.index, shard.count);
-            let path = write_json(&name, &run.shard.to_json());
+            let path = write_json_or_exit(&name, &run.shard.to_json());
             println!(
                 "shard {} done: {} prepared cells, {} result cells (JSON written to {})",
                 shard.label(),
@@ -204,12 +185,12 @@ fn main() {
             });
             print!("{}", report.to_markdown());
             let name = format!("sweep_{}", spec.name);
-            let path = write_json(&name, &report.to_json());
+            let path = write_json_or_exit(&name, &report.to_json());
             println!("(JSON written to {})", path.display());
             name
         }
     };
-    let meta_path = write_json(&format!("{artifact}.meta"), &run.meta_json());
+    let meta_path = write_json_or_exit(&format!("{artifact}.meta"), &run.meta_json());
     eprintln!("(metadata written to {})", meta_path.display());
     if let Some(path) = &parsed.options.telemetry {
         geattack_telemetry::flush();

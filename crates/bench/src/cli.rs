@@ -1,57 +1,44 @@
-//! The one shared command-line parser behind every binary in this crate.
+//! The shared command-line pieces of the engine clients.
 //!
-//! All eight `reproduce_*` binaries and `geattack-sweep` accept the same flag
-//! set (`--seed`, `--scale`, `--quick`/`--full`, `--serial`, `--runs`,
-//! `--victims`, `--dataset`); the parsing, the usage message and the
-//! flag-to-[`PipelineConfig`] translation live here so a new binary never
-//! copy-pastes an argument loop again. Binaries that take positional arguments
-//! (the sweep's spec path) call [`Options::parse_with_positionals`]; the rest
-//! use [`Options::from_args`]. The sweep-only distribution flags (`--shard`,
-//! `--cache-dir`, `--dry-run`, `--list-families`) are parsed via
-//! [`Options::parse_sweep`] and rejected — with a pointed message, not a
-//! generic "unknown option" — everywhere else.
+//! `geattack-sweep` takes one spec path plus the flag set below
+//! ([`Options::parse_sweep`]); the parsing, the usage message and the
+//! flag-to-spec overrides ([`Options::apply_to`]) live here. `geattack-merge`
+//! and `geattack-render` take only report paths ([`paths_only`]). Every
+//! binary writes its JSON artifacts through [`write_json`].
 
-use geattack_core::pipeline::{GraphSource, PipelineConfig};
+use std::io;
+use std::path::PathBuf;
+
 use geattack_core::sweep::Shard;
-use geattack_graph::datasets::{DatasetName, GeneratorConfig};
+use geattack_scenarios::SweepSpec;
 
-/// Command-line options shared by all reproduction binaries and the sweep
-/// runner.
+/// Command-line options of the sweep runner.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
-    /// `Some(true)` after `--full` (paper scale), `Some(false)` after `--quick`
-    /// (the reduced default, stated explicitly), `None` when neither flag was
-    /// given — the sweep runner needs the distinction to know whether to
-    /// override the spec's profile.
+    /// `Some(true)` after `--full`, `Some(false)` after `--quick`, `None`
+    /// (keep the spec's profile) when neither flag was given.
     pub full: Option<bool>,
-    /// Number of independent seeds/runs to aggregate (`--runs`); `None` means
-    /// the binary's default of 2.
+    /// Replace the seeds axis with `seed..seed+N` (`--runs N`).
     pub runs: Option<usize>,
-    /// Number of victims per run (overrides the per-mode default when set).
+    /// Number of victims per cell (overrides the spec's count when set).
     pub victims: Option<usize>,
     /// Dataset scale override.
     pub scale: Option<f64>,
     /// Base seed.
     pub seed: u64,
-    /// Force the single-threaded pipeline path (`--serial`), for timing
-    /// comparisons and debugging.
+    /// Force the single-threaded engine path (`--serial`).
     pub serial: bool,
-    /// Restrict a multi-dataset binary to one dataset (`--dataset NAME`).
-    pub dataset: Option<DatasetName>,
     /// Run only one shard of the sweep grid (`--shard I/N`, zero-based).
     pub shard: Option<Shard>,
     /// Memoize prepared experiments under this directory (`--cache-dir DIR`).
     pub cache_dir: Option<String>,
-    /// Size budget for the cache directory in MiB (`--cache-budget-mb N`):
-    /// after each write the oldest-mtime entries are pruned until the cache
-    /// fits.
+    /// Prune the cache directory to this many MiB (`--cache-budget-mb N`).
     pub cache_budget_mb: Option<u64>,
-    /// Write an NDJSON span trace to this path (`--telemetry PATH`): one line
-    /// per closed cell/phase-level span. Never affects the report bytes.
+    /// Write an NDJSON span trace to this path (`--telemetry PATH`).
     pub telemetry: Option<String>,
     /// Print the enumerated cell plan instead of running (`--dry-run`).
     pub dry_run: bool,
-    /// Print the scenario family registry and exit (`--list-families`).
+    /// Print every family's Table 3 statistics and exit (`--list-families`).
     pub list_families: bool,
 }
 
@@ -64,104 +51,64 @@ pub struct ParsedArgs {
     pub positional: Vec<String>,
 }
 
-const FLAG_USAGE: &str = "[--quick|--full] [--runs N] [--victims N] [--scale F] [--seed N] [--serial] [--dataset NAME]";
-const SWEEP_FLAG_USAGE: &str =
-    "[--shard I/N] [--cache-dir DIR] [--cache-budget-mb N] [--telemetry PATH] [--dry-run] [--list-families]";
+const FLAG_USAGE: &str = "[--quick|--full] [--runs N] [--victims N] [--scale F] [--seed N] [--serial] \
+[--shard I/N] [--cache-dir DIR] [--cache-budget-mb N] [--telemetry PATH] [--dry-run] [--list-families]";
 
 impl Options {
-    /// Parses options from `std::env::args()`, rejecting positional arguments.
+    /// Parses `std::env::args()`: the flag set plus positional arguments (the
+    /// spec path); `positional_usage` is appended to the usage message.
     /// Unknown flags abort with a usage message so typos do not silently run
     /// the wrong experiment.
-    pub fn from_args() -> Self {
-        let parsed = parse(std::env::args().skip(1), false, "", false);
-        parsed.options
-    }
-
-    /// Parses options plus positional arguments (e.g. the sweep spec path);
-    /// `positional_usage` is appended to the usage message.
-    pub fn parse_with_positionals(positional_usage: &str) -> ParsedArgs {
-        parse(std::env::args().skip(1), true, positional_usage, false)
-    }
-
-    /// [`Options::parse_with_positionals`] plus the sweep-only distribution
-    /// flags (`--shard`, `--cache-dir`, `--dry-run`, `--list-families`).
     pub fn parse_sweep(positional_usage: &str) -> ParsedArgs {
-        parse(std::env::args().skip(1), true, positional_usage, true)
+        parse(std::env::args().skip(1), positional_usage)
     }
 
-    /// Builds the pipeline configuration for one dataset and one run index.
-    pub fn pipeline(&self, dataset: DatasetName, run: usize) -> PipelineConfig {
-        self.pipeline_for_source(GraphSource::Dataset(dataset), run)
-    }
-
-    /// Whether `--full` (paper scale) was requested.
-    pub fn is_full(&self) -> bool {
-        self.full == Some(true)
-    }
-
-    /// The number of independent runs to aggregate (default 2).
-    pub fn run_count(&self) -> usize {
-        self.runs.unwrap_or(2).max(1)
-    }
-
-    /// Builds the pipeline configuration for an arbitrary graph source and one
-    /// run index.
-    pub fn pipeline_for_source(&self, source: GraphSource, run: usize) -> PipelineConfig {
-        let seed = self.seed + run as u64;
-        let mut config = if self.is_full() {
-            PipelineConfig::paper_scale_source(source, seed)
-        } else {
-            PipelineConfig::quick_source(source, seed)
-        };
+    /// Applies the flags to a parsed spec, each replacing one axis
+    /// explicitly: `--scale F` the scales axis, `--victims N` the per-cell
+    /// victim count, `--runs N` the seeds axis with `0..N`, `--seed N` offsets
+    /// every seed, and `--quick`/`--full` select the training profile.
+    pub fn apply_to(&self, spec: &mut SweepSpec) {
         if let Some(scale) = self.scale {
-            config.generator = GeneratorConfig::at_scale(scale, seed);
+            spec.scales = vec![scale];
         }
         if let Some(victims) = self.victims {
-            config.set_victim_count(victims);
+            spec.victims = victims;
         }
-        config.parallel = !self.serial;
-        config
-    }
-
-    /// The seeds of all runs.
-    pub fn run_indices(&self) -> std::ops::Range<usize> {
-        0..self.run_count()
-    }
-
-    /// The datasets a binary should run on: its own default list, unless
-    /// `--dataset` restricts it to one (which must be in the default list).
-    pub fn datasets(&self, default: &[DatasetName]) -> Vec<DatasetName> {
-        match self.dataset {
-            None => default.to_vec(),
-            Some(dataset) if default.contains(&dataset) => vec![dataset],
-            Some(dataset) => {
-                eprintln!(
-                    "--dataset {} is not part of this experiment (choices: {})",
-                    dataset.as_str(),
-                    default.iter().map(|d| d.as_str()).collect::<Vec<_>>().join(", ")
-                );
-                std::process::exit(2);
-            }
+        if let Some(runs) = self.runs {
+            spec.seeds = (0..runs.max(1) as u64).collect();
+        }
+        if self.seed != 0 {
+            spec.seeds = spec.seeds.iter().map(|&s| s + self.seed).collect();
+        }
+        if let Some(full) = self.full {
+            spec.quick = !full;
         }
     }
 }
 
-fn parse(
-    args: impl Iterator<Item = String>,
-    allow_positional: bool,
-    positional_usage: &str,
-    allow_sweep_flags: bool,
-) -> ParsedArgs {
-    let flags = if allow_sweep_flags {
-        format!("{FLAG_USAGE} {SWEEP_FLAG_USAGE}")
-    } else {
-        FLAG_USAGE.to_string()
-    };
-    let usage = if positional_usage.is_empty() {
-        format!("usage: {flags}")
-    } else {
-        format!("usage: {flags} {positional_usage}")
-    };
+/// Writes a JSON artifact under `results/` (created on demand) and returns its
+/// path. Callers must fail loudly on error: an artifact that was not written
+/// must never be reported as written.
+pub fn write_json(name: &str, json: &str) -> io::Result<PathBuf> {
+    let dir = PathBuf::from("results");
+    let path = dir.join(format!("{name}.json"));
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    Ok(path)
+}
+
+/// [`write_json`] for binaries: on failure prints the error and exits with
+/// status 1, so a run never claims an artifact it did not write.
+pub fn write_json_or_exit(name: &str, json: &str) -> PathBuf {
+    write_json(name, json).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
+}
+
+fn parse(args: impl Iterator<Item = String>, positional_usage: &str) -> ParsedArgs {
+    let usage = format!("usage: {FLAG_USAGE} {positional_usage}");
     let fail = |message: &str| -> ! {
         eprintln!("{message}");
         eprintln!("{usage}");
@@ -179,18 +126,6 @@ fn parse(
             "--scale" => options.scale = Some(parse_next(&mut args, "--scale")),
             "--seed" => options.seed = parse_next(&mut args, "--seed"),
             "--serial" => options.serial = true,
-            "--dataset" => {
-                let name: String = parse_next(&mut args, "--dataset");
-                match DatasetName::parse(&name) {
-                    Some(dataset) => options.dataset = Some(dataset),
-                    None => fail(&format!("unknown dataset: {name}")),
-                }
-            }
-            "--shard" | "--cache-dir" | "--cache-budget-mb" | "--telemetry" | "--dry-run" | "--list-families"
-                if !allow_sweep_flags =>
-            {
-                fail(&format!("{arg} is only supported by geattack-sweep"));
-            }
             "--shard" => {
                 let value: String = parse_next(&mut args, "--shard");
                 match Shard::parse(&value) {
@@ -223,15 +158,14 @@ fn parse(
                 std::process::exit(0);
             }
             other if other.starts_with('-') => fail(&format!("unknown option: {other}")),
-            other if allow_positional => positional.push(other.to_string()),
-            other => fail(&format!("unexpected argument: {other}")),
+            other => positional.push(other.to_string()),
         }
     }
     ParsedArgs { options, positional }
 }
 
 /// Parses a command line consisting only of positional path arguments (the
-/// merge binary's shard-report list): no flags apply, so anything starting
+/// merge and render binaries' report lists): no flags apply, so anything starting
 /// with `-` other than `-h`/`--help` aborts.
 pub fn paths_only(positional_usage: &str) -> Vec<String> {
     let usage = format!("usage: {positional_usage}");
@@ -268,65 +202,57 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
     }
 
-    #[test]
-    fn defaults_and_pipeline() {
-        let options = Options::default();
-        assert!(!options.is_full());
-        let config = options.pipeline(DatasetName::Cora, 1);
-        assert_eq!(config.generator.seed, 1);
-        assert_eq!(options.run_indices().len(), 2);
+    fn spec() -> SweepSpec {
+        SweepSpec::new("cli", vec!["cora".to_string()], vec!["fga".to_string()])
     }
 
     #[test]
-    fn overrides_flow_into_the_pipeline_config() {
+    fn defaults_leave_the_spec_unchanged() {
+        let options = Options::default();
+        let mut overridden = spec();
+        options.apply_to(&mut overridden);
+        assert_eq!(overridden, spec());
+    }
+
+    #[test]
+    fn overrides_flow_into_the_sweep_spec() {
         let options = Options {
             scale: Some(0.05),
             victims: Some(3),
+            runs: Some(3),
             seed: 7,
+            full: Some(true),
             ..Default::default()
         };
-        let config = options.pipeline(DatasetName::Acm, 0);
-        assert_eq!(config.victims.count, 3);
-        assert!((config.generator.scale - 0.05).abs() < 1e-12);
-        assert_eq!(config.generator.seed, 7);
+        let mut overridden = spec();
+        options.apply_to(&mut overridden);
+        assert_eq!(overridden.victims, 3);
+        assert_eq!(overridden.scales, vec![0.05]);
+        assert_eq!(overridden.seeds, vec![7, 8, 9]);
+        assert!(!overridden.quick);
     }
 
     #[test]
     fn flags_parse_into_options() {
         let parsed = parse(
-            args(&[
-                "--seed",
-                "9",
-                "--scale",
-                "0.2",
-                "--serial",
-                "--dataset",
-                "acm",
-                "--runs",
-                "3",
-            ]),
-            false,
-            "",
-            false,
+            args(&["--seed", "9", "--scale", "0.2", "--serial", "--runs", "3"]),
+            "SPEC",
         );
         assert_eq!(parsed.options.seed, 9);
         assert_eq!(parsed.options.scale, Some(0.2));
         assert!(parsed.options.serial);
-        assert_eq!(parsed.options.dataset, Some(DatasetName::Acm));
         assert_eq!(parsed.options.runs, Some(3));
-        assert_eq!(parsed.options.run_count(), 3);
         assert!(parsed.positional.is_empty());
     }
 
     #[test]
     fn quick_undoes_full_and_positionals_are_collected() {
-        let parsed = parse(args(&["--full", "--quick", "spec.json"]), true, "SPEC", false);
+        let parsed = parse(args(&["--full", "--quick", "spec.json"]), "SPEC");
         assert_eq!(parsed.options.full, Some(false));
-        assert!(!parsed.options.is_full());
         assert_eq!(parsed.positional, vec!["spec.json".to_string()]);
         // Neither profile flag → None, so callers can tell "default" apart
         // from an explicit `--quick`.
-        assert_eq!(parse(args(&[]), false, "", false).options.full, None);
+        assert_eq!(parse(args(&[]), "").options.full, None);
     }
 
     #[test]
@@ -341,39 +267,16 @@ mod tests {
                 "--list-families",
                 "spec.json",
             ]),
-            true,
             "SPEC",
-            true,
         );
         assert_eq!(parsed.options.shard, Some(Shard { index: 1, count: 3 }));
         assert_eq!(parsed.options.cache_dir.as_deref(), Some("/tmp/geattack-cache"));
         assert!(parsed.options.dry_run);
         assert!(parsed.options.list_families);
         // Defaults: no distribution behavior unless asked for.
-        let plain = parse(args(&[]), false, "", true).options;
+        let plain = parse(args(&[]), "").options;
         assert_eq!(plain.shard, None);
         assert_eq!(plain.cache_dir, None);
         assert!(!plain.dry_run && !plain.list_families);
-    }
-
-    #[test]
-    fn dataset_filter_restricts_the_default_list() {
-        let options = Options {
-            dataset: Some(DatasetName::Cora),
-            ..Default::default()
-        };
-        assert_eq!(
-            options.datasets(&[DatasetName::Citeseer, DatasetName::Cora]),
-            vec![DatasetName::Cora]
-        );
-        let unfiltered = Options::default();
-        assert_eq!(unfiltered.datasets(&DatasetName::ALL), DatasetName::ALL.to_vec());
-    }
-
-    #[test]
-    fn scenario_sources_build_pipelines_too() {
-        let options = Options::default();
-        let config = options.pipeline_for_source(GraphSource::parse("sbm").unwrap(), 0);
-        assert_eq!(config.source.label(), "sbm");
     }
 }

@@ -1,13 +1,14 @@
 //! # geattack-bench
 //!
-//! Criterion micro-benchmarks (under `benches/`), the `reproduce_*` binaries
-//! (under `src/bin/`) that regenerate every table and figure of the paper's
-//! evaluation, and the clients of the `geattack_core` experiment engine: the
-//! `geattack-sweep` runner, the `geattack-merge` shard combiner and the
-//! `geattack-serve` daemon. Shared pieces:
+//! The clients of the `geattack_core` experiment engine: the `geattack-sweep`
+//! runner, the `geattack-merge` shard combiner, the `geattack-render` table
+//! and figure printer, the `geattack-serve` daemon, the `geattack-cache`
+//! lifecycle tool and the `geattack-loadtest` harness. The paper's tables and
+//! figures are sweep specs under `examples/paper/`, run by `geattack-sweep`
+//! and printed by `geattack-render`. Shared pieces:
 //!
-//! * [`cli`] — the one command-line parser every binary uses;
-//! * [`runner`] — experiment-running logic for the paper reproductions;
+//! * [`cli`] — the sweep runner's command-line parser and artifact writer;
+//! * [`render`] — the paper's table and figure layouts of a sweep report;
 //! * [`serve`] — the NDJSON sweep-serving protocol (concurrent daemon loop +
 //!   client), with cancellation and graceful drain;
 //! * [`pool`] — the daemon's bounded, cost-aware admission gate;
@@ -19,5 +20,5 @@
 pub mod cli;
 pub mod loadtest;
 pub mod pool;
-pub mod runner;
+pub mod render;
 pub mod serve;

@@ -680,7 +680,7 @@ fn run_sweep_request(
 /// fleet coordinator's `{"spec": {...}, "shard": "I/N"}` wrapper naming a
 /// deterministic grid slice. A wrapper without a `shard` field runs the whole
 /// grid, exactly like the bare form.
-fn parse_sweep_request(request: &str) -> Result<(SweepSpec, Option<Shard>), String> {
+pub fn parse_sweep_request(request: &str) -> Result<(SweepSpec, Option<Shard>), String> {
     let wrapped = serde_json::from_str::<Value>(request)
         .ok()
         .filter(|value| value.get_field("spec").is_ok());

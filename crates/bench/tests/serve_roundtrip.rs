@@ -29,19 +29,17 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The parameterised cell kinds: degree buckets and a λ sweep.
+const PARAMETERISED: [&str; 2] = [
+    include_str!("../../../tests/specs/degree_buckets.json"),
+    include_str!("../../../tests/specs/lambda.json"),
+];
+
 #[test]
 fn served_reports_are_byte_identical_to_cli_sweeps_and_share_the_cache() {
-    let spec = SweepSpec::from_json(SPEC).expect("spec parses");
-
-    // What `geattack-sweep` would write for this spec.
-    let reference = Engine::new()
-        .serial(true)
-        .run_report(&spec)
-        .expect("reference sweep runs")
-        .to_json();
-
     // An in-process daemon on an ephemeral port, with a shared cache, serving
-    // exactly two requests then exiting.
+    // a cold and a warm request per spec, then exiting.
+    let specs = [SPEC, PARAMETERISED[0], PARAMETERISED[1]];
     let cache_dir = temp_dir("cache");
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -49,35 +47,48 @@ fn served_reports_are_byte_identical_to_cli_sweeps_and_share_the_cache() {
         .serial(true)
         .with_cache(cache_dir.clone(), None)
         .expect("cache opens");
-    let daemon = std::thread::spawn(move || serve(listener, &engine, ServeOptions::with_max_requests(Some(2))));
+    let requests = 2 * specs.len();
+    let daemon = std::thread::spawn(move || serve(listener, &engine, ServeOptions::with_max_requests(Some(requests))));
 
-    // Cold request: the daemon prepares and caches the experiment.
-    let cold = submit(&addr, SPEC, Duration::from_secs(10), |_| {}).expect("cold submit succeeds");
-    assert_eq!(cold.sweep, "serve-rt");
-    assert_eq!(
-        cold.report_pretty, reference,
-        "NDJSON-assembled report must be byte-identical to the CLI artifact"
-    );
+    for text in specs {
+        let spec = SweepSpec::from_json(text).expect("spec parses");
+        // What `geattack-sweep` would write for this spec.
+        let reference = Engine::new()
+            .serial(true)
+            .run_report(&spec)
+            .expect("reference sweep runs")
+            .to_json();
 
-    // Warm request over a fresh connection: same bytes, served from cache.
-    let warm = submit(&addr, SPEC, Duration::from_secs(10), |_| {}).expect("warm submit succeeds");
-    assert_eq!(
-        warm.report_pretty, reference,
-        "warm-cache round-trip stays byte-identical"
-    );
-    match &warm.cache {
-        Value::Object(_) => {
-            let hits = match warm.cache.get_field("hits") {
-                Ok(Value::Number(h)) => *h as u64,
-                other => panic!("cache counters missing hits: {other:?}"),
-            };
-            assert!(hits >= 1, "the second request must hit the shared cache");
+        // Cold request: the daemon prepares and caches the experiment.
+        let cold = submit(&addr, text, Duration::from_secs(10), |_| {}).expect("cold submit succeeds");
+        assert_eq!(cold.sweep, spec.name);
+        assert_eq!(
+            cold.report_pretty, reference,
+            "{}: NDJSON-assembled report must be byte-identical to the CLI artifact",
+            spec.name
+        );
+
+        // Warm request over a fresh connection: same bytes, served from cache.
+        let warm = submit(&addr, text, Duration::from_secs(10), |_| {}).expect("warm submit succeeds");
+        assert_eq!(
+            warm.report_pretty, reference,
+            "{}: warm-cache round-trip stays byte-identical",
+            spec.name
+        );
+        match &warm.cache {
+            Value::Object(_) => {
+                let hits = match warm.cache.get_field("hits") {
+                    Ok(Value::Number(h)) => *h as u64,
+                    other => panic!("cache counters missing hits: {other:?}"),
+                };
+                assert!(hits >= 1, "the second request must hit the shared cache");
+            }
+            other => panic!("daemon ran with a cache but reported {other:?}"),
         }
-        other => panic!("daemon ran with a cache but reported {other:?}"),
     }
 
     let served = daemon.join().expect("daemon thread").expect("daemon exits cleanly");
-    assert_eq!(served, 2);
+    assert_eq!(served, requests);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 

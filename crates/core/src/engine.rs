@@ -41,18 +41,19 @@ use std::time::Instant;
 
 use geattack_cache::{CacheCounters, CacheStore};
 use geattack_graph::datasets::GeneratorConfig;
-use geattack_scenarios::{ScenarioSpec, SweepSpec};
+use geattack_scenarios::{BudgetSpec, ScenarioSpec, SweepSpec};
 use geattack_telemetry::{span_labeled, Histogram, Level, MetricsRegistry};
 
 use crate::error::{CellFailure, GeError, Result};
 use crate::evaluation::summarize_run;
 use crate::persist::prepare_cached;
-use crate::pipeline::{run_attacker_instrumented, BudgetRule, GraphSource, PipelineConfig};
+use crate::pipeline::{run_attacker, BudgetRule, GraphSource, PipelineConfig, Prepared};
 use crate::registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 use crate::sweep::{
     estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, PlannedCell,
     Shard, ShardReport, SweepCell, SweepReport, SweepRun,
 };
+use crate::targets::victims_with_degree;
 use crate::telemetry::{CellTiming, LatencySummary, PhaseAccumulator, SweepTelemetry};
 
 /// A shared cancellation flag for one sweep session. Cloning shares the flag;
@@ -406,10 +407,9 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
     let exec_order = execution_order(&context.owned);
     let ordered: Vec<&PlannedCell> = exec_order.iter().map(|&i| &context.owned[i]).collect();
 
-    // One level of parallelism only (mirroring the multi-run experiment
-    // runner): enough prepared cells to saturate the cores → fan out across
-    // cells with serial victim loops; otherwise keep the cell loop serial and
-    // let each cell's victim loop fan out.
+    // One level of parallelism only: enough prepared cells to saturate the
+    // cores → fan out across cells with serial victim loops; otherwise keep
+    // the cell loop serial and let each cell's victim loop fan out.
     let fan_out = cells_fan_out(context.serial, ordered.len());
     let victim_parallel = !context.serial && !fan_out;
     let sender = Mutex::new(sender);
@@ -535,23 +535,44 @@ fn run_prep_cell(context: &SessionContext, cell: &PlannedCell, victim_parallel: 
     config.generator = GeneratorConfig::at_scale(cell.scale, cell.seed);
     config.set_victim_count(spec.victims);
     config.explainer = explainer.prepare_kind();
+    if let Some(size) = explainer.explanation_size() {
+        config.explanation_size = size;
+    }
     config.parallel = victim_parallel;
     let prepared = prepare_cached(config, context.cache.as_deref())?;
     let prepare_ms = cell_started.elapsed().as_secs_f64() * 1e3;
+
+    // Degree-bucket budgets attack their own victims, re-scoped onto the one
+    // prepared experiment; every other budget attacks the prepared victims.
+    let scopes: Vec<Option<Prepared>> = spec
+        .budgets
+        .iter()
+        .map(|budget| match *budget {
+            BudgetSpec::DegreeBucket(degree) => Some(prepared.with_victims(victims_with_degree(
+                &prepared.model,
+                &prepared.graph,
+                &prepared.clean_forward().predict_labels(),
+                &prepared.split.test,
+                degree,
+                spec.victims,
+            ))),
+            _ => None,
+        })
+        .collect();
 
     let phases = PhaseAccumulator::new();
     let inspector = explainer.inspector(&prepared)?;
     let mut out = Vec::with_capacity(context.attackers.len() * spec.budgets.len());
     for plugin in &context.attackers {
         let attacker = plugin.build(&prepared)?;
-        for &budget in &spec.budgets {
+        for (&budget, scope) in spec.budgets.iter().zip(&scopes) {
             let _run_span = span_labeled(
                 Level::Phase,
                 "attack.run",
                 format!("{}@{}", plugin.name(), budget.label()),
             );
-            let outcomes = run_attacker_instrumented(
-                &prepared,
+            let outcomes = run_attacker(
+                scope.as_ref().unwrap_or(&prepared),
                 attacker.as_ref(),
                 inspector.as_ref(),
                 BudgetRule::from(budget),
@@ -591,33 +612,23 @@ fn run_prep_cell(context: &SessionContext, cell: &PlannedCell, victim_parallel: 
 /// Whether the prepared-cell loop should fan out across threads (see
 /// [`session_worker`]).
 fn cells_fan_out(serial: bool, cells: usize) -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        !serial && cells > 1 && cells >= rayon::current_num_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (serial, cells);
-        false
-    }
+    !serial && cells > 1 && cells >= rayon::current_num_threads()
 }
 
 /// Maps `f` over the prepared cells — across threads when `fan_out` is set,
 /// serially otherwise. Results come back in cell order either way.
 fn map_cells<T: Sync, R: Send>(fan_out: bool, cells: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
     if fan_out {
         use rayon::prelude::*;
         return cells.par_iter().map(&f).collect();
     }
-    let _ = fan_out;
     cells.iter().map(f).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{AttackerKind, Prepared};
+    use crate::pipeline::AttackerKind;
     use crate::registry::AttackerPlugin;
     use geattack_attack::TargetedAttack;
 

@@ -61,8 +61,8 @@ pub use geattack::{GeAttack, GeAttackConfig};
 pub use persist::{cache_key, prepare_cached, CODE_VERSION_SALT};
 pub use pg_geattack::{PgGeAttack, PgGeAttackConfig};
 pub use pipeline::{
-    prepare, run_attacker, run_attacker_instrumented, run_attacker_kind, run_attacker_with_budget, AttackerKind,
-    BudgetRule, ExplainerKind, GraphSource, PipelineConfig, Prepared,
+    prepare, run_attacker, run_attacker_kind, AttackerKind, BudgetRule, ExplainerKind, GraphSource, PipelineConfig,
+    Prepared,
 };
 pub use registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 pub use report::{format_percent, Figure, Series, TableBlock};

@@ -10,7 +10,7 @@
 //!
 //! The graph comes from a [`GraphSource`]: either one of the paper's citation
 //! datasets or any named [`geattack_scenarios`] family, so the same pipeline
-//! drives both the reproduction binaries and the scenario sweep runner.
+//! runs on the paper's datasets and on the scenario families alike.
 
 use std::sync::{Arc, OnceLock};
 
@@ -93,6 +93,17 @@ impl AttackerKind {
     pub fn parse(s: &str) -> Option<Self> {
         crate::registry::builtin_attacker_kind(s)
     }
+}
+
+/// Overrides of a builtin attacker's settings for one attacker-axis entry, set
+/// by a parameterised spec name such as `geattack:lambda=20` (parsed by
+/// [`crate::registry`]). `None` keeps the prepared configuration's value.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct AttackerParams {
+    /// GEAttack's (and PG-GEAttack's) trade-off `λ` (Figures 4 and 8).
+    pub lambda: Option<f64>,
+    /// GEAttack's inner explainer steps `T` (Figure 6); PG-GEAttack has none.
+    pub inner_steps: Option<usize>,
 }
 
 /// Which explainer plays the inspector role.
@@ -205,6 +216,8 @@ impl From<BudgetSpec> for BudgetRule {
         match spec {
             BudgetSpec::Degree => BudgetRule::Degree,
             BudgetSpec::Fixed(edges) => BudgetRule::Fixed(edges),
+            // A bucket's victims all have its degree, so `Δ = degree` is `Δ = D`.
+            BudgetSpec::DegreeBucket(_) => BudgetRule::Degree,
         }
     }
 }
@@ -286,12 +299,6 @@ impl PipelineConfig {
         }
     }
 
-    /// A configuration matching the paper's scale (slow: full-size graphs and 40
-    /// victims).
-    pub fn paper_scale(dataset: DatasetName, seed: u64) -> Self {
-        Self::paper_scale_source(GraphSource::Dataset(dataset), seed)
-    }
-
     /// Overrides the victim count, keeping the paper's 1/4 top-margin, 1/4
     /// bottom-margin, 1/2 random selection mix (the one place this rounding
     /// lives — the CLI and the sweep runner both go through it).
@@ -301,7 +308,8 @@ impl PipelineConfig {
         self.victims.bottom_margin = (count / 4).max(1);
     }
 
-    /// [`PipelineConfig::paper_scale`] for an arbitrary graph source.
+    /// A configuration matching the paper's scale (slow: full-size graphs and 40
+    /// victims) for any graph source.
     pub fn paper_scale_source(source: GraphSource, seed: u64) -> Self {
         Self {
             generator: GeneratorConfig::full_scale(seed),
@@ -420,6 +428,12 @@ impl Prepared {
 
     /// Builds an attacker instance for this experiment.
     pub fn attacker(&self, kind: AttackerKind) -> Box<dyn TargetedAttack + Sync> {
+        self.tuned_attacker(kind, &AttackerParams::default())
+    }
+
+    /// [`Prepared::attacker`] with `params` overriding the configured GEAttack
+    /// settings (the other attackers have none to override).
+    pub fn tuned_attacker(&self, kind: AttackerKind, params: &AttackerParams) -> Box<dyn TargetedAttack + Sync> {
         match kind {
             AttackerKind::Fga => Box::new(Fga),
             AttackerKind::Rna => Box::new(RandomAttack::new(self.config.generator.seed)),
@@ -437,9 +451,23 @@ impl Prepared {
             ),
             AttackerKind::GeAttack => match (&self.config.explainer, &self.pg_explainer) {
                 (ExplainerKind::PgExplainer, Some(pg)) => {
-                    Box::new(PgGeAttack::new(pg.as_ref().clone(), self.config.pg_geattack.clone()))
+                    let config = &self.config.pg_geattack;
+                    Box::new(PgGeAttack::new(
+                        pg.as_ref().clone(),
+                        PgGeAttackConfig {
+                            lambda: params.lambda.unwrap_or(config.lambda),
+                            ..config.clone()
+                        },
+                    ))
                 }
-                _ => Box::new(GeAttack::new(self.config.geattack.clone())),
+                _ => {
+                    let config = &self.config.geattack;
+                    Box::new(GeAttack::new(GeAttackConfig {
+                        lambda: params.lambda.unwrap_or(config.lambda),
+                        inner_steps: params.inner_steps.unwrap_or(config.inner_steps),
+                        ..config.clone()
+                    }))
+                }
             },
         }
     }
@@ -479,36 +507,17 @@ pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
     Ok(prepared)
 }
 
-/// Runs one attacker over all prepared victims and returns per-victim outcomes.
+/// Runs one attacker over all prepared victims under a per-victim budget rule
+/// (`BudgetRule::Degree` is the paper's protocol) and returns per-victim
+/// outcomes, accumulating per-phase wall-clock into `phases` when given (the
+/// engine's per-cell timing breakdown; timing is additive across victim
+/// threads).
 ///
-/// With the `parallel` feature (on by default) and `config.parallel == true`,
-/// victims are distributed across threads with rayon. Every attack draws its
-/// randomness from victim-local RNG state, so the parallel outcomes are
-/// identical to the serial ones — the determinism integration test pins this.
+/// With `config.parallel == true`, victims are distributed across threads with
+/// rayon. Every attack draws its randomness from victim-local RNG state, so
+/// the parallel outcomes are identical to the serial ones — the determinism
+/// integration test pins this.
 pub fn run_attacker(
-    prepared: &Prepared,
-    attacker: &(dyn TargetedAttack + Sync),
-    inspector: &(dyn Explainer + Sync),
-) -> Vec<AttackOutcome> {
-    run_attacker_with_budget(prepared, attacker, inspector, BudgetRule::Degree)
-}
-
-/// [`run_attacker`] with an explicit per-victim budget rule (the sweep runner's
-/// budget axis; `BudgetRule::Degree` reproduces the paper's protocol).
-pub fn run_attacker_with_budget(
-    prepared: &Prepared,
-    attacker: &(dyn TargetedAttack + Sync),
-    inspector: &(dyn Explainer + Sync),
-    budget: BudgetRule,
-) -> Vec<AttackOutcome> {
-    run_attacker_instrumented(prepared, attacker, inspector, budget, None)
-}
-
-/// [`run_attacker_with_budget`] that also accumulates per-phase wall-clock
-/// into `phases` when given — the engine's per-cell timing breakdown. Timing
-/// is additive across the parallel victim threads; the measured computation is
-/// unchanged either way.
-pub fn run_attacker_instrumented(
     prepared: &Prepared,
     attacker: &(dyn TargetedAttack + Sync),
     inspector: &(dyn Explainer + Sync),
@@ -548,7 +557,6 @@ pub fn run_attacker_instrumented(
         )
     };
 
-    #[cfg(feature = "parallel")]
     if config.parallel && prepared.victims.len() >= 2 {
         use rayon::prelude::*;
         return prepared.victims.par_iter().map(evaluate).collect();
@@ -561,7 +569,13 @@ pub fn run_attacker_instrumented(
 pub fn run_attacker_kind(prepared: &Prepared, kind: AttackerKind) -> Result<Vec<AttackOutcome>> {
     let attacker = prepared.attacker(kind);
     let inspector = prepared.inspector()?;
-    Ok(run_attacker(prepared, attacker.as_ref(), inspector.as_ref()))
+    Ok(run_attacker(
+        prepared,
+        attacker.as_ref(),
+        inspector.as_ref(),
+        BudgetRule::Degree,
+        None,
+    ))
 }
 
 #[cfg(test)]
@@ -668,9 +682,21 @@ mod tests {
         let prepared = prepare(tiny_config(95)).unwrap();
         let attacker = prepared.attacker(AttackerKind::FgaT);
         let inspector = prepared.inspector().unwrap();
-        let fixed = run_attacker_with_budget(&prepared, attacker.as_ref(), inspector.as_ref(), BudgetRule::Fixed(1));
+        let fixed = run_attacker(
+            &prepared,
+            attacker.as_ref(),
+            inspector.as_ref(),
+            BudgetRule::Fixed(1),
+            None,
+        );
         assert!(fixed.iter().all(|o| o.perturbation_size <= 1), "fixed budget of 1 edge");
-        let degree = run_attacker_with_budget(&prepared, attacker.as_ref(), inspector.as_ref(), BudgetRule::Degree);
+        let degree = run_attacker(
+            &prepared,
+            attacker.as_ref(),
+            inspector.as_ref(),
+            BudgetRule::Degree,
+            None,
+        );
         for (o, victim) in degree.iter().zip(&prepared.victims) {
             assert!(o.perturbation_size <= victim.degree.max(1));
         }

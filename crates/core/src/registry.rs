@@ -16,14 +16,23 @@
 //! registries), and [`crate::engine::Engine`] carries its own registry pair so
 //! custom attackers and explainers can be registered per engine without
 //! touching any enum.
+//!
+//! An axis entry may carry parameters, `name:key=value,...`: GEAttack takes
+//! `lambda` and `inner_steps` (Figures 4, 6 and 8), both explainers take
+//! `size`, the explanation size `L` (Figure 5). Plugins validate them at
+//! resolution, so a bad entry fails submission; results report under names
+//! such as `GEAttack[lambda=20]`.
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use geattack_attack::TargetedAttack;
 use geattack_explain::{Explainer, GnnExplainer};
 
 use crate::error::{GeError, Result};
-use crate::pipeline::{AttackerKind, ExplainerKind, Prepared};
+use crate::pipeline::{AttackerKind, AttackerParams, ExplainerKind, Prepared};
 
 /// A named factory of attackers. `build` runs once per (prepared cell,
 /// attacker) — per-victim cost lives inside the returned [`TargetedAttack`].
@@ -45,6 +54,18 @@ pub trait AttackerPlugin: Send + Sync {
 
     /// Builds an attacker instance for one prepared experiment.
     fn build(&self, prepared: &Prepared) -> Result<Box<dyn TargetedAttack + Sync>>;
+
+    /// This attacker with the `key=value` parameters of a spec entry applied
+    /// (see the module docs). Plugins take no parameters by default.
+    fn with_params(&self, _params: &[(&str, &str)]) -> Result<Arc<dyn AttackerPlugin>> {
+        Err(no_params("attacker", self.name()))
+    }
+
+    /// Rejects cells this attacker cannot run on state prepared for
+    /// `explainer` (a parameter the attacker built there does not have).
+    fn validate_for(&self, _explainer: ExplainerKind) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// A named factory of inspector explainers.
@@ -75,54 +96,158 @@ pub trait ExplainerPlugin: Send + Sync {
 
     /// Builds the inspector for one prepared experiment.
     fn inspector(&self, prepared: &Prepared) -> Result<Box<dyn Explainer + Sync>>;
+
+    /// The explanation size `L` cells inspected by this explainer use, when
+    /// it overrides the pipeline default.
+    fn explanation_size(&self) -> Option<usize> {
+        None
+    }
+
+    /// This explainer with the `key=value` parameters of a spec entry applied
+    /// (see the module docs). Plugins take no parameters by default.
+    fn with_params(&self, _params: &[(&str, &str)]) -> Result<Arc<dyn ExplainerPlugin>> {
+        Err(no_params("explainer", self.name()))
+    }
 }
 
-/// The builtin attacker registration: a thin adapter over [`AttackerKind`].
-struct BuiltinAttacker(AttackerKind);
+fn no_params(kind: &str, name: &str) -> GeError {
+    GeError::InvalidSpec(format!("{kind} `{name}` takes no parameters"))
+}
+
+fn unknown_param(owner: &str, key: &str, expected: &str) -> GeError {
+    GeError::InvalidSpec(format!("unknown {owner} parameter `{key}` (expected {expected})"))
+}
+
+/// Parses one parameter value, rejecting anything outside `range`.
+fn param<T: FromStr + PartialOrd + Display>(
+    owner: &str,
+    key: &str,
+    value: &str,
+    range: RangeInclusive<T>,
+) -> Result<T> {
+    match value.trim().parse::<T>() {
+        Ok(v) if range.contains(&v) => Ok(v),
+        _ => Err(GeError::InvalidSpec(format!(
+            "{owner} parameter `{key}` must be in [{}, {}], got `{value}`",
+            range.start(),
+            range.end()
+        ))),
+    }
+}
+
+/// The builtin attacker registration: a thin adapter over [`AttackerKind`],
+/// plus the GEAttack overrides of a parameterised entry.
+struct BuiltinAttacker {
+    kind: AttackerKind,
+    params: AttackerParams,
+    name: String,
+}
 
 impl AttackerPlugin for BuiltinAttacker {
     fn name(&self) -> &str {
-        self.0.name()
+        &self.name
     }
 
     fn aliases(&self) -> Vec<String> {
-        self.0.aliases().iter().map(|a| a.to_string()).collect()
+        self.kind.aliases().iter().map(|a| a.to_string()).collect()
     }
 
     fn builtin_kind(&self) -> Option<AttackerKind> {
-        Some(self.0)
+        (self.params == AttackerParams::default()).then_some(self.kind)
     }
 
     fn build(&self, prepared: &Prepared) -> Result<Box<dyn TargetedAttack + Sync>> {
-        Ok(prepared.attacker(self.0))
+        Ok(prepared.tuned_attacker(self.kind, &self.params))
+    }
+
+    fn with_params(&self, params: &[(&str, &str)]) -> Result<Arc<dyn AttackerPlugin>> {
+        if self.kind != AttackerKind::GeAttack {
+            return Err(no_params("attacker", &self.name));
+        }
+        let mut tuned = self.params;
+        for &(key, value) in params {
+            match key {
+                "lambda" => tuned.lambda = Some(param(&self.name, key, value, 0.0..=1e6)?),
+                "inner_steps" => tuned.inner_steps = Some(param(&self.name, key, value, 1..=100)?),
+                _ => return Err(unknown_param(&self.name, key, "`lambda`, `inner_steps`")),
+            }
+        }
+        let labels: Vec<String> = [
+            tuned.lambda.map(|v| format!("lambda={v}")),
+            tuned.inner_steps.map(|v| format!("inner_steps={v}")),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        Ok(Arc::new(BuiltinAttacker {
+            kind: self.kind,
+            params: tuned,
+            name: format!("{}[{}]", self.kind.name(), labels.join(",")),
+        }))
+    }
+
+    fn validate_for(&self, explainer: ExplainerKind) -> Result<()> {
+        // Under PGExplainer, GEAttack is PG-GEAttack, which has no inner
+        // explainer loop to set the steps of.
+        if self.params.inner_steps.is_some() && explainer == ExplainerKind::PgExplainer {
+            return Err(GeError::InvalidSpec(format!(
+                "`{}` sets `inner_steps`, which PG-GEAttack (GEAttack under PGExplainer) does not have",
+                self.name
+            )));
+        }
+        Ok(())
     }
 }
 
-/// The builtin explainer registration: a thin adapter over [`ExplainerKind`].
-struct BuiltinExplainer(ExplainerKind);
+/// The builtin explainer registration: a thin adapter over [`ExplainerKind`],
+/// plus the explanation size of a parameterised entry.
+struct BuiltinExplainer {
+    kind: ExplainerKind,
+    size: Option<usize>,
+    name: String,
+}
 
 impl ExplainerPlugin for BuiltinExplainer {
     fn name(&self) -> &str {
-        self.0.name()
+        &self.name
     }
 
     fn aliases(&self) -> Vec<String> {
-        self.0.aliases().iter().map(|a| a.to_string()).collect()
+        self.kind.aliases().iter().map(|a| a.to_string()).collect()
     }
 
     fn builtin_kind(&self) -> Option<ExplainerKind> {
-        Some(self.0)
+        self.size.is_none().then_some(self.kind)
     }
 
     fn prepare_kind(&self) -> ExplainerKind {
-        self.0
+        self.kind
+    }
+
+    fn explanation_size(&self) -> Option<usize> {
+        self.size
+    }
+
+    fn with_params(&self, params: &[(&str, &str)]) -> Result<Arc<dyn ExplainerPlugin>> {
+        let mut size = self.size;
+        for &(key, value) in params {
+            match key {
+                "size" => size = Some(param(&self.name, key, value, 1..=1000)?),
+                _ => return Err(unknown_param(&self.name, key, "`size`")),
+            }
+        }
+        Ok(Arc::new(BuiltinExplainer {
+            kind: self.kind,
+            size,
+            name: format!("{}[size={}]", self.kind.name(), size.unwrap_or_default()),
+        }))
     }
 
     fn inspector(&self, prepared: &Prepared) -> Result<Box<dyn Explainer + Sync>> {
         // `prepare_kind` routed preparation through the matching builtin path,
         // so the prepared state fits this inspector; a mismatch (PG requested
         // on GNN-prepared state) surfaces as a `Prepare` error, not a panic.
-        match self.0 {
+        match self.kind {
             ExplainerKind::GnnExplainer => Ok(Box::new(GnnExplainer::new(prepared.config().gnnexplainer.clone()))),
             ExplainerKind::PgExplainer => match &prepared.pg_explainer {
                 Some(pg) => Ok(Box::new(Arc::clone(pg))),
@@ -137,6 +262,29 @@ impl ExplainerPlugin for BuiltinExplainer {
 /// Canonical registry key: trimmed, lower-case.
 fn key(name: &str) -> String {
     name.trim().to_ascii_lowercase()
+}
+
+/// Splits an axis entry `name:key=value,...` into its name and parameters,
+/// rejecting empty, malformed and repeated keys.
+fn split_params(entry: &str) -> Result<(&str, Vec<(&str, &str)>)> {
+    let Some((name, list)) = entry.split_once(':') else {
+        return Ok((entry, Vec::new()));
+    };
+    let malformed = || {
+        GeError::InvalidSpec(format!(
+            "`{entry}`: parameters after `:` must be distinct `key=value` pairs separated by commas"
+        ))
+    };
+    let mut params: Vec<(&str, &str)> = Vec::new();
+    for pair in list.split(',') {
+        let (k, v) = pair.split_once('=').ok_or_else(malformed)?;
+        let (k, v) = (k.trim(), v.trim());
+        if k.is_empty() || v.is_empty() || params.iter().any(|(seen, _)| *seen == k) {
+            return Err(malformed());
+        }
+        params.push((k, v));
+    }
+    Ok((name, params))
 }
 
 macro_rules! registry {
@@ -182,14 +330,22 @@ macro_rules! registry {
                 Ok(())
             }
 
-            /// Resolves a case-insensitive name or alias to its plugin.
+            /// Resolves a case-insensitive name or alias, with optional
+            /// `:key=value,...` parameters, to its plugin.
             pub fn resolve(&self, name: &str) -> Result<Arc<dyn $plugin>> {
-                let wanted = key(name);
-                self.entries
+                let (base, params) = split_params(name)?;
+                let wanted = key(base);
+                let plugin = self
+                    .entries
                     .iter()
                     .find(|p| key(p.name()) == wanted || p.aliases().iter().any(|a| key(a) == wanted))
                     .cloned()
-                    .ok_or_else(|| GeError::unknown($kind_label, name, self.names()))
+                    .ok_or_else(|| GeError::unknown($kind_label, base, self.names()))?;
+                if params.is_empty() {
+                    Ok(plugin)
+                } else {
+                    plugin.with_params(&params)
+                }
             }
 
             /// Whether a name resolves.
@@ -209,7 +365,11 @@ impl AttackerRegistry {
         let mut registry = Self::empty();
         for kind in AttackerKind::ALL {
             registry
-                .register(Arc::new(BuiltinAttacker(kind)))
+                .register(Arc::new(BuiltinAttacker {
+                    kind,
+                    params: AttackerParams::default(),
+                    name: kind.name().to_string(),
+                }))
                 .unwrap_or_else(|_| unreachable!("builtin attacker names are distinct"));
         }
         registry
@@ -222,7 +382,11 @@ impl ExplainerRegistry {
         let mut registry = Self::empty();
         for kind in ExplainerKind::ALL {
             registry
-                .register(Arc::new(BuiltinExplainer(kind)))
+                .register(Arc::new(BuiltinExplainer {
+                    kind,
+                    size: None,
+                    name: kind.name().to_string(),
+                }))
                 .unwrap_or_else(|_| unreachable!("builtin explainer names are distinct"));
         }
         registry
@@ -332,6 +496,45 @@ mod tests {
         }
         let err = registry.register(Arc::new(Alias)).unwrap_err();
         assert!(err.to_string().contains("`fga`"), "{err}");
+    }
+
+    #[test]
+    fn parameterised_entries_resolve_under_distinct_display_names() {
+        let tuned = AttackerRegistry::builtin()
+            .resolve("GEAttack: inner_steps=3, lambda=0.5")
+            .unwrap();
+        assert_eq!(tuned.name(), "GEAttack[lambda=0.5,inner_steps=3]");
+        assert_eq!(tuned.builtin_kind(), None, "a tuned entry is not the plain builtin");
+        let sized = ExplainerRegistry::builtin().resolve("gnnexplainer:size=40").unwrap();
+        assert_eq!(sized.name(), "GNNExplainer[size=40]");
+        assert_eq!(sized.explanation_size(), Some(40));
+        assert_eq!(sized.prepare_kind(), ExplainerKind::GnnExplainer);
+    }
+
+    #[test]
+    fn invalid_parameters_are_rejected_with_a_reason() {
+        let attackers = AttackerRegistry::builtin();
+        for (entry, needle) in [
+            ("fga:lambda=1", "takes no parameters"),
+            ("geattack:alpha=1", "unknown GEAttack parameter `alpha`"),
+            ("geattack:lambda=-1", "must be in [0, 1000000]"),
+            ("geattack:lambda=NaN", "must be in"),
+            ("geattack:inner_steps=0", "must be in [1, 100]"),
+            ("geattack:inner_steps=1.5", "must be in"),
+            ("geattack:", "key=value"),
+            ("geattack:lambda=1,,", "key=value"),
+            ("geattack:lambda=1,lambda=2", "distinct"),
+            ("metattack:lambda=1", "unknown attacker `metattack`"),
+        ] {
+            match attackers.resolve(entry) {
+                Ok(p) => panic!("{entry} must not resolve (got {})", p.name()),
+                Err(e) => assert!(e.to_string().contains(needle), "{entry}: {e}"),
+            }
+        }
+        let explainers = ExplainerRegistry::builtin();
+        for entry in ["gnnexplainer:size=0", "gnnexplainer:size=5000", "pg:depth=2"] {
+            assert!(explainers.resolve(entry).is_err(), "{entry}");
+        }
     }
 
     #[test]

@@ -2,11 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::evaluation::{AggregatedSummary, MeanStd, RunSummary};
-
-/// Extracts one scalar metric from a per-run summary (used to build figure
-/// series from sweeps).
-pub type SummaryMetric = fn(&RunSummary) -> f64;
+use crate::evaluation::{AggregatedSummary, MeanStd};
 
 /// Extracts one aggregated metric column from a table summary.
 pub type AggregatedMetric = fn(&AggregatedSummary) -> &MeanStd;
@@ -110,8 +106,8 @@ impl Figure {
     }
 }
 
-/// Writes any serializable result record as pretty JSON (used by the `reproduce_*`
-/// binaries to leave machine-readable artifacts next to the printed tables).
+/// Serializes any result record as deterministic pretty JSON (the sweep, shard
+/// and served reports are all written through it).
 pub fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("results are always serializable")
 }

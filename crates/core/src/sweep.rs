@@ -358,7 +358,9 @@ pub(crate) struct ResolvedAxes {
 }
 
 /// Resolves the spec's attacker/explainer name axes against a registry pair
-/// (one lookup per name), rejecting unknown names and alias duplicates.
+/// (one lookup per name), rejecting unknown names, invalid parameters, alias
+/// duplicates and attacker parameters that a paired explainer's cells cannot
+/// honour.
 pub(crate) fn resolve_axes(
     spec: &SweepSpec,
     attackers: &AttackerRegistry,
@@ -387,6 +389,11 @@ pub(crate) fn resolve_axes(
             return Err(GeError::InvalidSpec(format!(
                 "sweep axis `{axis}` lists the same {axis} under two aliases"
             )));
+        }
+    }
+    for attacker in &attacker_plugins {
+        for explainer in &explainer_plugins {
+            attacker.validate_for(explainer.prepare_kind())?;
         }
     }
     Ok(ResolvedAxes {
@@ -626,8 +633,8 @@ pub(crate) fn aggregate_cells(
                         // Cells whose victim selection came up empty carry
                         // artificial all-zero scores; they stay in the raw
                         // cell list (self-describing, victims = 0) but would
-                        // corrupt the mean/std here, so — like the table
-                        // runner — they do not contribute to aggregates.
+                        // corrupt the mean/std here, so they do not
+                        // contribute to aggregates.
                         let group: Vec<&SweepCell> = cells
                             .iter()
                             .filter(|c| {
@@ -804,6 +811,23 @@ mod tests {
         spec.explainers = vec!["shap".to_string()];
         let err = run_sweep(&spec, true).unwrap_err().to_string();
         assert!(err.contains("unknown explainer"), "{err}");
+    }
+
+    #[test]
+    fn attacker_parameters_an_explainer_cell_lacks_are_rejected_at_submit() {
+        let mut spec = tiny_spec();
+        spec.attackers = vec!["geattack:inner_steps=2".to_string()];
+        spec.explainers = vec!["gnnexplainer".to_string(), "pgexplainer".to_string()];
+        let err = Engine::new().submit(spec.clone()).unwrap_err();
+        assert!(matches!(err, GeError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("PG-GEAttack"), "{err}");
+        // PG-GEAttack does have λ.
+        spec.attackers = vec!["geattack:lambda=5".to_string()];
+        assert!(Engine::new().plan(&spec, None).is_ok());
+        // Duplicates are caught on display names: `20` and `20.0` are one λ.
+        let mut spec = tiny_spec();
+        spec.attackers = vec!["geattack:lambda=20".to_string(), "geattack:lambda=20.0".to_string()];
+        assert!(Engine::new().submit(spec).is_err());
     }
 
     #[test]

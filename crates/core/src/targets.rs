@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 
 use geattack_attack::{AttackContext, Fga, TargetedAttack};
 use geattack_gnn::eval::prediction_from_probs;
-use geattack_gnn::{node_predictions, Gcn};
+use geattack_gnn::Gcn;
 use geattack_graph::Graph;
 use geattack_tensor::Matrix;
 
@@ -127,25 +127,25 @@ pub fn assign_target_labels(model: &Gcn, graph: &Graph, victims: &[usize]) -> Ve
     out
 }
 
-/// Selects victims with a specific clean-graph degree (used by Figures 2, 3 and 7,
-/// which bucket victims by degree).
+/// The victims of one degree bucket (Figures 2, 3 and 7): the first `count`
+/// of `candidate_nodes` (in order) whose clean-graph degree is exactly
+/// `degree` and whose clean prediction (`predictions`, one label per node) is
+/// correct, with target labels assigned by [`assign_target_labels`].
 pub fn victims_with_degree(
     model: &Gcn,
     graph: &Graph,
+    predictions: &[usize],
     candidate_nodes: &[usize],
     degree: usize,
     count: usize,
-    seed: u64,
-) -> Vec<usize> {
-    let mut eligible: Vec<usize> = node_predictions(model, graph, candidate_nodes)
-        .into_iter()
-        .filter(|p| p.predicted == p.label && graph.degree(p.node) == degree)
-        .map(|p| p.node)
+) -> Vec<Victim> {
+    let nodes: Vec<usize> = candidate_nodes
+        .iter()
+        .copied()
+        .filter(|&n| graph.degree(n) == degree && predictions[n] == graph.label(n))
+        .take(count)
         .collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ degree as u64);
-    eligible.shuffle(&mut rng);
-    eligible.truncate(count);
-    eligible
+    assign_target_labels(model, graph, &nodes)
 }
 
 #[cfg(test)]
@@ -216,10 +216,18 @@ mod tests {
     #[test]
     fn degree_bucketed_selection() {
         let (graph, model, test_nodes) = setup();
-        let victims = victims_with_degree(&model, &graph, &test_nodes, 2, 5, 3);
-        assert!(victims.len() <= 5);
-        for &v in &victims {
-            assert_eq!(graph.degree(v), 2);
+        let predictions = model.predict_labels(&graph);
+        let victims = victims_with_degree(&model, &graph, &predictions, &test_nodes, 2, 5);
+        assert!(!victims.is_empty() && victims.len() <= 5);
+        let mut last = 0;
+        for v in &victims {
+            assert_eq!(v.degree, 2);
+            assert_eq!(predictions[v.node], v.true_label, "only correctly classified nodes");
+            assert_ne!(v.target_label, v.true_label);
+            // Split order: each victim comes later in the candidate list.
+            let at = test_nodes.iter().position(|&n| n == v.node).expect("a candidate");
+            assert!(at >= last);
+            last = at;
         }
     }
 

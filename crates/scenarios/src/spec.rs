@@ -101,26 +101,40 @@ pub enum BudgetSpec {
     Degree,
     /// A fixed number of edge insertions for every victim.
     Fixed(usize),
+    /// The degree-bucket protocol of Figures 2, 3 and 7: instead of the cell's
+    /// victims, attack up to `victims` correctly classified test nodes of
+    /// exactly this clean-graph degree (in split order), each with `Δ = degree`.
+    DegreeBucket(usize),
 }
 
 impl BudgetSpec {
-    /// Parses `"degree"` or a positive integer string/number of edges.
+    /// Parses `"degree"`, `"degree=D"` (a degree bucket) or a positive
+    /// integer string/number of edges.
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("degree") {
             return Ok(BudgetSpec::Degree);
         }
+        if let Some(degree) = s.strip_prefix("degree=") {
+            return match degree.parse::<usize>() {
+                Ok(degree) if degree > 0 => Ok(BudgetSpec::DegreeBucket(degree)),
+                _ => Err(format!("degree bucket must be a positive degree, got `{s}`")),
+            };
+        }
         match s.parse::<usize>() {
             Ok(edges) if edges > 0 => Ok(BudgetSpec::Fixed(edges)),
-            _ => Err(format!("budget must be `degree` or a positive edge count, got `{s}`")),
+            _ => Err(format!(
+                "budget must be `degree`, `degree=D` or a positive edge count, got `{s}`"
+            )),
         }
     }
 
-    /// Canonical string form (`degree` or the edge count).
+    /// Canonical string form (`degree`, `degree=D` or the edge count).
     pub fn label(&self) -> String {
         match self {
             BudgetSpec::Degree => "degree".to_string(),
             BudgetSpec::Fixed(edges) => edges.to_string(),
+            BudgetSpec::DegreeBucket(degree) => format!("degree={degree}"),
         }
     }
 }
@@ -162,7 +176,8 @@ pub struct SweepSpec {
     pub explainers: Vec<String>,
     /// Per-victim budgets; defaults to `[degree]`.
     pub budgets: Vec<BudgetSpec>,
-    /// Victims per cell; defaults to 8.
+    /// Victims per cell (per degree bucket for [`BudgetSpec::DegreeBucket`]
+    /// budgets); defaults to 8.
     pub victims: usize,
     /// Use the fast pipeline profile (reduced explainer epochs etc.); defaults
     /// to `true`. `false` selects the paper-scale training profile.
@@ -237,6 +252,9 @@ impl SweepSpec {
             self.explainers.iter().map(|e| e.trim().to_ascii_lowercase()),
         )?;
         reject_duplicates("budgets", self.budgets.iter().map(|b| b.label()))?;
+        if self.budgets.contains(&BudgetSpec::DegreeBucket(0)) {
+            return Err("degree buckets must name a positive degree".to_string());
+        }
         Ok(())
     }
 
@@ -281,6 +299,28 @@ impl Serialize for SweepSpec {
 impl Deserialize for SweepSpec {
     fn deserialize(value: &Value) -> Result<Self, Error> {
         let defaults = SweepSpec::new("", Vec::new(), Vec::new());
+        let mut budgets: Option<Vec<BudgetSpec>> = optional(value, "budgets")?;
+        let victims = match value.get_field("victims") {
+            // `{"degrees": [...], "per_degree": N}` is shorthand for one
+            // degree-bucket budget per listed degree with N victims each; the
+            // spec serializes back in that canonical budget-axis form.
+            Ok(object @ Value::Object(fields)) => {
+                if let Some((key, _)) = fields.iter().find(|(k, _)| k != "degrees" && k != "per_degree") {
+                    return Err(Error(format!(
+                        "unknown key `{key}` in `victims` (expected `degrees`, `per_degree`)"
+                    )));
+                }
+                if !matches!(budgets.as_deref(), None | Some([BudgetSpec::Degree])) {
+                    return Err(Error(
+                        "`victims` by degree sets the budget to each victim's degree; drop `budgets`".to_string(),
+                    ));
+                }
+                let degrees: Vec<usize> = Vec::deserialize(object.get_field("degrees")?)?;
+                budgets = Some(degrees.into_iter().map(BudgetSpec::DegreeBucket).collect());
+                usize::deserialize(object.get_field("per_degree")?)?
+            }
+            _ => optional(value, "victims")?.unwrap_or(defaults.victims),
+        };
         Ok(Self {
             name: String::deserialize(value.get_field("name")?)?,
             families: Vec::deserialize(value.get_field("families")?)?,
@@ -288,8 +328,8 @@ impl Deserialize for SweepSpec {
             seeds: optional(value, "seeds")?.unwrap_or(defaults.seeds),
             attackers: Vec::deserialize(value.get_field("attackers")?)?,
             explainers: optional(value, "explainers")?.unwrap_or(defaults.explainers),
-            budgets: optional(value, "budgets")?.unwrap_or(defaults.budgets),
-            victims: optional(value, "victims")?.unwrap_or(defaults.victims),
+            budgets: budgets.unwrap_or(defaults.budgets),
+            victims,
             quick: optional(value, "quick")?.unwrap_or(defaults.quick),
         })
     }
@@ -402,6 +442,38 @@ mod tests {
         assert!(BudgetSpec::parse("0").is_err());
         assert!(BudgetSpec::parse("many").is_err());
         assert_eq!(BudgetSpec::Fixed(7).label(), "7");
+    }
+
+    #[test]
+    fn victims_by_degree_expand_into_degree_bucket_budgets() {
+        let spec = SweepSpec::from_json(
+            r#"{ "name": "d", "families": ["cora"], "attackers": ["nettack"],
+                 "victims": {"degrees": [1, 2, 3], "per_degree": 8} }"#,
+        )
+        .unwrap();
+        assert_eq!(spec.victims, 8);
+        // The canonical form lists the buckets on the budget axis and
+        // round-trips to the same spec (and so the same content hash).
+        let json = serde_json::to_string(&spec).unwrap();
+        assert!(
+            json.contains(r#""budgets":["degree=1","degree=2","degree=3"]"#),
+            "{json}"
+        );
+        assert_eq!(SweepSpec::from_json(&json).unwrap(), spec);
+        assert_eq!(BudgetSpec::parse("degree=4"), Ok(BudgetSpec::DegreeBucket(4)));
+
+        for (bad, needle) in [
+            (r#"{"degrees": [1], "per_degree": 2, "seed": 1}"#, "unknown key `seed`"),
+            (r#"{"degrees": [0], "per_degree": 2}"#, "positive degree"),
+            (r#"{"degrees": [1, 1], "per_degree": 2}"#, "more than once"),
+            (r#"{"degrees": [1], "per_degree": 0}"#, "at least one victim"),
+            (r#"{"per_degree": 2}"#, "missing field `degrees`"),
+            (r#"{"degrees": [1], "per_degree": 2}, "budgets": [2]"#, "drop `budgets`"),
+        ] {
+            let text = format!(r#"{{ "name": "d", "families": ["cora"], "attackers": ["fga"], "victims": {bad} }}"#);
+            let err = SweepSpec::from_json(&text).unwrap_err();
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

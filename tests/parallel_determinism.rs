@@ -2,10 +2,6 @@
 //! the multi-victim attack loop with `config.parallel` on and off must produce
 //! byte-identical outcomes (same victims, same perturbation sizes, same
 //! detection scores), because every victim draws from victim-local RNG state.
-//!
-//! When the `parallel` feature is compiled out, both configurations take the
-//! serial path and the assertions hold trivially; CI runs the suite with the
-//! feature both on and off.
 
 use geattack_core::evaluation::AttackOutcome;
 use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind};

@@ -7,6 +7,7 @@
 use geattack_core::engine::Engine;
 use geattack_core::sweep::{merge_shards, Shard, SweepReport, SweepRun};
 use geattack_core::GeError;
+use geattack_integration_tests::spec_file;
 use geattack_scenarios::SweepSpec;
 
 /// Runs a whole-grid sweep through a fresh engine, as `geattack-sweep` does.
@@ -74,37 +75,59 @@ fn sharded_execution_merges_into_the_unsharded_report() {
         unsharded.to_json(),
         "sharded + merged must be byte-identical to unsharded"
     );
+
+    // The parameterised cell kinds shard and merge the same way.
+    for spec in [
+        spec_file("tests/specs/degree_buckets.json"),
+        spec_file("tests/specs/lambda.json"),
+    ] {
+        let unsharded = run_sweep(&spec, true).expect("unsharded run");
+        let shards: Vec<_> = (0..2)
+            .map(|index| {
+                run_with(&spec, Some(Shard { index, count: 2 }), None)
+                    .expect("shard runs")
+                    .shard
+            })
+            .collect();
+        let merged = merge_shards(&shards).expect("merges");
+        assert_eq!(merged.to_json(), unsharded.to_json(), "{}", spec.name);
+    }
 }
 
 #[test]
 fn cached_rerun_is_byte_identical_and_skips_all_preparation() {
-    let spec = small_spec();
-    let dir = temp_cache("cache");
-    let cold = run_with(&spec, None, Some(dir.clone())).expect("cold run");
-    let cold_counters = cold.cache.expect("caching was on");
-    assert_eq!(cold_counters.misses, cold.prepared_cells as u64);
-    assert_eq!(cold_counters.hits, 0);
+    for (spec, tag) in &[
+        (small_spec(), "cache"),
+        (spec_file("tests/specs/degree_buckets.json"), "cache-degree"),
+        (spec_file("tests/specs/lambda.json"), "cache-lambda"),
+    ] {
+        let dir = temp_cache(tag);
+        let cold = run_with(spec, None, Some(dir.clone())).expect("cold run");
+        let cold_counters = cold.cache.expect("caching was on");
+        assert_eq!(cold_counters.misses, cold.prepared_cells as u64);
+        assert_eq!(cold_counters.hits, 0);
 
-    let warm = run_with(&spec, None, Some(dir.clone())).expect("warm run");
-    let warm_counters = warm.cache.expect("caching was on");
-    assert_eq!(
-        warm_counters.hits, warm.prepared_cells as u64,
-        "a warm run must skip every GCN training"
-    );
-    assert_eq!(warm_counters.misses, 0);
+        let warm = run_with(spec, None, Some(dir.clone())).expect("warm run");
+        let warm_counters = warm.cache.expect("caching was on");
+        assert_eq!(
+            warm_counters.hits, warm.prepared_cells as u64,
+            "a warm run must skip every GCN training"
+        );
+        assert_eq!(warm_counters.misses, 0);
 
-    let cold_report = merge_shards(std::slice::from_ref(&cold.shard)).expect("cold merges");
-    let warm_report = merge_shards(std::slice::from_ref(&warm.shard)).expect("warm merges");
-    assert_eq!(
-        warm_report.to_json(),
-        cold_report.to_json(),
-        "cold and warm reports must be byte-identical"
-    );
-    // And caching itself must not change the result.
-    let uncached = run_sweep(&spec, true).expect("uncached run");
-    assert_eq!(uncached.to_json(), cold_report.to_json());
+        let cold_report = merge_shards(std::slice::from_ref(&cold.shard)).expect("cold merges");
+        let warm_report = merge_shards(std::slice::from_ref(&warm.shard)).expect("warm merges");
+        assert_eq!(
+            warm_report.to_json(),
+            cold_report.to_json(),
+            "cold and warm reports must be byte-identical"
+        );
+        // And caching itself must not change the result.
+        let uncached = run_sweep(spec, true).expect("uncached run");
+        assert_eq!(uncached.to_json(), cold_report.to_json());
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@ use rand_chacha::ChaCha8Rng;
 use geattack_core::pipeline::{prepare, PipelineConfig, Prepared};
 use geattack_graph::datasets::GeneratorConfig;
 use geattack_graph::DatasetName;
+use geattack_scenarios::SweepSpec;
 
 /// A deliberately tiny experiment configuration so the integration tests run in a
 /// few seconds while still exercising every stage of the pipeline.
@@ -31,4 +32,12 @@ pub fn tiny_prepared(dataset: DatasetName, seed: u64) -> Prepared {
 /// A deterministic RNG for tests that need one.
 pub fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
+}
+
+/// A checked-in sweep spec, by path from the repository root (e.g.
+/// `tests/specs/lambda.json`, `examples/sweeps/quick.json`).
+pub fn spec_file(path: &str) -> SweepSpec {
+    let path = format!("{}/../{path}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    SweepSpec::from_json(&text).unwrap_or_else(|e| panic!("{path} parses: {e}"))
 }

@@ -4,6 +4,7 @@
 
 use geattack_core::engine::Engine;
 use geattack_core::sweep::SweepReport;
+use geattack_integration_tests::spec_file;
 use geattack_scenarios::SweepSpec;
 
 /// Runs a whole-grid sweep through a fresh engine, as `geattack-sweep` does.
@@ -30,20 +31,29 @@ fn quick_spec() -> SweepSpec {
 
 #[test]
 fn sweep_is_deterministic_and_parallel_matches_serial() {
-    let spec = quick_spec();
-    let serial = run_sweep(&spec, true).expect("serial sweep runs");
-    let parallel = run_sweep(&spec, false).expect("parallel sweep runs");
-    let again = run_sweep(&spec, false).expect("repeated sweep runs");
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "parallel sweep must be byte-identical to the serial one"
-    );
-    assert_eq!(
-        parallel.to_json(),
-        again.to_json(),
-        "repeated sweeps of the same spec must be byte-identical"
-    );
+    // The plain grid plus the two parameterised cell kinds: degree buckets
+    // and a λ sweep on the attacker axis.
+    for spec in [
+        quick_spec(),
+        spec_file("tests/specs/degree_buckets.json"),
+        spec_file("tests/specs/lambda.json"),
+    ] {
+        let serial = run_sweep(&spec, true).expect("serial sweep runs");
+        let parallel = run_sweep(&spec, false).expect("parallel sweep runs");
+        let again = run_sweep(&spec, false).expect("repeated sweep runs");
+        assert_eq!(
+            serial.to_json(),
+            parallel.to_json(),
+            "{}: parallel sweep must be byte-identical to the serial one",
+            spec.name
+        );
+        assert_eq!(
+            parallel.to_json(),
+            again.to_json(),
+            "{}: repeated sweeps of the same spec must be byte-identical",
+            spec.name
+        );
+    }
 }
 
 #[test]
@@ -105,21 +115,35 @@ fn report_schema_covers_the_whole_grid() {
 fn checked_in_quick_spec_stays_valid() {
     // The CI smoke job runs `geattack-sweep examples/sweeps/quick.json`; keep
     // the checked-in spec parsing and satisfying the acceptance grid shape.
-    let spec = checked_in_spec("quick");
+    let spec = spec_file("examples/sweeps/quick.json");
     assert!(spec.families.len() >= 2, "acceptance: >= 2 families");
     assert!(spec.attackers.len() >= 2, "acceptance: >= 2 attackers");
     assert!(spec.seeds.len() >= 2, "acceptance: >= 2 seeds");
     assert!(spec.quick, "the smoke spec must stay quick");
 
     // The paper-attackers spec the benchmark's `paper` workload runs.
-    let paper = checked_in_spec("paper");
+    let paper = spec_file("examples/sweeps/paper.json");
     assert_eq!(paper.name, "paper");
     assert_eq!(paper.attackers, ["geattack", "fga-t", "fga-t&e", "ig"]);
     assert_eq!(paper.explainers, ["gnnexplainer", "pgexplainer"]);
 }
 
-fn checked_in_spec(name: &str) -> SweepSpec {
-    let path = format!("{}/../examples/sweeps/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    SweepSpec::from_json(&text).unwrap_or_else(|e| panic!("{path} parses: {e}"))
+#[test]
+fn checked_in_paper_specs_resolve() {
+    // `examples/paper/` holds one spec per table and figure of the paper plus
+    // the paper-scale twins; each must parse and resolve every axis entry.
+    let dir = format!("{}/../examples/paper", env!("CARGO_MANIFEST_DIR"));
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("spec reads");
+        let spec = SweepSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        Engine::new()
+            .plan(&spec, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(path.file_stem().and_then(|s| s.to_str()), Some(spec.name.as_str()));
+        names.push(spec.name);
+    }
+    // Seven quick specs (Tables 1-2, Figures 2-8) and three paper-scale twins.
+    assert_eq!(names.len(), 10, "{names:?}");
 }
