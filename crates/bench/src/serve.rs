@@ -50,7 +50,7 @@
 //!
 //! ```text
 //! {"request":"health"}         → {"event":"health","status":"ok","uptime_ms":...}
-//! {"request":"stats"}          → {"event":"stats","uptime_ms":...,"requests":{...},"queue":{...},"cache":{...},"cells":{...},"latency_ms":{...}}
+//! {"request":"stats"}          → {"event":"stats","uptime_ms":...,"requests":{...},"queue":{...},"cache":{...},"cells":{...},"prepare":{...},"latency_ms":{...}}
 //! {"request":"cancel","id":7}  → {"event":"cancelled","id":7}      (aborts that request's remaining cells)
 //! {"request":"drain"}          → {"event":"draining","in_flight":...,"queued":...}
 //! ```
@@ -77,7 +77,8 @@
 //! failed, cancelled, rejected, live and peak in-flight, and open
 //! connections — the handler threads the daemon holds, joined as their
 //! connections close), the worker-pool queue, the shared cache's counters
-//! with a live hit rate, the engine's cell counters and its per-cell /
+//! with a live hit rate, the engine's cell counters, its base-sharing
+//! counters (`prepare.bases_built` / `bases_reused`) and its per-cell /
 //! per-phase latency histograms as
 //! `{count,p50,p95,p99,max}` summaries — plus per-request `request_wait` /
 //! `request_run` histograms separating time-in-queue from time-executing.
@@ -372,8 +373,8 @@ fn worker_identity_value(shared: &ServeShared) -> Value {
 
 /// The `stats` response: daemon-lifetime request counters, the worker
 /// identity, the worker-pool queue, the shared cache's live counters and hit
-/// rate, the engine's cell counters and its latency histograms summarized to
-/// percentiles.
+/// rate, the engine's cell and base-sharing counters and its latency
+/// histograms summarized to percentiles.
 fn stats_value(shared: &ServeShared) -> Value {
     let engine = &shared.engine;
     let cache = match engine.cache_metrics() {
@@ -411,6 +412,16 @@ fn stats_value(shared: &ServeShared) -> Value {
         (
             "cancelled",
             Value::Number(metrics.counter_value("cells.cancelled") as f64),
+        ),
+    ]);
+    let prepare = object(vec![
+        (
+            "bases_built",
+            Value::Number(metrics.counter_value("prepare.bases_built") as f64),
+        ),
+        (
+            "bases_reused",
+            Value::Number(metrics.counter_value("prepare.bases_reused") as f64),
         ),
     ]);
     let latency = object(
@@ -464,6 +475,7 @@ fn stats_value(shared: &ServeShared) -> Value {
         ),
         ("cache", cache),
         ("cells", cells),
+        ("prepare", prepare),
         ("latency_ms", latency),
     ])
 }

@@ -29,17 +29,19 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The parameterised cell kinds: degree buckets and a λ sweep.
-const PARAMETERISED: [&str; 2] = [
+/// The parameterised cell kinds (degree buckets, a λ sweep) and cells that
+/// share a trained base across both explainers.
+const PARAMETERISED: [&str; 3] = [
     include_str!("../../../tests/specs/degree_buckets.json"),
     include_str!("../../../tests/specs/lambda.json"),
+    include_str!("../../../tests/specs/two_explainers.json"),
 ];
 
 #[test]
 fn served_reports_are_byte_identical_to_cli_sweeps_and_share_the_cache() {
     // An in-process daemon on an ephemeral port, with a shared cache, serving
     // a cold and a warm request per spec, then exiting.
-    let specs = [SPEC, PARAMETERISED[0], PARAMETERISED[1]];
+    let specs = [SPEC, PARAMETERISED[0], PARAMETERISED[1], PARAMETERISED[2]];
     let cache_dir = temp_dir("cache");
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -82,6 +84,11 @@ fn served_reports_are_byte_identical_to_cli_sweeps_and_share_the_cache() {
                     other => panic!("cache counters missing hits: {other:?}"),
                 };
                 assert!(hits >= 1, "the second request must hit the shared cache");
+                assert!(
+                    matches!(warm.cache.get_field("misses"), Ok(Value::Number(m)) if *m == 0.0),
+                    "{}: a warm request hits every base and stage entry",
+                    spec.name
+                );
             }
             other => panic!("daemon ran with a cache but reported {other:?}"),
         }
@@ -221,6 +228,10 @@ fn stats_and_health_requests_report_live_engine_state() {
     assert!(matches!(field(&cache, "misses"), Value::Number(n) if n >= 1.0));
     assert!(matches!(field(&cache, "hit_rate"), Value::Number(r) if (0.0..=1.0).contains(&r)));
     assert!(matches!(field(&cache, "bytes_encoded"), Value::Number(b) if b > 0.0));
+    // The one-cell sweep built its base and shared it with nobody.
+    let prepare = field(stats, "prepare");
+    assert!(matches!(field(&prepare, "bases_built"), Value::Number(n) if n == 1.0));
+    assert!(matches!(field(&prepare, "bases_reused"), Value::Number(n) if n == 0.0));
     let latency = field(stats, "latency_ms");
     let cell_total = field(&latency, "cell_total");
     assert!(matches!(field(&cell_total, "count"), Value::Number(n) if n == 1.0));

@@ -32,26 +32,27 @@
 //! the remaining cells; [`SweepHandle::wait`] then returns
 //! [`GeError::CellsFailed`] listing every failed position.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use geattack_cache::{CacheCounters, CacheStore};
 use geattack_graph::datasets::GeneratorConfig;
 use geattack_scenarios::{BudgetSpec, ScenarioSpec, SweepSpec};
-use geattack_telemetry::{span_labeled, Histogram, Level, MetricsRegistry};
+use geattack_telemetry::{span_labeled, Counter, Histogram, Level, MetricsRegistry};
 
 use crate::error::{CellFailure, GeError, Result};
 use crate::evaluation::summarize_run;
-use crate::persist::prepare_cached;
-use crate::pipeline::{run_attacker, BudgetRule, GraphSource, PipelineConfig, Prepared};
+use crate::persist::{prepare_base_cached, prepare_on_cached};
+use crate::pipeline::{run_attacker, Base, BudgetRule, GraphSource, PipelineConfig, Prepared};
 use crate::registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 use crate::sweep::{
-    estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, PlannedCell,
-    Shard, ShardReport, SweepCell, SweepReport, SweepRun,
+    estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, BaseId,
+    PlannedCell, Shard, ShardReport, SweepCell, SweepReport, SweepRun,
 };
 use crate::targets::victims_with_degree;
 use crate::telemetry::{CellTiming, LatencySummary, PhaseAccumulator, SweepTelemetry};
@@ -277,9 +278,12 @@ impl Engine {
     }
 
     /// The engine's metrics registry: `cells.planned/started/finished/failed`
-    /// counters plus `cell.total_ms` and `phase.{prepare,attack,explain,
-    /// detect}_ms` latency histograms, accumulated over every session this
-    /// engine (and its clones) ran. The serve daemon exports it on `stats`.
+    /// counters, `prepare.bases_built/bases_reused` (cells that built their
+    /// experiment's base — trained or decoded — vs cells that shared one
+    /// another cell of their session built), plus `cell.total_ms` and
+    /// `phase.{prepare,attack,explain,detect}_ms` latency histograms,
+    /// accumulated over every session this engine (and its clones) ran. The
+    /// serve daemon exports it on `stats`.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -400,18 +404,20 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
         let _ = sender.send(CellEvent::Planned { cell: cell.clone() });
     }
 
-    // Execute the most expensive cells first (estimated ≈ n²·epochs each) so
-    // the self-scheduling work queue never tails on the biggest cell, then
-    // re-sort the results back to grid order — the report stays byte-identical
-    // to an in-order run.
+    // Execute the first cell of every base before any base's second cell,
+    // each group most expensive first (estimated ≈ n²·epochs each), so the
+    // self-scheduling work queue never tails on the biggest cell and a cell
+    // that shares a base rarely waits on its training; then re-sort the
+    // results back to grid order — the report stays byte-identical to an
+    // in-order run.
     let exec_order = execution_order(&context.owned);
-    let ordered: Vec<&PlannedCell> = exec_order.iter().map(|&i| &context.owned[i]).collect();
 
     // One level of parallelism only: enough prepared cells to saturate the
     // cores → fan out across cells with serial victim loops; otherwise keep
     // the cell loop serial and let each cell's victim loop fan out.
-    let fan_out = cells_fan_out(context.serial, ordered.len());
+    let fan_out = cells_fan_out(context.serial, exec_order.len());
     let victim_parallel = !context.serial && !fan_out;
+    let bases = BaseMemo::new(&context.owned, &context.metrics);
     let sender = Mutex::new(sender);
     // Session-local latency histogram (the engine-lifetime histograms in
     // `context.metrics` accumulate across sessions; `SweepTelemetry` reports
@@ -421,12 +427,14 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
     let finished_counter = context.metrics.counter("cells.finished");
     let failed_counter = context.metrics.counter("cells.failed");
     let cancelled_counter = context.metrics.counter("cells.cancelled");
-    let run_cell = |cell: &&PlannedCell| {
+    let run_cell = |&slot: &usize| {
+        let cell = &context.owned[slot];
         let position = cell.position;
         // Cancellation is cell-granular: a set token makes every
         // not-yet-started cell fail fast with a `cancelled` error instead of
         // executing, while cells already past this check run to completion.
         if context.cancel.is_cancelled() {
+            bases.release(cell);
             cancelled_counter.inc();
             let error = GeError::Cancelled(context.cancel.reason());
             let _ = sender.lock().map(|s| {
@@ -439,7 +447,10 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
         }
         started_counter.inc();
         let _ = sender.lock().map(|s| s.send(CellEvent::Started { position }));
-        let result = run_prep_cell(&context, cell, victim_parallel);
+        let result = run_prep_cell(&context, cell, &bases, victim_parallel);
+        // Released before the event goes out: once a base's last owned cell
+        // reports, nothing of the session holds that base any more.
+        bases.release(cell);
         let event = match &result {
             Ok((cells, timing)) => {
                 finished_counter.inc();
@@ -466,7 +477,7 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
         let _ = sender.lock().map(|s| s.send(event));
         result
     };
-    let executed: Vec<CellOutcome> = map_cells(fan_out, &ordered, run_cell);
+    let executed: Vec<CellOutcome> = map_cells(fan_out, &exec_order, run_cell);
 
     // Land every block back in its grid slot, collecting failures.
     let mut by_grid: Vec<Option<CellOutcome>> = (0..context.owned.len()).map(|_| None).collect();
@@ -512,12 +523,91 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
     })
 }
 
-/// Prepares one (family, scale, seed, explainer) experiment — through the
-/// engine's cache when one is attached — and attacks it with every attacker
-/// and budget of the grid. Returns the cell's results plus its wall-clock
-/// phase breakdown (measured unconditionally; span emission is gated on the
-/// installed recorder).
-fn run_prep_cell(context: &SessionContext, cell: &PlannedCell, victim_parallel: bool) -> CellOutcome {
+/// A session's memo of experiment bases, one slot per base: cells that share
+/// a base (the same graph and model under different explainers) wait on one
+/// preparation instead of each training the GCN. A failed build is memoized
+/// too, so every cell sharing that base gets the same error. A slot counts
+/// the owned cells of its base that have not finished and is dropped with the
+/// last of them, so no base outlives its cells.
+struct BaseMemo<'a> {
+    slots: Mutex<HashMap<BaseId<'a>, Arc<BaseSlot>>>,
+    /// `prepare.bases_built`: cells that built their base (trained or
+    /// decoded it).
+    built: Arc<Counter>,
+    /// `prepare.bases_reused`: cells that shared a base another cell built.
+    reused: Arc<Counter>,
+}
+
+struct BaseSlot {
+    base: OnceLock<Result<Arc<Base>>>,
+    /// Owned cells of this base that have not finished yet.
+    pending: AtomicUsize,
+}
+
+impl<'a> BaseMemo<'a> {
+    /// A memo for a session's owned cells, counting into `metrics`.
+    fn new(cells: &'a [PlannedCell], metrics: &MetricsRegistry) -> Self {
+        let mut slots: HashMap<BaseId<'a>, Arc<BaseSlot>> = HashMap::new();
+        for cell in cells {
+            let slot = slots.entry(cell.base_id()).or_insert_with(|| {
+                Arc::new(BaseSlot {
+                    base: OnceLock::new(),
+                    pending: AtomicUsize::new(0),
+                })
+            });
+            slot.pending.fetch_add(1, Ordering::SeqCst);
+        }
+        BaseMemo {
+            slots: Mutex::new(slots),
+            built: metrics.counter("prepare.bases_built"),
+            reused: metrics.counter("prepare.bases_reused"),
+        }
+    }
+
+    /// `cell`'s base: built by `build` if no cell has built it yet, else
+    /// shared (after waiting for a build in progress).
+    fn get(&self, cell: &'a PlannedCell, build: impl FnOnce() -> Result<Base>) -> Result<Arc<Base>> {
+        let slot = self
+            .slots
+            .lock()
+            .expect("base memo lock")
+            .get(&cell.base_id())
+            .cloned()
+            .expect("every owned cell's base has a slot until the cell finishes");
+        let mut built = false;
+        let base = slot.base.get_or_init(|| {
+            built = true;
+            build().map(Arc::new)
+        });
+        if built { &self.built } else { &self.reused }.inc();
+        base.clone()
+    }
+
+    /// Marks `cell` finished, dropping its base's slot with the base's last
+    /// owned cell.
+    fn release(&self, cell: &'a PlannedCell) {
+        let id = cell.base_id();
+        let mut slots = self.slots.lock().expect("base memo lock");
+        if let Some(slot) = slots.get(&id) {
+            if slot.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+                slots.remove(&id);
+            }
+        }
+    }
+}
+
+/// Prepares one (family, scale, seed, explainer) experiment — its base shared
+/// through the session memo, both stages through the engine's cache when one
+/// is attached — and attacks it with every attacker and budget of the grid.
+/// Returns the cell's results plus its wall-clock phase breakdown (measured
+/// unconditionally; span emission is gated on the installed recorder).
+/// `prepare_ms` includes any wait on a base another cell is building.
+fn run_prep_cell<'a>(
+    context: &SessionContext,
+    cell: &'a PlannedCell,
+    bases: &BaseMemo<'a>,
+    victim_parallel: bool,
+) -> CellOutcome {
     let _cell_span = span_labeled(Level::Cell, "cell", cell.position.to_string());
     let cell_started = Instant::now();
     let spec = &context.spec;
@@ -539,7 +629,9 @@ fn run_prep_cell(context: &SessionContext, cell: &PlannedCell, victim_parallel: 
         config.explanation_size = size;
     }
     config.parallel = victim_parallel;
-    let prepared = prepare_cached(config, context.cache.as_deref())?;
+    let cache = context.cache.as_deref();
+    let base = bases.get(cell, || prepare_base_cached(&config, cache))?;
+    let prepared = prepare_on_cached(&base, config, cache)?;
     let prepare_ms = cell_started.elapsed().as_secs_f64() * 1e3;
 
     // Degree-bucket budgets attack their own victims, re-scoped onto the one
@@ -813,6 +905,138 @@ mod tests {
         }
         assert_eq!(engine.metrics().counter_value("cells.cancelled"), 2);
         assert_eq!(engine.metrics().counter_value("cells.started"), 0);
+    }
+
+    /// Runs `spec` on a fresh engine and returns its
+    /// `(prepare.bases_built, prepare.bases_reused)` counters.
+    fn base_counters(engine: &Engine, spec: &SweepSpec) -> (u64, u64) {
+        engine.run(spec, None).expect("runs");
+        let metrics = engine.metrics();
+        (
+            metrics.counter_value("prepare.bases_built"),
+            metrics.counter_value("prepare.bases_reused"),
+        )
+    }
+
+    #[test]
+    fn cells_sharing_a_graph_share_one_base() {
+        // The `paper` shape: two families, both explainers → 4 cells, 2 bases.
+        let mut paper = tiny_spec();
+        paper.families = vec!["tree-cycles".to_string(), "ba-shapes".to_string()];
+        paper.seeds = vec![0];
+        paper.explainers = vec!["gnnexplainer".to_string(), "pgexplainer".to_string()];
+        for serial in [true, false] {
+            let engine = Engine::new().serial(serial);
+            assert_eq!(base_counters(&engine, &paper), (2, 2), "serial: {serial}");
+        }
+
+        // The `fig5` shape: four explanation sizes per (family, seed) share
+        // one base each.
+        let mut fig5 = tiny_spec();
+        fig5.explainers = ["10", "20", "40", "60"]
+            .map(|size| format!("gnnexplainer:size={size}"))
+            .to_vec();
+        assert_eq!(base_counters(&Engine::new().serial(true), &fig5), (2, 6));
+
+        // One cell per base: nothing to share.
+        assert_eq!(base_counters(&Engine::new().serial(true), &tiny_spec()), (2, 0));
+    }
+
+    /// Weak handles on inspected graphs, with the seed of the inspecting cell.
+    type SeenGraphs = Arc<Mutex<Vec<(u64, std::sync::Weak<geattack_graph::Graph>)>>>;
+
+    /// An explainer that records a weak handle on every graph it inspects.
+    struct GraphProbe {
+        name: &'static str,
+        seen: SeenGraphs,
+    }
+
+    impl ExplainerPlugin for GraphProbe {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn inspector(&self, prepared: &Prepared) -> Result<Box<dyn geattack_explain::Explainer + Sync>> {
+            self.seen
+                .lock()
+                .unwrap()
+                .push((prepared.config().generator.seed, Arc::downgrade(&prepared.graph)));
+            Ok(Box::new(geattack_explain::GnnExplainer::new(
+                prepared.config().gnnexplainer.clone(),
+            )))
+        }
+    }
+
+    #[test]
+    fn no_base_outlives_the_last_cell_that_uses_it() {
+        for serial in [true, false] {
+            let seen: SeenGraphs = Arc::default();
+            let mut engine = Engine::new().serial(serial);
+            for name in ["Probe-A", "Probe-B"] {
+                let probe = GraphProbe {
+                    name,
+                    seen: Arc::clone(&seen),
+                };
+                engine.register_explainer(Arc::new(probe)).unwrap();
+            }
+            let mut spec = tiny_spec();
+            spec.explainers = vec!["probe-a".to_string(), "probe-b".to_string()];
+
+            // Grid order is seed-major: positions 2s and 2s+1 share seed s's base.
+            let mut finished = [0; 2];
+            let mut session = engine.submit(spec).expect("submits");
+            for event in session.by_ref() {
+                if let CellEvent::Finished { position, .. } = event {
+                    let seed = position / 2;
+                    finished[seed] += 1;
+                    if finished[seed] == 2 {
+                        let seen = seen.lock().unwrap();
+                        let handles: Vec<_> = seen.iter().filter(|(s, _)| *s == seed as u64).collect();
+                        assert_eq!(handles.len(), 2, "both cells of seed {seed} inspected its graph");
+                        assert!(
+                            handles.iter().all(|(_, weak)| weak.upgrade().is_none()),
+                            "seed {seed}'s base outlived its last cell (serial: {serial})"
+                        );
+                    }
+                }
+            }
+            session.wait().expect("session succeeds");
+            assert_eq!(finished, [2, 2]);
+            let metrics = engine.metrics();
+            assert_eq!(metrics.counter_value("prepare.bases_built"), 2);
+            assert_eq!(metrics.counter_value("prepare.bases_reused"), 2);
+        }
+    }
+
+    #[test]
+    fn base_memo_shares_one_build_and_its_error() {
+        let metrics = MetricsRegistry::new();
+        let cell = |explainer: &str| PlannedCell {
+            position: 0,
+            family: "cora".to_string(),
+            scale: 0.1,
+            seed: 0,
+            explainer: explainer.to_string(),
+        };
+        let cells = [cell("GNNExplainer"), cell("PGExplainer")];
+        let [gnn, pg] = &cells;
+        let memo = BaseMemo::new(&cells, &metrics);
+        let mut builds = 0;
+        let mut build = || {
+            builds += 1;
+            Err(GeError::Prepare("no graph".to_string()))
+        };
+        let first = memo.get(gnn, &mut build).map(|_| ()).unwrap_err();
+        let second = memo.get(pg, &mut build).map(|_| ()).unwrap_err();
+        assert_eq!(builds, 1, "the second cell reuses the failed build");
+        assert_eq!(first.to_string(), second.to_string());
+        assert_eq!(metrics.counter_value("prepare.bases_built"), 1);
+        assert_eq!(metrics.counter_value("prepare.bases_reused"), 1);
+
+        memo.release(gnn);
+        assert!(!memo.slots.lock().unwrap().is_empty(), "one cell still pending");
+        memo.release(pg);
+        assert!(memo.slots.lock().unwrap().is_empty(), "the last cell drops the slot");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   by differentiable inner gradient-descent steps (double backward).
 //! * [`pg_geattack`] — the PGExplainer variant of the joint attack (Section 5.3).
 //! * [`targets`] — victim selection and target-label assignment (Section 5.1).
-//! * [`pipeline`] — dataset → GCN → victims → attack → evaluation.
+//! * [`pipeline`] — dataset → GCN → victims (the shared [`pipeline::Base`])
+//!   → explainer stage → attack → evaluation.
 //! * [`evaluation`] — ASR / ASR-T and detection aggregation (mean ± std).
 //! * [`report`] — markdown tables and figure series matching the paper's format.
 //!
@@ -58,11 +59,11 @@ pub use evaluation::{
     aggregate_runs, evaluate_attack_instrumented, summarize_run, AggregatedSummary, AttackOutcome, MeanStd, RunSummary,
 };
 pub use geattack::{GeAttack, GeAttackConfig};
-pub use persist::{cache_key, prepare_cached, CODE_VERSION_SALT};
+pub use persist::{base_key, pg_stage_key, prepare_base_cached, prepare_on_cached, CODE_VERSION_SALT};
 pub use pg_geattack::{PgGeAttack, PgGeAttackConfig};
 pub use pipeline::{
-    prepare, run_attacker, run_attacker_kind, AttackerKind, BudgetRule, ExplainerKind, GraphSource, PipelineConfig,
-    Prepared,
+    prepare, prepare_base, prepare_on, run_attacker, run_attacker_kind, AttackerKind, Base, BudgetRule, ExplainerKind,
+    GraphSource, PipelineConfig, Prepared,
 };
 pub use registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 pub use report::{format_percent, Figure, Series, TableBlock};

@@ -1,58 +1,71 @@
-//! Persisting [`Prepared`] experiments in an on-disk cache.
+//! Persisting prepared experiments in an on-disk cache, one entry per stage.
 //!
 //! Preparation — dataset generation, GCN training, victim selection and (for
 //! PGExplainer inspections) explainer training — dominates sweep wall-clock,
-//! and it is a pure function of a subset of [`PipelineConfig`]. This module
-//! memoizes it: [`cache_key`] fingerprints exactly the config fields that
-//! preparation depends on (plus a code-version salt), [`encode_prepared`] /
-//! [`decode_prepared`] serialize the prepared state through the exact-bits
-//! binary codec of `geattack-cache`, and [`prepare_cached`] ties it together
-//! with corrupted-entry recovery: an entry that fails to decode is evicted and
-//! recomputed, never trusted and never fatal.
+//! and each of its two stages is a pure function of a subset of
+//! [`PipelineConfig`]. This module memoizes them as separate entries:
+//!
+//! * the **base** ([`Base`]: graph, split, GCN, victims), keyed by
+//!   [`base_key`] over the graph source, generator, training and
+//!   victim-selection configs — no explainer setting, so a GNNExplainer cell
+//!   and a PGExplainer cell on the same graph share one entry;
+//! * the **PGExplainer stage** (the trained MLP), keyed by [`pg_stage_key`]
+//!   over the base key plus PGExplainer's training config. GNNExplainer runs
+//!   per victim at attack time and has no stage entry.
+//!
+//! [`encode_base`] / [`decode_base`] and [`encode_pg_stage`] /
+//! [`decode_pg_stage`] serialize the stages through the exact-bits binary
+//! codec of `geattack-cache`; [`prepare_base_cached`] and
+//! [`prepare_on_cached`] tie them to the store with corrupted-entry recovery: an
+//! entry that fails to decode is evicted (alone) and recomputed, never
+//! trusted and never fatal.
 //!
 //! Two invariants make warm runs byte-identical to cold ones:
 //!
 //! * the codec round-trips every `f64` bit pattern exactly, so a decoded
 //!   experiment produces the same attack outcomes as the freshly-computed one;
-//! * the key covers *all* inputs of [`prepare`] — graph source, generator,
-//!   training, victim-selection and (when inspecting with PGExplainer) the
-//!   explainer-training config — and *only* those, so scheduling knobs like
-//!   `parallel` share entries.
+//! * each key covers *all* inputs of its stage and *only* those, so
+//!   scheduling knobs like `parallel` share entries.
 //!
-//! Bump [`CODE_VERSION_SALT`] whenever the semantics of [`prepare`] change:
+//! Bump [`CODE_VERSION_SALT`] whenever the semantics of
+//! [`prepare`](crate::pipeline::prepare) change:
 //! old entries then simply stop matching any key and are never resurrected.
 
 use geattack_cache::{CacheStore, Decoder, Encoder, KeyHasher};
-use geattack_explain::{PgExplainer, PgMlpParams};
+use geattack_explain::{PgExplainer, PgExplainerConfig, PgMlpParams};
 use geattack_gnn::{Gcn, GcnParams};
 use geattack_graph::{DataSplit, Graph};
 use geattack_tensor::Matrix;
 
 use crate::error::{GeError, Result};
-use crate::pipeline::{prepare, ExplainerKind, GraphSource, PipelineConfig, Prepared};
+use crate::pipeline::{
+    prepare_base, prepare_on, train_pg_explainer, Base, ExplainerKind, GraphSource, PipelineConfig, Prepared,
+};
 use crate::targets::Victim;
 
 /// Version salt folded into every cache key. Bump on any change to the
 /// preparation pipeline's semantics (generators, training, victim selection,
-/// PGExplainer training): old entries become unreachable instead of stale.
-pub const CODE_VERSION_SALT: &str = "prepare-v3";
+/// PGExplainer training) or to how it is staged: old entries become
+/// unreachable instead of stale.
+pub const CODE_VERSION_SALT: &str = "prepare-v4";
 
 /// Version of the encoded payload layout, checked before decoding.
 /// v2: adjacency as a count-prefixed sorted `u < v` edge list (O(|E|)) instead
-/// of the dense n²-bit pack.
-const PAYLOAD_VERSION: u32 = 2;
+/// of the dense n²-bit pack. v3: the PGExplainer MLP moved out of the base
+/// payload into its own stage entry.
+const PAYLOAD_VERSION: u32 = 3;
 
-/// Content-hash key of the experiment `config` prepares, under the compiled-in
-/// [`CODE_VERSION_SALT`].
-pub fn cache_key(config: &PipelineConfig) -> String {
-    cache_key_salted(config, CODE_VERSION_SALT)
+/// Content-hash key of the base stage `config` prepares, under the
+/// compiled-in [`CODE_VERSION_SALT`].
+pub fn base_key(config: &PipelineConfig) -> String {
+    base_key_salted(config, CODE_VERSION_SALT)
 }
 
-/// [`cache_key`] under an explicit salt (tests use this to prove that bumping
+/// [`base_key`] under an explicit salt (tests use this to prove that bumping
 /// the salt invalidates existing entries).
-pub fn cache_key_salted(config: &PipelineConfig, salt: &str) -> String {
+pub fn base_key_salted(config: &PipelineConfig, salt: &str) -> String {
     let mut h = KeyHasher::new();
-    h.write_str("geattack-prepared").write_str(salt);
+    h.write_str("geattack-base").write_str(salt);
     match &config.source {
         GraphSource::Dataset(dataset) => {
             h.write_str("dataset").write_str(dataset.as_str());
@@ -82,22 +95,35 @@ pub fn cache_key_salted(config: &PipelineConfig, salt: &str) -> String {
         .write_usize(v.top_margin)
         .write_usize(v.bottom_margin)
         .write_u64(v.seed);
-    h.write_str(config.explainer.name());
-    if config.explainer == ExplainerKind::PgExplainer {
-        // PGExplainer is trained during preparation, so its config shapes the
-        // cached state. GNNExplainer runs per-victim at attack time and must
-        // NOT be part of the key — tweaking it would needlessly cold-start.
-        let p = &config.pgexplainer;
-        h.write_usize(p.epochs)
-            .write_f64(p.lr)
-            .write_usize(p.hops)
-            .write_usize(p.hidden)
-            .write_f64(p.size_coeff)
-            .write_f64(p.entropy_coeff)
-            .write_usize(p.training_instances)
-            .write_u64(p.seed);
-    }
     h.finish()
+}
+
+/// Content-hash key of the PGExplainer stage `config` prepares on its base,
+/// under the compiled-in [`CODE_VERSION_SALT`]; `None` when the inspector
+/// trains nothing during preparation.
+pub fn pg_stage_key(config: &PipelineConfig) -> Option<String> {
+    pg_stage_key_salted(config, CODE_VERSION_SALT)
+}
+
+/// [`pg_stage_key`] under an explicit salt.
+pub fn pg_stage_key_salted(config: &PipelineConfig, salt: &str) -> Option<String> {
+    if config.explainer != ExplainerKind::PgExplainer {
+        return None;
+    }
+    let mut h = KeyHasher::new();
+    h.write_str("geattack-pg-stage")
+        .write_str(salt)
+        .write_str(&base_key_salted(config, salt));
+    let p = &config.pgexplainer;
+    h.write_usize(p.epochs)
+        .write_f64(p.lr)
+        .write_usize(p.hops)
+        .write_usize(p.hidden)
+        .write_f64(p.size_coeff)
+        .write_f64(p.entropy_coeff)
+        .write_usize(p.training_instances)
+        .write_u64(p.seed);
+    Some(h.finish())
 }
 
 fn put_matrix(enc: &mut Encoder, m: &Matrix) {
@@ -119,16 +145,15 @@ fn get_matrix(dec: &mut Decoder) -> Result<Matrix> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Serializes a prepared experiment's *state* (not its config — the decoder is
-/// handed the config that, by key construction, produced this state).
-pub fn encode_prepared(prepared: &Prepared) -> Vec<u8> {
+/// Serializes a base stage: graph, GCN, split and victims.
+pub fn encode_base(base: &Base) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u32(PAYLOAD_VERSION);
 
     // Graph: labels, features and the adjacency as a count-prefixed sorted
     // `u < v` edge list straight off the CSR — O(|E|) in the sparse regime
     // where the old n²-bit pack was the payload's quadratic term.
-    let graph = &prepared.graph;
+    let graph = &base.graph;
     let n = graph.num_nodes();
     enc.put_usize(n);
     enc.put_usize(graph.num_classes());
@@ -142,47 +167,41 @@ pub fn encode_prepared(prepared: &Prepared) -> Vec<u8> {
     }
 
     // Model: the four GCN parameter matrices (dims are embedded per matrix).
-    for m in prepared.model.params().to_vec() {
+    for m in base.model.params().to_vec() {
         put_matrix(&mut enc, &m);
     }
 
     // Split and victims.
-    enc.put_usize_slice(&prepared.split.train);
-    enc.put_usize_slice(&prepared.split.val);
-    enc.put_usize_slice(&prepared.split.test);
-    enc.put_usize(prepared.victims.len());
-    for v in &prepared.victims {
+    enc.put_usize_slice(&base.split.train);
+    enc.put_usize_slice(&base.split.val);
+    enc.put_usize_slice(&base.split.test);
+    enc.put_usize(base.victims.len());
+    for v in &base.victims {
         enc.put_usize(v.node);
         enc.put_usize(v.true_label);
         enc.put_usize(v.target_label);
         enc.put_usize(v.degree);
     }
-
-    // PGExplainer MLP parameters, when one was trained.
-    match &prepared.pg_explainer {
-        None => enc.put_bool(false),
-        Some(pg) => {
-            enc.put_bool(true);
-            let p = pg.params();
-            for m in [&p.w_src, &p.w_dst, &p.w_tgt, &p.b1, &p.w2, &p.b2] {
-                put_matrix(&mut enc, m);
-            }
-        }
-    }
     enc.finish()
 }
 
-/// Rebuilds a [`Prepared`] from an encoded payload and the config that
-/// produced it. Every structural invariant is re-checked with `Err` (never a
-/// panic), so arbitrary corruption degrades into a cache miss.
-pub fn decode_prepared(payload: &[u8], config: PipelineConfig) -> Result<Prepared> {
-    let mut dec = Decoder::new(payload);
+/// Checks the payload layout version.
+fn check_version(dec: &mut Decoder) -> Result<()> {
     let version = dec.get_u32().map_err(GeError::Cache)?;
     if version != PAYLOAD_VERSION {
         return Err(GeError::Cache(format!(
             "payload version {version}, expected {PAYLOAD_VERSION}"
         )));
     }
+    Ok(())
+}
+
+/// Rebuilds a [`Base`] from an encoded payload. Every structural invariant is
+/// re-checked with `Err` (never a panic), so arbitrary corruption degrades
+/// into a cache miss.
+pub fn decode_base(payload: &[u8]) -> Result<Base> {
+    let mut dec = Decoder::new(payload);
+    check_version(&mut dec)?;
 
     let n = dec.get_usize().map_err(GeError::Cache)?;
     let n_classes = dec.get_usize().map_err(GeError::Cache)?;
@@ -264,110 +283,160 @@ pub fn decode_prepared(payload: &[u8], config: PipelineConfig) -> Result<Prepare
         }
         victims.push(victim);
     }
-
-    let pg_explainer = if dec.get_bool().map_err(GeError::Cache)? {
-        let mut ms = Vec::with_capacity(6);
-        for _ in 0..6 {
-            ms.push(get_matrix(&mut dec)?);
-        }
-        let [w_src, w_dst, w_tgt, b1, w2, b2]: [Matrix; 6] = ms.try_into().expect("six matrices");
-        // MLP shape contract: three embedding_dim x h blocks feeding a 1 x h
-        // bias and an h x 1 output layer, where the embedding dimension is
-        // the GCN's hidden width (the explainer scores hidden-layer
-        // embeddings) and h comes from the explainer config.
-        let h = config.pgexplainer.hidden;
-        let embedding_dim = model.hidden();
-        let mlp_ok = [&w_src, &w_dst, &w_tgt]
-            .iter()
-            .all(|w| w.rows() == embedding_dim && w.cols() == h)
-            && b1.rows() == 1
-            && b1.cols() == h
-            && w2.rows() == h
-            && w2.cols() == 1
-            && b2.rows() == 1
-            && b2.cols() == 1;
-        if !mlp_ok {
-            return Err(GeError::Cache("corrupt PGExplainer parameters".to_string()));
-        }
-        Some(PgExplainer::from_parts(
-            config.pgexplainer.clone(),
-            PgMlpParams {
-                w_src,
-                w_dst,
-                w_tgt,
-                b1,
-                w2,
-                b2,
-            },
-        ))
-    } else {
-        None
-    };
-    if (config.explainer == ExplainerKind::PgExplainer) != pg_explainer.is_some() {
-        return Err(GeError::Cache(
-            "cached explainer state does not match the requested inspector".to_string(),
-        ));
-    }
     dec.finish().map_err(GeError::Cache)?;
 
-    Ok(Prepared::from_parts(graph, model, split, victims, pg_explainer, config))
+    Ok(Base::from_parts(graph, model, split, victims))
 }
 
-/// [`prepare`] with optional on-disk memoization: on a hit the experiment is
-/// decoded instead of retrained; on a miss (or after evicting a corrupt
-/// entry) it is computed and persisted. Without a store this is exactly
-/// [`prepare`].
-pub fn prepare_cached(config: PipelineConfig, cache: Option<&CacheStore>) -> Result<Prepared> {
-    prepare_cached_salted(config, cache, CODE_VERSION_SALT)
+/// Serializes a trained PGExplainer's MLP parameters (its config is not
+/// stored — the decoder is handed the config that, by key construction,
+/// produced them).
+pub fn encode_pg_stage(pg: &PgExplainer) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u32(PAYLOAD_VERSION);
+    let p = pg.params();
+    for m in [&p.w_src, &p.w_dst, &p.w_tgt, &p.b1, &p.w2, &p.b2] {
+        put_matrix(&mut enc, m);
+    }
+    enc.finish()
 }
 
-/// [`prepare_cached`] under an explicit code-version salt.
-pub fn prepare_cached_salted(config: PipelineConfig, cache: Option<&CacheStore>, salt: &str) -> Result<Prepared> {
-    let Some(store) = cache else {
-        return prepare(config);
-    };
-    let key = cache_key_salted(&config, salt);
-    if let Some(payload) = store.load(&key) {
+/// Rebuilds a trained PGExplainer from an encoded stage payload, the config
+/// that trained it and the base it was trained on. Like [`decode_base`], any
+/// corruption is an `Err`, never a panic.
+pub fn decode_pg_stage(payload: &[u8], config: &PgExplainerConfig, base: &Base) -> Result<PgExplainer> {
+    let mut dec = Decoder::new(payload);
+    check_version(&mut dec)?;
+    let mut ms = Vec::with_capacity(6);
+    for _ in 0..6 {
+        ms.push(get_matrix(&mut dec)?);
+    }
+    dec.finish().map_err(GeError::Cache)?;
+    let [w_src, w_dst, w_tgt, b1, w2, b2]: [Matrix; 6] = ms.try_into().expect("six matrices");
+    // MLP shape contract: three embedding_dim x h blocks feeding a 1 x h bias
+    // and an h x 1 output layer, where the embedding dimension is the GCN's
+    // hidden width (the explainer scores hidden-layer embeddings) and h comes
+    // from the explainer config.
+    let h = config.hidden;
+    let embedding_dim = base.model.hidden();
+    let mlp_ok = [&w_src, &w_dst, &w_tgt]
+        .iter()
+        .all(|w| w.rows() == embedding_dim && w.cols() == h)
+        && b1.rows() == 1
+        && b1.cols() == h
+        && w2.rows() == h
+        && w2.cols() == 1
+        && b2.rows() == 1
+        && b2.cols() == 1;
+    if !mlp_ok {
+        return Err(GeError::Cache("corrupt PGExplainer parameters".to_string()));
+    }
+    Ok(PgExplainer::from_parts(
+        config.clone(),
+        PgMlpParams {
+            w_src,
+            w_dst,
+            w_tgt,
+            b1,
+            w2,
+            b2,
+        },
+    ))
+}
+
+/// Loads the entry under `key` from `store`, or computes and persists it: on
+/// a hit the entry is decoded instead of recomputed; on a miss (or after
+/// evicting an entry that fails to decode) `compute` runs and its result is
+/// encoded and stored.
+fn memoized<T>(
+    store: &CacheStore,
+    key: &str,
+    decode: impl FnOnce(&[u8]) -> Result<T>,
+    compute: impl FnOnce() -> Result<T>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+) -> Result<T> {
+    if let Some(payload) = store.load(key) {
         let decoded = {
             let _span = geattack_telemetry::span(geattack_telemetry::Level::Phase, "persist.decode");
-            decode_prepared(&payload, config.clone())
+            decode(&payload)
         };
         match decoded {
-            Ok(prepared) => {
+            Ok(value) => {
                 store.record_hit();
                 store
                     .metrics()
                     .counter("persist.bytes_decoded")
                     .add(payload.len() as u64);
-                return Ok(prepared);
+                return Ok(value);
             }
             Err(e) => {
                 eprintln!("cache: evicting corrupt entry {key}: {e}");
-                store.evict(&key);
+                store.evict(key);
             }
         }
     }
     store.record_miss();
-    let prepared = prepare(config)?;
+    let value = compute()?;
     let payload = {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Phase, "persist.encode");
-        encode_prepared(&prepared)
+        encode(&value)
     };
     store
         .metrics()
         .counter("persist.bytes_encoded")
         .add(payload.len() as u64);
-    if let Err(e) = store.store(&key, &payload) {
+    if let Err(e) = store.store(key, &payload) {
         eprintln!("cache: warning: could not persist entry {key}: {e}");
     }
-    Ok(prepared)
+    Ok(value)
+}
+
+/// [`prepare_base`] with optional on-disk memoization under the base key.
+/// Without a store this is exactly [`prepare_base`].
+pub fn prepare_base_cached(config: &PipelineConfig, cache: Option<&CacheStore>) -> Result<Base> {
+    base_cached(config, cache, CODE_VERSION_SALT)
+}
+
+/// [`prepare_on`] with optional on-disk memoization of the PGExplainer stage:
+/// a hit decodes the trained MLP instead of retraining it. GNNExplainer
+/// experiments have no stage entry and never touch the store.
+pub fn prepare_on_cached(base: &Base, config: PipelineConfig, cache: Option<&CacheStore>) -> Result<Prepared> {
+    on_cached(base, config, cache, CODE_VERSION_SALT)
+}
+
+fn base_cached(config: &PipelineConfig, cache: Option<&CacheStore>, salt: &str) -> Result<Base> {
+    match cache {
+        None => prepare_base(config),
+        Some(store) => memoized(
+            store,
+            &base_key_salted(config, salt),
+            decode_base,
+            || prepare_base(config),
+            encode_base,
+        ),
+    }
+}
+
+fn on_cached(base: &Base, config: PipelineConfig, cache: Option<&CacheStore>, salt: &str) -> Result<Prepared> {
+    let (Some(store), Some(key)) = (cache, pg_stage_key_salted(&config, salt)) else {
+        return Ok(prepare_on(base, config));
+    };
+    let pg = memoized(
+        store,
+        &key,
+        |payload| decode_pg_stage(payload, &config.pgexplainer, base),
+        || Ok(train_pg_explainer(base, &config.pgexplainer)),
+        encode_pg_stage,
+    )?;
+    Ok(Prepared::on_base(base, Some(pg), config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluation::summarize_run;
-    use crate::pipeline::{run_attacker_kind, AttackerKind};
+    use crate::pipeline::tests::assert_same_experiment;
+    use crate::pipeline::{prepare, run_attacker_kind, AttackerKind};
     use geattack_graph::datasets::{DatasetName, GeneratorConfig};
 
     fn tiny_config(seed: u64) -> PipelineConfig {
@@ -376,6 +445,25 @@ mod tests {
         config.set_victim_count(4);
         config.gnnexplainer.epochs = 10;
         config
+    }
+
+    /// [`tiny_config`] inspected by a small PGExplainer.
+    fn tiny_pg_config(seed: u64) -> PipelineConfig {
+        let mut config = tiny_config(seed);
+        config.explainer = ExplainerKind::PgExplainer;
+        config.pgexplainer.epochs = 1;
+        config.pgexplainer.training_instances = 4;
+        config
+    }
+
+    /// Both stages through `store` under `salt`, as the engine runs them.
+    fn prepare_cached_salted(config: PipelineConfig, store: &CacheStore, salt: &str) -> Result<Prepared> {
+        let base = base_cached(&config, Some(store), salt)?;
+        on_cached(&base, config, Some(store), salt)
+    }
+
+    fn prepare_cached(config: PipelineConfig, store: &CacheStore) -> Result<Prepared> {
+        prepare_cached_salted(config, store, CODE_VERSION_SALT)
     }
 
     /// A fresh store under the system temp dir, cleaned up on drop.
@@ -391,6 +479,11 @@ mod tests {
                 store: CacheStore::open(dir).expect("temp cache opens"),
             }
         }
+
+        fn hits_and_misses(&self) -> (u64, u64) {
+            let counters = self.store.counters();
+            (counters.hits, counters.misses)
+        }
     }
 
     impl Drop for TempStore {
@@ -404,73 +497,80 @@ mod tests {
     /// with [`CODE_VERSION_SALT`], never on their own.
     #[test]
     fn cache_keys_match_golden_values() {
-        assert_eq!(cache_key(&tiny_config(7)), "a5ce6dc69df5b730707b9179b60c87e2");
+        assert_eq!(base_key(&tiny_config(7)), "511c22725f5177cc661b2fa0bfba5e3b");
         let mut pg = tiny_config(7);
         pg.explainer = ExplainerKind::PgExplainer;
-        assert_eq!(cache_key(&pg), "7c33407bbffa3538e11ec7ee7141ad73");
+        assert_eq!(base_key(&pg), base_key(&tiny_config(7)), "one base per graph");
+        assert_eq!(pg_stage_key(&pg).as_deref(), Some("8951f293a0e44b064556c4d4fb4f048e"));
+        assert_eq!(pg_stage_key(&tiny_config(7)), None, "GNNExplainer has no stage entry");
     }
 
     #[test]
     fn cache_key_tracks_preparation_inputs_only() {
-        let base = cache_key(&tiny_config(7));
+        let base = base_key(&tiny_config(7));
         assert_eq!(base.len(), 32);
-        assert_eq!(base, cache_key(&tiny_config(7)), "keys are deterministic");
-        assert_ne!(base, cache_key(&tiny_config(8)), "seed changes the key");
+        assert_eq!(base, base_key(&tiny_config(7)), "keys are deterministic");
+        assert_ne!(base, base_key(&tiny_config(8)), "seed changes the key");
 
         let mut other = tiny_config(7);
         other.train.hidden += 1;
-        assert_ne!(base, cache_key(&other), "training config changes the key");
+        assert_ne!(base, base_key(&other), "training config changes the key");
 
         let mut scheduling = tiny_config(7);
         scheduling.parallel = !scheduling.parallel;
         scheduling.detection_k += 1;
+        scheduling.explanation_size += 1;
         scheduling.gnnexplainer.epochs += 5;
         assert_eq!(
             base,
-            cache_key(&scheduling),
+            base_key(&scheduling),
             "scheduling and attack-time knobs must not change the key"
         );
 
-        let mut pg = tiny_config(7);
-        pg.explainer = ExplainerKind::PgExplainer;
-        let pg_base = cache_key(&pg);
-        assert_ne!(base, pg_base, "the inspector kind changes the key");
+        let pg = tiny_pg_config(7);
+        assert_eq!(base, base_key(&pg), "the inspector never changes the base key");
+        let pg_stage = pg_stage_key(&pg).expect("PGExplainer has a stage entry");
+        assert_ne!(base, pg_stage, "stage and base entries never collide");
         let mut pg2 = pg.clone();
         pg2.pgexplainer.epochs += 1;
+        assert_eq!(base, base_key(&pg2));
         assert_ne!(
-            pg_base,
-            cache_key(&pg2),
-            "PGExplainer training config is part of the key"
+            Some(pg_stage.clone()),
+            pg_stage_key(&pg2),
+            "PGExplainer training config is part of the stage key"
+        );
+        let mut pg3 = pg.clone();
+        pg3.train.epochs += 1;
+        assert_ne!(
+            Some(pg_stage),
+            pg_stage_key(&pg3),
+            "the stage key covers its base's inputs"
         );
 
         assert_ne!(
-            cache_key_salted(&tiny_config(7), "prepare-v2"),
-            cache_key_salted(&tiny_config(7), "prepare-v3"),
-            "bumping the version salt invalidates every key"
+            base_key_salted(&tiny_config(7), "prepare-v3"),
+            base_key_salted(&tiny_config(7), "prepare-v4"),
+            "bumping the version salt invalidates every base key"
+        );
+        assert_ne!(
+            pg_stage_key_salted(&pg, "prepare-v3"),
+            pg_stage_key_salted(&pg, "prepare-v4"),
+            "...and every stage key"
         );
     }
 
     #[test]
     fn encode_decode_round_trips_the_experiment_exactly() {
-        let prepared = prepare(tiny_config(11)).unwrap();
-        let payload = encode_prepared(&prepared);
-        let decoded = decode_prepared(&payload, tiny_config(11)).expect("payload decodes");
+        let base = prepare_base(&tiny_config(11)).unwrap();
+        let decoded = decode_base(&encode_base(&base)).expect("payload decodes");
+        let prepared = prepare_on(&base, tiny_config(11));
+        let restored = prepare_on(&decoded, tiny_config(11));
+        assert_same_experiment(&restored, &prepared);
 
-        assert_eq!(decoded.graph.edges(), prepared.graph.edges());
-        assert_eq!(decoded.graph.features(), prepared.graph.features());
-        assert_eq!(decoded.graph.labels(), prepared.graph.labels());
-        assert_eq!(decoded.split, prepared.split);
-        assert_eq!(decoded.victims.len(), prepared.victims.len());
-        for (a, b) in decoded.victims.iter().zip(&prepared.victims) {
-            assert_eq!(
-                (a.node, a.true_label, a.target_label, a.degree),
-                (b.node, b.true_label, b.target_label, b.degree)
-            );
-        }
         // The decisive equivalence: attacking the decoded experiment produces
         // bit-identical outcomes to attacking the original.
         let fresh = run_attacker_kind(&prepared, AttackerKind::FgaT).unwrap();
-        let cached = run_attacker_kind(&decoded, AttackerKind::FgaT).unwrap();
+        let cached = run_attacker_kind(&restored, AttackerKind::FgaT).unwrap();
         let a = summarize_run("FGA-T", &fresh);
         let b = summarize_run("FGA-T", &cached);
         assert_eq!(a.asr_t.to_bits(), b.asr_t.to_bits());
@@ -480,51 +580,72 @@ mod tests {
 
     #[test]
     fn pg_explainer_state_round_trips() {
-        let mut config = tiny_config(13);
-        config.explainer = ExplainerKind::PgExplainer;
-        config.pgexplainer.epochs = 1;
-        config.pgexplainer.training_instances = 4;
+        let config = tiny_pg_config(13);
         let prepared = prepare(config.clone()).unwrap();
-        let decoded = decode_prepared(&encode_prepared(&prepared), config.clone()).expect("decodes");
         let original = prepared.pg_explainer.as_ref().expect("trained");
-        let restored = decoded.pg_explainer.as_ref().expect("restored");
+        let base = prepare_base(&config).unwrap();
+        let restored = decode_pg_stage(&encode_pg_stage(original), &config.pgexplainer, &base).expect("decodes");
         assert_eq!(restored.params().w2, original.params().w2);
         assert_eq!(restored.params().b1, original.params().b1);
 
-        // A payload without PGExplainer state must not satisfy a PG config.
-        let gnn_payload = encode_prepared(&prepare(tiny_config(13)).unwrap());
-        let err = decode_prepared(&gnn_payload, config).map(|_| ()).unwrap_err();
-        assert!(
-            err.to_string().contains("does not match the requested inspector"),
-            "{err}"
-        );
+        // A base stage trained on a decoded base (a base hit, a stage miss) is
+        // the PGExplainer a fresh preparation trains, bit for bit.
+        let decoded_base = decode_base(&encode_base(&base)).expect("decodes");
+        assert_same_experiment(&prepare_on(&decoded_base, config.clone()), &prepared);
+
+        // A base payload must not satisfy a stage lookup.
+        assert!(decode_pg_stage(&encode_base(&base), &config.pgexplainer, &base).is_err());
     }
 
     #[test]
     fn corrupt_payloads_error_instead_of_panicking() {
-        let prepared = prepare(tiny_config(17)).unwrap();
-        let payload = encode_prepared(&prepared);
-        assert!(decode_prepared(&payload[..payload.len() / 2], tiny_config(17)).is_err());
-        assert!(decode_prepared(&[], tiny_config(17)).is_err());
+        let config = tiny_pg_config(17);
+        let base = prepare_base(&config).unwrap();
+        let payload = encode_base(&base);
+        assert!(decode_base(&payload[..payload.len() / 2]).is_err());
+        assert!(decode_base(&[]).is_err());
         let mut flipped = payload.clone();
         // Flip a label byte near the front (inside the label vector).
         flipped[30] ^= 0xff;
-        assert!(decode_prepared(&flipped, tiny_config(17)).is_err());
+        assert!(decode_base(&flipped).is_err());
+
+        let pg = prepare_on(&base, config.clone()).pg_explainer.expect("trained");
+        let stage = encode_pg_stage(&pg);
+        assert!(decode_pg_stage(&stage, &config.pgexplainer, &base).is_ok());
+        assert!(decode_pg_stage(&stage[..stage.len() - 1], &config.pgexplainer, &base).is_err());
+        assert!(decode_pg_stage(&[], &config.pgexplainer, &base).is_err());
+        let mut longer = stage.clone();
+        longer.push(0);
+        assert!(
+            decode_pg_stage(&longer, &config.pgexplainer, &base).is_err(),
+            "trailing bytes are corruption"
+        );
     }
 
     #[test]
     fn byte_flips_anywhere_never_panic_the_decoder() {
-        // Corruption-recovery property of the edge-list codec: flipping a byte
-        // at any position — version, counts, edge entries, matrices — must
-        // yield either a clean `Err` (a cache miss) or a structurally valid
-        // decode, never a panic. Positions are strided to keep the sweep fast.
-        let prepared = prepare(tiny_config(37)).unwrap();
-        let payload = encode_prepared(&prepared);
+        // Corruption-recovery property of both codecs: flipping a byte at any
+        // position — version, counts, edge entries, matrices — must yield
+        // either a clean `Err` (a cache miss) or a structurally valid decode,
+        // never a panic. Positions are strided to keep the sweep fast.
+        let config = tiny_pg_config(37);
+        let base = prepare_base(&config).unwrap();
+        let payload = encode_base(&base);
         for pos in (0..payload.len()).step_by(97) {
             let mut flipped = payload.clone();
             flipped[pos] ^= 0xff;
-            let result = std::panic::catch_unwind(|| decode_prepared(&flipped, tiny_config(37)).map(|_| ()));
-            assert!(result.is_ok(), "decoder panicked on byte flip at {pos}");
+            let result = std::panic::catch_unwind(|| decode_base(&flipped).map(|_| ()));
+            assert!(result.is_ok(), "base decoder panicked on byte flip at {pos}");
+        }
+        let pg = prepare_on(&base, config.clone()).pg_explainer.expect("trained");
+        let stage = encode_pg_stage(&pg);
+        for pos in (0..stage.len()).step_by(7) {
+            let mut flipped = stage.clone();
+            flipped[pos] ^= 0xff;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                decode_pg_stage(&flipped, &config.pgexplainer, &base).map(|_| ())
+            }));
+            assert!(result.is_ok(), "stage decoder panicked on byte flip at {pos}");
         }
     }
 
@@ -533,8 +654,9 @@ mod tests {
         // A transposed weight matrix survives get_matrix's rows*cols check
         // (same element count) — only the cross-matrix shape validation can
         // catch it, turning a would-be forward-pass panic into a cache miss.
-        let prepared = prepare(tiny_config(31)).unwrap();
-        let p = prepared.model.params();
+        let config = tiny_pg_config(31);
+        let base = prepare_base(&config).unwrap();
+        let p = base.model.params();
         let transposed = Matrix::from_vec(p.w2.cols(), p.w2.rows(), p.w2.as_slice().to_vec());
         let bad_model = Gcn::from_params(GcnParams {
             w1: p.w1.clone(),
@@ -542,26 +664,17 @@ mod tests {
             w2: transposed,
             b2: p.b2.clone(),
         });
-        let tampered = Prepared::from_parts(
-            prepared.graph.as_ref().clone(),
+        let tampered = Base::from_parts(
+            base.graph.as_ref().clone(),
             bad_model,
-            prepared.split.clone(),
-            prepared.victims.clone(),
-            None,
-            tiny_config(31),
+            base.split.as_ref().clone(),
+            base.victims.clone(),
         );
-        let err = decode_prepared(&encode_prepared(&tampered), tiny_config(31))
-            .map(|_| ())
-            .unwrap_err();
+        let err = decode_base(&encode_base(&tampered)).map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("corrupt GCN parameters"), "{err}");
 
         // Same trap for the PGExplainer MLP output layer (h x 1 -> 1 x h).
-        let mut config = tiny_config(31);
-        config.explainer = ExplainerKind::PgExplainer;
-        config.pgexplainer.epochs = 1;
-        config.pgexplainer.training_instances = 4;
-        let prepared = prepare(config.clone()).unwrap();
-        let pg = prepared.pg_explainer.clone().unwrap();
+        let pg = prepare_on(&base, config.clone()).pg_explainer.expect("trained");
         let mlp = pg.params();
         let bad_pg = PgExplainer::from_parts(
             config.pgexplainer.clone(),
@@ -574,15 +687,7 @@ mod tests {
                 b2: mlp.b2.clone(),
             },
         );
-        let tampered = Prepared::from_parts(
-            prepared.graph.as_ref().clone(),
-            prepared.model.as_ref().clone(),
-            prepared.split.clone(),
-            prepared.victims.clone(),
-            Some(bad_pg),
-            config.clone(),
-        );
-        let err = decode_prepared(&encode_prepared(&tampered), config)
+        let err = decode_pg_stage(&encode_pg_stage(&bad_pg), &config.pgexplainer, &base)
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("corrupt PGExplainer parameters"), "{err}");
@@ -591,40 +696,72 @@ mod tests {
     #[test]
     fn prepare_cached_hits_after_a_cold_miss() {
         let t = TempStore::new("hit");
-        let cold = prepare_cached(tiny_config(19), Some(&t.store)).unwrap();
-        let counters = t.store.counters();
-        assert_eq!((counters.hits, counters.misses), (0, 1));
-        assert_eq!(t.store.entry_count(), 1);
+        let cold = prepare_cached(tiny_config(19), &t.store).unwrap();
+        assert_eq!(t.hits_and_misses(), (0, 1));
+        assert_eq!(t.store.entry_count(), 1, "a GNNExplainer experiment is one base entry");
 
-        let warm = prepare_cached(tiny_config(19), Some(&t.store)).unwrap();
-        let counters = t.store.counters();
-        assert_eq!((counters.hits, counters.misses), (1, 1));
-        assert_eq!(warm.graph.edges(), cold.graph.edges());
-        assert_eq!(warm.victims.len(), cold.victims.len());
+        let warm = prepare_cached(tiny_config(19), &t.store).unwrap();
+        assert_eq!(t.hits_and_misses(), (1, 1));
+        assert_same_experiment(&warm, &cold);
 
         // No store → plain prepare, no counters involved.
-        let plain = prepare_cached(tiny_config(19), None).unwrap();
-        assert_eq!(plain.victims.len(), cold.victims.len());
+        let base = prepare_base_cached(&tiny_config(19), None).unwrap();
+        let plain = prepare_on_cached(&base, tiny_config(19), None).unwrap();
+        assert_same_experiment(&plain, &cold);
+    }
+
+    #[test]
+    fn pg_cell_after_a_gnn_cell_is_one_base_hit_and_one_stage_miss() {
+        let t = TempStore::new("staged");
+        prepare_cached(tiny_config(21), &t.store).unwrap();
+        assert_eq!(t.hits_and_misses(), (0, 1), "the GNNExplainer cell writes the base");
+
+        let pg = prepare_cached(tiny_pg_config(21), &t.store).unwrap();
+        assert_eq!(t.hits_and_misses(), (1, 2), "one base hit plus one stage miss");
+        assert_eq!(t.store.entry_count(), 2, "base and stage are separate entries");
+        assert_same_experiment(&pg, &prepare(tiny_pg_config(21)).unwrap());
+
+        let warm = prepare_cached(tiny_pg_config(21), &t.store).unwrap();
+        assert_eq!(t.hits_and_misses(), (3, 2), "a warm PGExplainer cell hits both stages");
+        assert_same_experiment(&warm, &pg);
+    }
+
+    #[test]
+    fn corrupt_stage_entry_evicts_only_itself() {
+        let t = TempStore::new("stage-corrupt");
+        let cold = prepare_cached(tiny_pg_config(27), &t.store).unwrap();
+        let stage_key = pg_stage_key(&tiny_pg_config(27)).unwrap();
+        let path = t.store.entry_path(&stage_key);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..20]).unwrap();
+
+        let recovered = prepare_cached(tiny_pg_config(27), &t.store).unwrap();
+        let counters = t.store.counters();
+        assert_eq!(counters.evictions, 1, "only the corrupt stage entry is evicted");
+        assert_eq!((counters.hits, counters.misses), (1, 3), "base hit, stage retrained");
+        assert_eq!(t.store.entry_count(), 2, "the base entry survives");
+        assert!(t.store.entry_path(&base_key(&tiny_pg_config(27))).exists());
+        assert_same_experiment(&recovered, &cold);
     }
 
     #[test]
     fn corrupted_entry_is_evicted_and_recomputed() {
         let t = TempStore::new("corrupt");
-        let cold = prepare_cached(tiny_config(23), Some(&t.store)).unwrap();
-        let key = cache_key(&tiny_config(23));
+        let cold = prepare_cached(tiny_config(23), &t.store).unwrap();
+        let key = base_key(&tiny_config(23));
         // Truncate the committed entry to garbage (keep the envelope valid so
         // the *payload* decoder is what trips).
         let path = t.store.entry_path(&key);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..20]).unwrap();
 
-        let recovered = prepare_cached(tiny_config(23), Some(&t.store)).unwrap();
+        let recovered = prepare_cached(tiny_config(23), &t.store).unwrap();
         let counters = t.store.counters();
         assert_eq!(counters.evictions, 1, "corrupt entry evicted");
         assert_eq!(counters.misses, 2, "recomputed after eviction");
-        assert_eq!(recovered.graph.edges(), cold.graph.edges());
+        assert_same_experiment(&recovered, &cold);
         // The recomputed entry was re-persisted and now hits.
-        let warm = prepare_cached(tiny_config(23), Some(&t.store)).unwrap();
+        let warm = prepare_cached(tiny_config(23), &t.store).unwrap();
         assert_eq!(t.store.counters().hits, 1);
         assert_eq!(warm.split, cold.split);
     }
@@ -632,15 +769,15 @@ mod tests {
     #[test]
     fn version_salt_bump_invalidates_without_evicting() {
         let t = TempStore::new("salt");
-        prepare_cached_salted(tiny_config(29), Some(&t.store), "prepare-v2").unwrap();
-        prepare_cached_salted(tiny_config(29), Some(&t.store), "prepare-v3").unwrap();
+        prepare_cached_salted(tiny_pg_config(29), &t.store, "prepare-v3").unwrap();
+        prepare_cached_salted(tiny_pg_config(29), &t.store, "prepare-v4").unwrap();
         let counters = t.store.counters();
         assert_eq!(counters.hits, 0, "a new salt never hits old entries");
-        assert_eq!(counters.misses, 2);
+        assert_eq!(counters.misses, 4, "base and stage miss under each salt");
         assert_eq!(counters.evictions, 0, "old entries are orphaned, not destroyed");
-        assert_eq!(t.store.entry_count(), 2, "both salted entries coexist");
-        // Back on the old salt, the original entry still hits.
-        prepare_cached_salted(tiny_config(29), Some(&t.store), "prepare-v2").unwrap();
-        assert_eq!(t.store.counters().hits, 1);
+        assert_eq!(t.store.entry_count(), 4, "both salts' entries coexist");
+        // Back on the old salt, the original entries still hit.
+        prepare_cached_salted(tiny_pg_config(29), &t.store, "prepare-v3").unwrap();
+        assert_eq!(t.store.counters().hits, 2);
     }
 }

@@ -323,62 +323,98 @@ impl PipelineConfig {
     }
 }
 
-/// The shared state of one experiment run: the data, the trained victim model, the
-/// split, the victims with their target labels, and (when PGExplainer is the
-/// inspector) the trained PGExplainer.
-///
-/// The heavy, immutable parts — the graph (dense adjacency), the trained model
-/// and the trained PGExplainer — live behind [`Arc`], so re-scoping an
-/// experiment to a different victim set ([`Prepared::with_victims`], used by
-/// the degree-bucket figures and the sweep fan-out) shares them instead of
-/// deep-copying an `n×n` matrix per bucket.
-pub struct Prepared {
+/// The explainer-independent stage of an experiment: the graph, its split,
+/// the trained (frozen) GCN, the victims with their target labels and the
+/// clean-graph forward pass. It reads only the graph source, generator,
+/// training and victim-selection configs, so every cell inspecting the same
+/// (graph, model) shares one `Base`, whatever its explainer; [`prepare_on`]
+/// adds the explainer stage on top.
+pub struct Base {
     /// The clean graph (shared, immutable).
     pub graph: Arc<Graph>,
     /// The trained (frozen) GCN under attack (shared, immutable).
     pub model: Arc<Gcn>,
-    /// Train/val/test node split.
-    pub split: DataSplit,
+    /// Train/val/test node split (shared, immutable).
+    pub split: Arc<DataSplit>,
     /// Victims with assigned target labels.
     pub victims: Vec<Victim>,
-    /// The trained PGExplainer, if the experiment uses one (shared, immutable).
-    pub pg_explainer: Option<Arc<PgExplainer>>,
-    config: PipelineConfig,
     /// The clean-graph forward pass, computed at most once per `(graph, model)`
-    /// and shared by every consumer of clean predictions or embeddings
-    /// (FGA-T&E's exclusion explanation, degree sweeps, victim re-scoping).
-    /// Lazy so cache-hit loads that never query the clean graph pay nothing.
+    /// and shared by every stage and experiment built on this base. Lazy so
+    /// cache-hit loads that never query the clean graph pay nothing.
     clean_forward: Arc<OnceLock<Arc<BatchedForward>>>,
 }
 
-impl Prepared {
-    /// Reassembles an experiment from persisted parts plus the configuration
-    /// that (by cache-key construction) produced them. Only the persistence
-    /// layer should need this; everything else goes through [`prepare`].
-    pub(crate) fn from_parts(
-        graph: Graph,
-        model: Gcn,
-        split: DataSplit,
-        victims: Vec<Victim>,
-        pg_explainer: Option<PgExplainer>,
-        config: PipelineConfig,
-    ) -> Prepared {
-        Prepared {
+impl Base {
+    /// Reassembles a base from persisted parts. Only the persistence layer
+    /// should need this; everything else goes through [`prepare_base`].
+    pub(crate) fn from_parts(graph: Graph, model: Gcn, split: DataSplit, victims: Vec<Victim>) -> Base {
+        Base {
             graph: Arc::new(graph),
             model: Arc::new(model),
-            split,
+            split: Arc::new(split),
             victims,
-            pg_explainer: pg_explainer.map(Arc::new),
-            config,
             clean_forward: Arc::new(OnceLock::new()),
         }
     }
 
     /// The shared clean-graph forward pass (bit-identical to
     /// `model.predict_proba(graph)` / `model.node_embeddings(graph)`), computed
+    /// on first use.
+    pub fn clean_forward(&self) -> Arc<BatchedForward> {
+        Arc::clone(
+            self.clean_forward
+                .get_or_init(|| Arc::new(BatchedForward::new(&self.model, &self.graph))),
+        )
+    }
+}
+
+/// The shared state of one experiment run: a [`Base`] (data, trained victim
+/// model, split, victims with their target labels) plus, when PGExplainer is
+/// the inspector, the trained PGExplainer.
+///
+/// The immutable parts — the graph, the trained model, the split and the
+/// trained PGExplainer — live behind [`Arc`], so experiments on one base and
+/// re-scopes to a different victim set ([`Prepared::with_victims`], used by
+/// the degree-bucket figures and the sweep fan-out) share them instead of
+/// copying them.
+pub struct Prepared {
+    /// The clean graph (shared, immutable).
+    pub graph: Arc<Graph>,
+    /// The trained (frozen) GCN under attack (shared, immutable).
+    pub model: Arc<Gcn>,
+    /// Train/val/test node split (shared, immutable).
+    pub split: Arc<DataSplit>,
+    /// Victims with assigned target labels.
+    pub victims: Vec<Victim>,
+    /// The trained PGExplainer, if the experiment uses one (shared, immutable).
+    pub pg_explainer: Option<Arc<PgExplainer>>,
+    config: PipelineConfig,
+    /// The base's clean-graph forward pass, shared by every consumer of clean
+    /// predictions or embeddings (FGA-T&E's exclusion explanation, degree
+    /// sweeps, victim re-scoping).
+    clean_forward: Arc<OnceLock<Arc<BatchedForward>>>,
+}
+
+impl Prepared {
+    /// An experiment on `base` with the explainer stage's state (the trained
+    /// PGExplainer, if any) and the configuration that produced both.
+    pub(crate) fn on_base(base: &Base, pg_explainer: Option<PgExplainer>, config: PipelineConfig) -> Prepared {
+        Prepared {
+            graph: Arc::clone(&base.graph),
+            model: Arc::clone(&base.model),
+            split: Arc::clone(&base.split),
+            victims: base.victims.clone(),
+            pg_explainer: pg_explainer.map(Arc::new),
+            config,
+            clean_forward: Arc::clone(&base.clean_forward),
+        }
+    }
+
+    /// The shared clean-graph forward pass (bit-identical to
+    /// `model.predict_proba(graph)` / `model.node_embeddings(graph)`), computed
     /// on first use and then served from the shared cell — including across
-    /// [`Prepared::with_victims`] re-scopes, which keep the same graph and
-    /// model.
+    /// [`Prepared::with_victims`] re-scopes and experiments on the same
+    /// [`Base`].
     pub fn clean_forward(&self) -> Arc<BatchedForward> {
         Arc::clone(
             self.clean_forward
@@ -403,7 +439,7 @@ impl Prepared {
         Prepared {
             graph: Arc::clone(&self.graph),
             model: Arc::clone(&self.model),
-            split: self.split.clone(),
+            split: Arc::clone(&self.split),
             victims,
             pg_explainer: self.pg_explainer.clone(),
             config: self.config.clone(),
@@ -473,10 +509,10 @@ impl Prepared {
     }
 }
 
-/// Prepares an experiment: generate the dataset, train the GCN, select victims and
-/// assign their target labels (and train PGExplainer if it is the inspector).
-/// Fails (instead of panicking) when the graph source cannot be loaded.
-pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
+/// The base stage of an experiment: generate the graph, split it, train the
+/// GCN, select victims and assign their target labels. Fails (instead of
+/// panicking) when the graph source cannot be loaded.
+pub fn prepare_base(config: &PipelineConfig) -> Result<Base> {
     let _span = geattack_telemetry::span(geattack_telemetry::Level::Phase, "prepare");
     let graph = config.source.load(&config.generator)?;
     use rand::SeedableRng as _;
@@ -485,26 +521,45 @@ pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
     let trained = train(&graph, &split, &config.train);
     let model = trained.model;
 
-    // One clean-graph forward serves victim selection, PGExplainer training
-    // and (seeded into the Prepared below) every later clean-graph query.
+    // One clean-graph forward serves victim selection, the explainer stage
+    // and (seeded into the base below) every later clean-graph query.
     let forward = BatchedForward::new(&model, &graph);
     let victims = select_victims_from_probs(forward.probs(), &graph, &split.test, &config.victims);
     let victims = assign_target_labels(&model, &graph, &victims);
 
-    let pg_explainer = match config.explainer {
-        ExplainerKind::PgExplainer => Some(PgExplainer::train_with_forward(
-            &model,
-            &graph,
-            &split.test,
-            config.pgexplainer.clone(),
-            &forward,
-        )),
-        ExplainerKind::GnnExplainer => None,
-    };
+    let base = Base::from_parts(graph, model, split, victims);
+    let _ = base.clean_forward.set(Arc::new(forward));
+    Ok(base)
+}
 
-    let prepared = Prepared::from_parts(graph, model, split, victims, pg_explainer, config);
-    let _ = prepared.clean_forward.set(Arc::new(forward));
-    Ok(prepared)
+/// Trains a PGExplainer on `base`'s clean graph and test nodes: the
+/// PGExplainer inspection's explainer stage.
+pub(crate) fn train_pg_explainer(base: &Base, config: &PgExplainerConfig) -> PgExplainer {
+    let _span = geattack_telemetry::span(geattack_telemetry::Level::Phase, "prepare");
+    PgExplainer::train_with_forward(
+        &base.model,
+        &base.graph,
+        &base.split.test,
+        config.clone(),
+        &base.clean_forward(),
+    )
+}
+
+/// The explainer stage of an experiment: trains PGExplainer on `base` when it
+/// is the inspector (GNNExplainer trains nothing ahead of time). `base` must
+/// come from [`prepare_base`] (or the cache) on a `config` with the same
+/// graph source, generator, training and victim settings; the explainer
+/// settings are free.
+pub fn prepare_on(base: &Base, config: PipelineConfig) -> Prepared {
+    let pg_explainer =
+        (config.explainer == ExplainerKind::PgExplainer).then(|| train_pg_explainer(base, &config.pgexplainer));
+    Prepared::on_base(base, pg_explainer, config)
+}
+
+/// Prepares an experiment: both stages, [`prepare_base`] then [`prepare_on`].
+/// Fails (instead of panicking) when the graph source cannot be loaded.
+pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
+    Ok(prepare_on(&prepare_base(&config)?, config))
 }
 
 /// Runs one attacker over all prepared victims under a per-victim budget rule
@@ -579,9 +634,40 @@ pub fn run_attacker_kind(prepared: &Prepared, kind: AttackerKind) -> Result<Vec<
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::evaluation::summarize_run;
+
+    /// Bit-level identity of two experiments: graph, split, victims, GCN
+    /// parameters and trained PGExplainer parameters.
+    pub(crate) fn assert_same_experiment(a: &Prepared, b: &Prepared) {
+        let bits = |m: &geattack_tensor::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.graph.edges(), b.graph.edges(), "graph edges");
+        assert_eq!(bits(a.graph.features()), bits(b.graph.features()), "graph features");
+        assert_eq!(a.graph.labels(), b.graph.labels(), "graph labels");
+        assert_eq!(a.split, b.split, "split");
+        assert_eq!(a.victims, b.victims, "victims");
+        for (x, y) in a.model.params().to_vec().iter().zip(&b.model.params().to_vec()) {
+            assert_eq!(bits(x), bits(y), "GCN parameters");
+        }
+        match (&a.pg_explainer, &b.pg_explainer) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                let (x, y) = (x.params(), y.params());
+                for (m, n) in [
+                    (&x.w_src, &y.w_src),
+                    (&x.w_dst, &y.w_dst),
+                    (&x.w_tgt, &y.w_tgt),
+                    (&x.b1, &y.b1),
+                    (&x.w2, &y.w2),
+                    (&x.b2, &y.b2),
+                ] {
+                    assert_eq!(bits(m), bits(n), "PGExplainer parameters");
+                }
+            }
+            _ => panic!("one experiment has a trained PGExplainer, the other does not"),
+        }
+    }
 
     fn tiny_config(seed: u64) -> PipelineConfig {
         let mut config = PipelineConfig::quick(DatasetName::Cora, seed);
@@ -604,6 +690,32 @@ mod tests {
             assert!(prepared.split.test.contains(&v.node));
         }
         assert!(prepared.pg_explainer.is_none());
+    }
+
+    #[test]
+    fn staged_prepare_is_bit_identical_for_both_explainers() {
+        // One base, built from a GNNExplainer config, serves both explainer
+        // kinds exactly as a fresh two-stage preparation of each would.
+        let mut gnn = tiny_config(96);
+        gnn.victims.count = 3;
+        let mut pg = gnn.clone();
+        pg.explainer = ExplainerKind::PgExplainer;
+        pg.pgexplainer.epochs = 1;
+        pg.pgexplainer.training_instances = 4;
+        let base = prepare_base(&gnn).unwrap();
+        for config in [gnn, pg] {
+            let fresh = prepare(config.clone()).unwrap();
+            let shared = prepare_on(&base, config.clone());
+            assert_eq!(
+                fresh.pg_explainer.is_some(),
+                config.explainer == ExplainerKind::PgExplainer
+            );
+            assert_same_experiment(&shared, &fresh);
+            assert!(
+                Arc::ptr_eq(&shared.graph, &base.graph) && Arc::ptr_eq(&shared.model, &base.model),
+                "experiments share their base's graph and model"
+            );
+        }
     }
 
     #[test]

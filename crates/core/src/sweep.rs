@@ -20,6 +20,8 @@
 //! [`SweepReport`] an unsharded run produces — byte-identical, because the
 //! unsharded path itself goes through the same merge of its single shard.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use geattack_scenarios::SweepSpec;
@@ -346,6 +348,19 @@ pub struct PlannedCell {
     pub seed: u64,
     /// Inspector explainer display name.
     pub explainer: String,
+}
+
+/// Identifies the base (graph, split, GCN, victims) a [`PlannedCell`]
+/// prepares on. Every other input of the base (the quick or paper-scale
+/// settings, the victim count) is spec-wide, so within one spec the cells
+/// that differ only in their explainer share one base.
+pub(crate) type BaseId<'a> = (&'a str, u64, u64);
+
+impl PlannedCell {
+    /// The base this cell prepares on.
+    pub(crate) fn base_id(&self) -> BaseId<'_> {
+        (&self.family, self.scale.to_bits(), self.seed)
+    }
 }
 
 /// The spec's attacker/explainer axes resolved against a registry pair: the
@@ -687,14 +702,28 @@ pub fn estimated_cost(cell: &PlannedCell) -> f64 {
     n * n * geattack_gnn::TrainConfig::default().epochs as f64
 }
 
-/// Execution order of the owned prep cells: estimated cost descending, ties in
-/// grid order (so equal-cost runs keep a stable, deterministic schedule).
+/// Execution order of the owned prep cells. Cells of one [`BaseId`] share a
+/// base whatever their explainer, so the first cell of every base runs
+/// before any base's second cell; within each of those rounds cells run by
+/// estimated cost descending, ties in grid order (so equal-cost runs keep a
+/// stable, deterministic schedule). A grid with one explainer is a single
+/// round: pure cost order.
 pub(crate) fn execution_order(cells: &[PlannedCell]) -> Vec<usize> {
+    let mut seen: HashMap<BaseId, usize> = HashMap::new();
+    let round: Vec<usize> = cells
+        .iter()
+        .map(|cell| {
+            let count = seen.entry(cell.base_id()).or_default();
+            *count += 1;
+            *count - 1
+        })
+        .collect();
+    let cost: Vec<f64> = cells.iter().map(estimated_cost).collect();
     let mut order: Vec<usize> = (0..cells.len()).collect();
     order.sort_by(|&a, &b| {
-        estimated_cost(&cells[b])
-            .partial_cmp(&estimated_cost(&cells[a]))
-            .unwrap_or(std::cmp::Ordering::Equal)
+        round[a]
+            .cmp(&round[b])
+            .then(cost[b].partial_cmp(&cost[a]).unwrap_or(std::cmp::Ordering::Equal))
             .then(a.cmp(&b))
     });
     order
@@ -891,9 +920,35 @@ mod tests {
             cell(3, "tree-cycles", 0.08, 1), // same cost as cell 0
         ];
         let order = execution_order(&cells);
+        assert_eq!(order, [1, 2, 0, 3], "a GNNExplainer-only grid runs in pure cost order");
         assert_eq!(order[0], 1, "the scaled-up tree-cycles cell runs first");
         assert_eq!(order[1], 2, "the citation-scale cell runs second");
         assert_eq!(order[2..], [0, 3], "equal-cost cells keep grid order");
+
+        // With two explainers, each base's cells (one per explainer) sit side
+        // by side in grid order; every base's first cell must run before any
+        // base's second, each round in cost order.
+        let two: Vec<PlannedCell> = cells
+            .iter()
+            .flat_map(|c| {
+                ExplainerKind::ALL.map(|kind| PlannedCell {
+                    explainer: kind.name().to_string(),
+                    ..c.clone()
+                })
+            })
+            .enumerate()
+            .map(|(position, c)| PlannedCell { position, ..c })
+            .collect();
+        let order = execution_order(&two);
+        assert_eq!(order, [2, 4, 0, 6, 3, 5, 1, 7]);
+        let first_cells: Vec<usize> = order[..4].iter().map(|&i| two[i].position / 2).collect();
+        assert_eq!(
+            first_cells,
+            [1, 2, 0, 3],
+            "the first round keeps the cost order of the bases"
+        );
+        assert!(order[..4].iter().all(|&i| two[i].explainer == "GNNExplainer"));
+        assert!(order[4..].iter().all(|&i| two[i].explainer == "PGExplainer"));
 
         // End-to-end: a two-scale sweep re-sorts results back to grid order, so
         // the report enumerates scales exactly as the spec lists them.

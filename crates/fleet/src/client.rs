@@ -179,9 +179,7 @@ pub fn submit(
         if line.is_empty() {
             break;
         }
-        let response = std::str::from_utf8(&line).map_err(|e| format!("malformed event: {e}"))?;
-        let value: Value = serde_json::from_str(response.trim()).map_err(|e| format!("malformed event: {e}"))?;
-        let event = event_name(&value)?;
+        let (event, value) = parse_event_line(&line)?;
         let position = || match value.get_field("position") {
             Ok(Value::Number(p)) => *p as usize,
             _ => usize::MAX,
@@ -218,6 +216,22 @@ pub fn submit(
         }
     }
     Err("connection closed before a `done` event".to_string())
+}
+
+/// Parses one response line of a sweep request's stream (newline included or
+/// not) into its `event` name and JSON value. Whatever a daemon sends —
+/// longer than [`MAX_RESPONSE_LINE_BYTES`], not UTF-8, not JSON, nested past
+/// the codec's depth limit, or without an `event` field — is an `Err`, never
+/// a panic.
+pub fn parse_event_line(line: &[u8]) -> Result<(String, Value), String> {
+    if line.len() > MAX_RESPONSE_LINE_BYTES {
+        return Err(format!(
+            "daemon response line longer than {MAX_RESPONSE_LINE_BYTES} bytes"
+        ));
+    }
+    let text = std::str::from_utf8(line).map_err(|e| format!("malformed event: {e}"))?;
+    let value: Value = serde_json::from_str(text.trim()).map_err(|e| format!("malformed event: {e}"))?;
+    Ok((event_name(&value)?, value))
 }
 
 /// The `event` field of a protocol line.
@@ -382,8 +396,8 @@ impl ServeClient {
 
         loop {
             let line = self.read_event_line(&mut reader, cancel)?;
-            let value: Value = serde_json::from_str(line.trim()).map_err(|e| format!("malformed event: {e}"))?;
-            match event_name(&value)?.as_str() {
+            let (event, value) = parse_event_line(&line)?;
+            match event.as_str() {
                 "error" => return Err(error_message(&value)),
                 "done" => {
                     let report = value
@@ -403,12 +417,12 @@ impl ServeClient {
 
     /// Reads one NDJSON line, honoring the idle timeout and the cancel token
     /// across read-timeout ticks.
-    fn read_event_line(&self, reader: &mut BufReader<TcpStream>, cancel: &CancelToken) -> Result<String, String> {
+    fn read_event_line(&self, reader: &mut BufReader<TcpStream>, cancel: &CancelToken) -> Result<Vec<u8>, String> {
         let idle_deadline = Instant::now() + self.idle_timeout;
         let mut buf = Vec::new();
         loop {
             match read_response_line(reader, &mut buf) {
-                Ok(true) => return String::from_utf8(buf).map_err(|e| format!("malformed event: {e}")),
+                Ok(true) => return Ok(buf),
                 // EOF before the newline is a mid-line disconnect, not a
                 // complete event line.
                 Ok(false) => return Err(format!("worker {} closed the connection mid-stream", self.addr)),

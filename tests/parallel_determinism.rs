@@ -2,11 +2,14 @@
 //! the multi-victim attack loop with `config.parallel` on and off must produce
 //! byte-identical outcomes (same victims, same perturbation sizes, same
 //! detection scores), because every victim draws from victim-local RNG state.
+//! The same holds one level up, for a sweep whose cells share trained bases
+//! across explainers: serial and parallel sessions write the same report.
 
+use geattack_core::engine::Engine;
 use geattack_core::evaluation::AttackOutcome;
 use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind};
 use geattack_graph::DatasetName;
-use geattack_integration_tests::tiny_config;
+use geattack_integration_tests::{spec_file, tiny_config};
 
 fn outcomes_with_parallel(parallel: bool, kind: AttackerKind, seed: u64) -> Vec<AttackOutcome> {
     let mut config = tiny_config(DatasetName::Cora, seed);
@@ -87,4 +90,24 @@ fn repeated_parallel_runs_are_stable() {
     let first = outcomes_with_parallel(true, AttackerKind::FgaT, 14);
     let second = outcomes_with_parallel(true, AttackerKind::FgaT, 14);
     assert_identical(&first, &second, AttackerKind::FgaT);
+}
+
+#[test]
+fn shared_base_sweep_is_byte_identical_serial_and_parallel() {
+    // Both explainers on every graph: each (family, seed) base is trained
+    // once and shared by its GNNExplainer and PGExplainer cells, whichever
+    // thread gets to it first.
+    let spec = spec_file("tests/specs/two_explainers.json");
+    let serial = Engine::new().serial(true).run_report(&spec).expect("serial sweep runs");
+    for _ in 0..2 {
+        let engine = Engine::new();
+        let parallel = engine.run_report(&spec).expect("parallel sweep runs");
+        assert_eq!(
+            serial.to_json(),
+            parallel.to_json(),
+            "a parallel shared-base sweep must be byte-identical to the serial one"
+        );
+        assert_eq!(engine.metrics().counter_value("prepare.bases_built"), 2);
+        assert_eq!(engine.metrics().counter_value("prepare.bases_reused"), 2);
+    }
 }

@@ -6,7 +6,7 @@
 
 use geattack_core::engine::Engine;
 use geattack_core::sweep::{merge_shards, Shard, SweepReport, SweepRun};
-use geattack_core::GeError;
+use geattack_core::{ExplainerKind, GeError};
 use geattack_integration_tests::spec_file;
 use geattack_scenarios::SweepSpec;
 
@@ -47,6 +47,19 @@ fn small_spec() -> SweepSpec {
     .expect("spec parses")
 }
 
+/// The cache entries a whole-grid run of `spec` reads or writes: one base per
+/// (family, scale, seed), shared by every explainer, plus one PGExplainer
+/// stage per PGExplainer cell. A session looks each up once.
+fn cache_entries(spec: &SweepSpec) -> u64 {
+    let bases = spec.families.len() * spec.scales.len() * spec.seeds.len();
+    let pg_explainers = spec
+        .explainers
+        .iter()
+        .filter(|name| ExplainerKind::parse(name) == Some(ExplainerKind::PgExplainer))
+        .count();
+    (bases * (1 + pg_explainers)) as u64
+}
+
 /// A unique temp directory for one test's cache.
 fn temp_cache(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("geattack-it-{}-{tag}", std::process::id()));
@@ -76,10 +89,12 @@ fn sharded_execution_merges_into_the_unsharded_report() {
         "sharded + merged must be byte-identical to unsharded"
     );
 
-    // The parameterised cell kinds shard and merge the same way.
+    // The parameterised cell kinds and cells sharing a base across
+    // explainers shard and merge the same way.
     for spec in [
         spec_file("tests/specs/degree_buckets.json"),
         spec_file("tests/specs/lambda.json"),
+        spec_file("tests/specs/two_explainers.json"),
     ] {
         let unsharded = run_sweep(&spec, true).expect("unsharded run");
         let shards: Vec<_> = (0..2)
@@ -100,18 +115,25 @@ fn cached_rerun_is_byte_identical_and_skips_all_preparation() {
         (small_spec(), "cache"),
         (spec_file("tests/specs/degree_buckets.json"), "cache-degree"),
         (spec_file("tests/specs/lambda.json"), "cache-lambda"),
+        (spec_file("tests/specs/two_explainers.json"), "cache-two-explainers"),
     ] {
         let dir = temp_cache(tag);
+        let entries = cache_entries(spec);
         let cold = run_with(spec, None, Some(dir.clone())).expect("cold run");
         let cold_counters = cold.cache.expect("caching was on");
-        assert_eq!(cold_counters.misses, cold.prepared_cells as u64);
+        assert_eq!(
+            cold_counters.misses, entries,
+            "{}: one miss per base and stage",
+            spec.name
+        );
         assert_eq!(cold_counters.hits, 0);
 
         let warm = run_with(spec, None, Some(dir.clone())).expect("warm run");
         let warm_counters = warm.cache.expect("caching was on");
         assert_eq!(
-            warm_counters.hits, warm.prepared_cells as u64,
-            "a warm run must skip every GCN training"
+            warm_counters.hits, entries,
+            "{}: a warm run must skip every GCN and PGExplainer training",
+            spec.name
         );
         assert_eq!(warm_counters.misses, 0);
 
