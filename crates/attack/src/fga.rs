@@ -35,7 +35,7 @@ fn greedy_gradient_attack(
     let mut working = ctx.graph.clone();
     // Features never change across insertions; the X·W₁ projection is shared by
     // every per-insertion gradient call.
-    let gradients = LossGradients::new(ctx.model, ctx.graph.features());
+    let gradients = LossGradients::new(ctx.model, ctx.graph);
 
     for _ in 0..ctx.budget {
         let mut candidates = candidate_endpoints(&working, ctx.target, exclude);

@@ -48,7 +48,7 @@ impl IgAttack {
     /// backward passes runs through the candidate-masked sparse gradient instead
     /// of a dense `n×n` tape.
     pub fn integrated_gradients(&self, ctx: &AttackContext<'_>, graph: &Graph, candidates: &[usize]) -> TargetGradient {
-        let gradients = LossGradients::new(ctx.model, graph.features());
+        let gradients = LossGradients::new(ctx.model, graph);
         self.integrated_gradients_with(&gradients, ctx, graph, candidates)
     }
 
@@ -121,7 +121,7 @@ impl TargetedAttack for IgAttack {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.ig");
         let mut perturbation = Perturbation::new();
         let mut working = ctx.graph.clone();
-        let gradients = LossGradients::new(ctx.model, ctx.graph.features());
+        let gradients = LossGradients::new(ctx.model, ctx.graph);
 
         for _ in 0..ctx.budget {
             let candidates = candidate_endpoints(&working, ctx.target, &[]);
@@ -254,8 +254,8 @@ mod tests {
             interpolated[(victim, v)] = 1.0;
             interpolated[(v, victim)] = 1.0;
         }
-        let dense =
-            crate::dense_adjacency_gradient(&model, &interpolated, graph.features(), victim, target_label, false);
+        let features = graph.features().to_dense();
+        let dense = crate::dense_adjacency_gradient(&model, &interpolated, &features, victim, target_label, false);
         for v in 0..graph.num_nodes() {
             if v == victim {
                 continue;

@@ -193,21 +193,10 @@ pub fn dense_adjacency_gradient(
 /// zero elsewhere). This accounts exactly for the degree renormalization an edge
 /// insertion causes — the same quantity the dense tape computes by
 /// differentiating through `gcn_normalize` — at `O((nnz + n)·f)` cost.
-pub fn sparse_adjacency_gradient(
-    model: &Gcn,
-    raw: &SparseMatrix,
-    features: &Matrix,
-    target: usize,
-    class: usize,
-    negate: bool,
-) -> TargetGradient {
-    let xw1 = features.matmul(&model.params().w1);
-    sparse_adjacency_gradient_projected(model, raw, &xw1, target, class, negate)
-}
-
-/// [`sparse_adjacency_gradient`] with the adjacency-independent feature
-/// projection `X·W₁` supplied by the caller — greedy attacks recompute the
-/// gradient after every edge insertion, and the projection never changes.
+///
+/// The adjacency-independent feature projection `X·W₁` is supplied by the
+/// caller — greedy attacks recompute the gradient after every edge insertion,
+/// and the projection never changes (see [`LossGradients`]).
 pub fn sparse_adjacency_gradient_projected(
     model: &Gcn,
     raw: &SparseMatrix,
@@ -292,11 +281,12 @@ pub fn sparse_adjacency_gradient_projected(
 }
 
 /// Re-usable state for repeated adjacency-gradient calls against one frozen
-/// model and one feature matrix.
+/// model and one graph's features.
 ///
 /// A greedy attack recomputes the loss gradient after every edge insertion, but
 /// the feature projection `X·W₁` is independent of the adjacency — computing it
-/// once here and reusing it removes an `n·d·h` matmul per gradient call.
+/// once here (as a CSR product, [`Graph::project`]) and reusing it removes an
+/// `nnz(X)·h` product per gradient call.
 /// Results are bit-identical to the one-shot [`targeted_loss_gradient`] /
 /// [`untargeted_loss_gradient`] helpers, which are themselves thin wrappers
 /// around this type.
@@ -306,11 +296,12 @@ pub struct LossGradients<'a> {
 }
 
 impl<'a> LossGradients<'a> {
-    /// Prepares the reusable state (one `X·W₁` projection).
-    pub fn new(model: &'a Gcn, features: &'a Matrix) -> Self {
+    /// Prepares the reusable state (one `X·W₁` projection of `graph`'s
+    /// features; edge insertions never change it).
+    pub fn new(model: &'a Gcn, graph: &Graph) -> Self {
         Self {
             model,
-            xw1: features.matmul(&model.params().w1),
+            xw1: graph.project(&model.params().w1),
         }
     }
 
@@ -339,7 +330,7 @@ impl<'a> LossGradients<'a> {
 /// most negative gradient entries are the most attractive. Loops that call this
 /// repeatedly for one model should hold a [`LossGradients`] instead.
 pub fn targeted_loss_gradient(model: &Gcn, graph: &Graph, target: usize, target_label: usize) -> TargetGradient {
-    LossGradients::new(model, graph.features()).targeted(graph, target, target_label)
+    LossGradients::new(model, graph).targeted(graph, target, target_label)
 }
 
 /// Gradient of the *untargeted* attack loss `+log f(A, X)^{y_true}_{target}`
@@ -347,7 +338,7 @@ pub fn targeted_loss_gradient(model: &Gcn, graph: &Graph, target: usize, target_
 /// adjacency matrix at the target's candidate endpoints. Candidates with the
 /// most negative entries are most attractive.
 pub fn untargeted_loss_gradient(model: &Gcn, graph: &Graph, target: usize) -> TargetGradient {
-    LossGradients::new(model, graph.features()).untargeted(graph, target)
+    LossGradients::new(model, graph).untargeted(graph, target)
 }
 
 /// Combined (symmetrized) gradient score of inserting the undirected edge
@@ -448,8 +439,9 @@ mod tests {
         let (graph, model) = small_setup(5);
         let (victim, target_label) = pick_victim(&graph, &model);
 
+        let features = graph.features().to_dense();
         let sparse = targeted_loss_gradient(&model, &graph, victim, target_label);
-        let grad = dense_adjacency_gradient(&model, &graph.to_dense(), graph.features(), victim, target_label, false);
+        let grad = dense_adjacency_gradient(&model, &graph.to_dense(), &features, victim, target_label, false);
         let max_abs = (0..graph.num_nodes())
             .map(|v| grad[(victim, v)].abs())
             .fold(0.0f64, f64::max)
@@ -468,14 +460,7 @@ mod tests {
         }
 
         let sparse = untargeted_loss_gradient(&model, &graph, victim);
-        let dense = dense_adjacency_gradient(
-            &model,
-            &graph.to_dense(),
-            graph.features(),
-            victim,
-            graph.label(victim),
-            true,
-        );
+        let dense = dense_adjacency_gradient(&model, &graph.to_dense(), &features, victim, graph.label(victim), true);
         for v in 0..graph.num_nodes() {
             if v == victim {
                 continue;
@@ -500,7 +485,7 @@ mod tests {
         let loss_at = |adj: &Matrix| -> f64 {
             let tape = Tape::new();
             let a = tape.input(adj.clone());
-            let x = tape.constant(graph.features().clone());
+            let x = tape.constant(graph.features().to_dense());
             let params = model.insert_params_frozen(&tape);
             let lp = model.log_probs_from_raw_adj(&tape, a, x, &params);
             tape.value(nn::node_class_nll(&tape, lp, victim, target_label, model.num_classes()))

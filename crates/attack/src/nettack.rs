@@ -61,7 +61,7 @@ impl TargetedAttack for Nettack {
         // Linearized surrogate weights W = W1 W2 (bias terms are irrelevant for the
         // argmax-margin score).
         let w = ctx.model.params().w1.matmul(&ctx.model.params().w2);
-        let xw = ctx.graph.features().matmul(&w);
+        let xw = ctx.graph.project(&w);
 
         let clean_degrees = degree_sequence(ctx.graph);
         let mut perturbation = Perturbation::new();
@@ -340,7 +340,7 @@ mod tests {
     fn incremental_scores_match_naive_recomputation() {
         let (graph, model) = small_setup(31);
         let w = model.params().w1.matmul(&model.params().w2);
-        let xw = graph.features().matmul(&w);
+        let xw = graph.project(&w);
         let target = (0..graph.num_nodes()).find(|&i| graph.degree(i) >= 2).unwrap();
         let scorer = SurrogateScorer::new(&graph, &xw);
         let candidates = candidate_endpoints(&graph, target, &[]);

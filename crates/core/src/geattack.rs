@@ -128,7 +128,7 @@ impl GeAttack {
         // The frozen parameters and the projection X·W₁ depend on neither the
         // mask nor `a`, so the inner steps share them.
         let params = model.insert_params_frozen(&tape);
-        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
+        let xw1 = tape.constant(working.project_rows(&sub.nodes, &model.params().w1));
         let mut mask = tape.input(init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, rng));
         // `grad` emits tape operations, so the final mask keeps its dependency
         // on `a`.
@@ -162,7 +162,7 @@ pub(crate) fn greedy_joint_attack(
 ) -> Perturbation {
     let mut perturbation = Perturbation::new();
     let mut working = ctx.graph.clone();
-    let gradients = LossGradients::new(ctx.model, ctx.graph.features());
+    let gradients = LossGradients::new(ctx.model, ctx.graph);
     for _ in 0..ctx.budget {
         let candidates = candidate_endpoints(&working, ctx.target, &[]);
         if candidates.is_empty() {

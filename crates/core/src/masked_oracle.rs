@@ -126,7 +126,7 @@ fn gnnexplainer_case(graph: &Graph, model: &Gcn, target: usize, seed: u64) {
 
     let tape = Tape::new();
     let a = tape.constant(slots.values().clone());
-    let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
+    let xw1 = tape.constant(graph.project_rows(&sub.nodes, &model.params().w1));
     let params = model.insert_params_frozen(&tape);
     let m = tape.input(m_value.clone());
     let loss = explainer.loss(&tape, model, &slots, a, xw1, &params, m, sub.target_local, class);
@@ -137,7 +137,7 @@ fn gnnexplainer_case(graph: &Graph, model: &Gcn, target: usize, seed: u64) {
     let dense_mask = densify(&slots, &m_value, |i, j| 0.3 * i as f64 - 0.2 * j as f64);
     let tape = Tape::new();
     let a = tape.constant(sub.dense_adjacency());
-    let x = tape.constant(sub.features.clone());
+    let x = tape.constant(graph.features().to_dense().gather_rows(&sub.nodes));
     let m = tape.input(dense_mask);
     let loss = dense_gnnexplainer_loss(&tape, &explainer.config, model, a, x, m, sub.target_local, class);
     let dense_loss = tape.value(loss).scalar();
@@ -166,7 +166,7 @@ fn geattack_case(graph: &Graph, model: &Gcn, target: usize, shortlist: &[usize],
     let explainer = GnnExplainer::new(config.explainer.clone());
     let tape = Tape::new();
     let a = tape.input(sub.dense_adjacency());
-    let x = tape.constant(sub.features.clone());
+    let x = tape.constant(graph.features().to_dense().gather_rows(&sub.nodes));
     let mut mask = tape.input(densify(&slots, &m0, |i, j| 0.01 * (i + 2 * j) as f64));
     for _ in 0..config.inner_steps {
         let inner = dense_gnnexplainer_loss(&tape, &explainer.config, model, a, x, mask, tl, label);
@@ -202,7 +202,7 @@ fn pg_geattack_case(graph: &Graph, model: &Gcn, target: usize, shortlist: &[usiz
         .collect();
     let tape = Tape::new();
     let a = tape.input(sub.dense_adjacency());
-    let x = tape.constant(sub.features.clone());
+    let x = tape.constant(graph.features().to_dense().gather_rows(&sub.nodes));
     let z = model.hidden_layer(
         &tape,
         nn::gcn_normalize(&tape, a),
@@ -251,7 +251,7 @@ fn slot_core_matches_dense_pgexplainer_loss_and_mlp_gradients() {
         let z_value = model.node_embeddings(&graph).gather_rows(&sub.nodes);
         let tape = Tape::new();
         let z = tape.constant(z_value.clone());
-        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
+        let xw1 = tape.constant(graph.project_rows(&sub.nodes, &model.params().w1));
         let mlp = explainer.params().insert(&tape);
         let loss = explainer.instance_loss(&tape, &model, &slots, &edges, z, xw1, sub.target_local, class, &mlp);
         let slot_loss = tape.value(loss).scalar();
@@ -270,7 +270,7 @@ fn slot_core_matches_dense_pgexplainer_loss_and_mlp_gradients() {
         let dst = tape.constant(incidence(|&(_, v)| v));
         let upper = tape.matmul(tape.transpose(tape.mul(src, tape.col_broadcast(gates, k))), dst);
         let masked = tape.add(upper, tape.transpose(upper));
-        let x = tape.constant(sub.features.clone());
+        let x = tape.constant(graph.features().to_dense().gather_rows(&sub.nodes));
         let log_probs = dense_log_probs(&tape, &model, masked, x);
         let nll = nn::node_class_nll(&tape, log_probs, sub.target_local, class, model.num_classes());
         let config = &explainer.config;

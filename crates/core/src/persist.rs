@@ -158,7 +158,7 @@ pub fn encode_base(base: &Base) -> Vec<u8> {
     enc.put_usize(n);
     enc.put_usize(graph.num_classes());
     enc.put_usize_slice(graph.labels());
-    put_matrix(&mut enc, graph.features());
+    put_matrix(&mut enc, &graph.features().to_dense());
     let edges = graph.edges();
     enc.put_usize(edges.len());
     for &(u, v) in &edges {
@@ -503,6 +503,19 @@ mod tests {
         assert_eq!(base_key(&pg), base_key(&tiny_config(7)), "one base per graph");
         assert_eq!(pg_stage_key(&pg).as_deref(), Some("8951f293a0e44b064556c4d4fb4f048e"));
         assert_eq!(pg_stage_key(&tiny_config(7)), None, "GNNExplainer has no stage entry");
+    }
+
+    /// Golden payload: the base entry of [`tiny_config`] hashes to the value
+    /// the dense-feature build wrote. Encoding from CSR features therefore
+    /// writes the same dense feature bytes (and training stays bit-identical),
+    /// so `prepare-v4` entries written before the features moved to CSR still
+    /// decode to the same experiment.
+    #[test]
+    fn base_payload_matches_golden_digest() {
+        let payload = encode_base(&prepare_base(&tiny_config(7)).unwrap());
+        assert_eq!(payload.len(), 122_100);
+        let digest = geattack_cache::hash::hex128(geattack_cache::fnv1a128(&payload));
+        assert_eq!(digest, "2b3a7b039fcd1cc3e1522241ddf00578");
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl PgGeAttack {
 
         let tape = Tape::new();
         let a = tape.input(slots.values().clone());
-        let xw1 = tape.constant(sub.features.matmul(&model.params().w1));
+        let xw1 = tape.constant(working.project_rows(&sub.nodes, &model.params().w1));
         let gcn_params = model.insert_params_frozen(&tape);
         // Embeddings as a function of the adjacency, so ∂gate/∂Â is non-zero.
         let z = model.masked_hidden(&tape, &slots, a, xw1, &gcn_params);

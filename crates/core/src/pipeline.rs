@@ -643,7 +643,11 @@ pub(crate) mod tests {
     pub(crate) fn assert_same_experiment(a: &Prepared, b: &Prepared) {
         let bits = |m: &geattack_tensor::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(a.graph.edges(), b.graph.edges(), "graph edges");
-        assert_eq!(bits(a.graph.features()), bits(b.graph.features()), "graph features");
+        assert_eq!(
+            bits(&a.graph.features().to_dense()),
+            bits(&b.graph.features().to_dense()),
+            "graph features"
+        );
         assert_eq!(a.graph.labels(), b.graph.labels(), "graph labels");
         assert_eq!(a.split, b.split, "split");
         assert_eq!(a.victims, b.victims, "victims");

@@ -126,7 +126,7 @@ impl Explainer for GnnExplainer {
         let mut optimizer = Adam::new(self.config.lr);
         // X·W₁ depends on the mask no more than the slot values do, so both
         // feed every epoch's tape as constants.
-        let xw1_value = sub.features.matmul(&model.params().w1);
+        let xw1_value = graph.project_rows(&sub.nodes, &model.params().w1);
 
         for _ in 0..self.config.epochs {
             let tape = Tape::new();

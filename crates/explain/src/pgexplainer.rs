@@ -309,7 +309,7 @@ impl PgExplainer {
                     return None;
                 }
                 let z_value = embeddings.gather_rows(&sub.nodes);
-                let xw1_value = sub.features.matmul(&model.params().w1);
+                let xw1_value = graph.project_rows(&sub.nodes, &model.params().w1);
                 Some(InstanceState {
                     target_local: sub.target_local,
                     slots: EdgeSlots::new(&sub),

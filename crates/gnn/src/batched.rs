@@ -6,14 +6,15 @@
 //! PGExplainer builds edge features from. Before this existed every consumer
 //! called [`Gcn::predict_proba`] or [`Gcn::node_embeddings`] itself, re-running
 //! the full `Ã·(X·W₁)` product per victim. [`BatchedForward`] runs the forward
-//! **once**, sharing the first layer between the hidden and logit heads, and
-//! serves all rows from the cached matrices.
+//! **once**, sharing the first layer (with `X·W₁` a CSR product off the
+//! graph's shared features) between the hidden and logit heads, and serves all
+//! rows from the cached matrices.
 //!
 //! Bit-identity: the recorded op sequence per output is exactly the one the
 //! single-purpose entry points replay, so [`BatchedForward::probs`] equals
 //! [`Gcn::predict_proba`] and [`BatchedForward::hidden`] equals
-//! [`Gcn::node_embeddings`] bit-for-bit (pinned by tests in both feature
-//! configs). Routing a call site through a `BatchedForward` can therefore never
+//! [`Gcn::node_embeddings`] bit-for-bit (pinned by
+//! `batched_forward_is_bit_identical_to_per_call_forwards`). Routing a call site through a `BatchedForward` can therefore never
 //! change a report byte — only how often the kernels run.
 
 use geattack_graph::Graph;
@@ -37,9 +38,7 @@ impl BatchedForward {
             format!("n={}", graph.num_nodes()),
         );
         let tape = Tape::new();
-        let x = tape.constant(graph.features().clone());
-        let params = model.insert_params_frozen(&tape);
-        let (hidden, logits) = model.graph_hidden_and_logits(&tape, graph, x, &params);
+        let (hidden, logits) = model.graph_hidden_and_logits(&tape, graph);
         let probs = nn::softmax_rows(&tape, logits);
         Self {
             hidden: tape.value(hidden),

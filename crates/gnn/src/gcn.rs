@@ -184,50 +184,40 @@ impl Gcn {
 
     // ---- sparse forward paths ---------------------------------------------------
     //
-    // The SpMM kernel replays the dense matmul's exact accumulation order, so the
-    // `_sparse` variants below produce bit-identical values to their dense
-    // counterparts while costing O(nnz·f) instead of O(n²·f) per layer.
+    // The SpMM kernel replays the dense matmul's exact accumulation order, so
+    // the paths below produce bit-identical values to their dense counterparts
+    // while costing O(nnz·f) instead of O(n²·f) per layer. Every one of them
+    // takes the feature projection `X·W₁` as an input: it does not depend on
+    // the adjacency, so it is computed once per graph as a CSR product
+    // ([`Graph::project`]) — or on the tape, where training needs `∂/∂W₁`.
 
-    /// [`Gcn::logits`] with the normalized adjacency as a sparse operand.
-    pub fn logits_sparse(&self, tape: &Tape, a_norm: SparseVar, x: Var, params: &GcnParamVars) -> Var {
-        let h = self.hidden_layer_sparse(tape, a_norm, x, params);
-        let h2 = tape.spmm(a_norm, tape.matmul(h, params.w2));
-        tape.add(h2, tape.row_broadcast(params.b2, h2.rows()))
-    }
-
-    /// [`Gcn::hidden_layer`] with the normalized adjacency as a sparse operand.
-    pub fn hidden_layer_sparse(&self, tape: &Tape, a_norm: SparseVar, x: Var, params: &GcnParamVars) -> Var {
-        let xw = tape.matmul(x, params.w1);
-        let axw = tape.spmm(a_norm, xw);
+    /// [`Gcn::hidden_layer`] on a sparse normalized adjacency, from the
+    /// projection `X·W₁`.
+    fn hidden_layer_projected(&self, tape: &Tape, a_norm: SparseVar, xw1: Var, params: &GcnParamVars) -> Var {
+        let axw = tape.spmm(a_norm, xw1);
         let pre = tape.add(axw, tape.row_broadcast(params.b1, axw.rows()));
         tape.relu(pre)
     }
 
-    /// [`Gcn::log_probs`] with the normalized adjacency as a sparse operand.
-    pub fn log_probs_sparse(&self, tape: &Tape, a_norm: SparseVar, x: Var, params: &GcnParamVars) -> Var {
-        let logits = self.logits_sparse(tape, a_norm, x, params);
-        nn::log_softmax_rows(tape, logits)
+    /// The second layer `Ã·(H·W₂) + b₂` on a sparse normalized adjacency.
+    fn output_layer(&self, tape: &Tape, a_norm: SparseVar, h: Var, params: &GcnParamVars) -> Var {
+        let h2 = tape.spmm(a_norm, tape.matmul(h, params.w2));
+        tape.add(h2, tape.row_broadcast(params.b2, h2.rows()))
     }
 
-    /// [`Gcn::log_probs_sparse`] with the feature projection `X·W₁` supplied by
-    /// the caller (it does not depend on the adjacency, so greedy attack loops
-    /// compute it once and reuse it across every gradient call). Bit-identical
-    /// to [`Gcn::log_probs_sparse`].
+    /// [`Gcn::log_probs`] on a sparse normalized adjacency, with the feature
+    /// projection `X·W₁` supplied by the caller (greedy attack loops compute it
+    /// once and reuse it across every gradient call). Bit-identical to
+    /// [`Gcn::log_probs`].
     pub fn log_probs_sparse_projected(&self, tape: &Tape, a_norm: SparseVar, xw1: Var, params: &GcnParamVars) -> Var {
-        let axw = tape.spmm(a_norm, xw1);
-        let pre = tape.add(axw, tape.row_broadcast(params.b1, axw.rows()));
-        let h = tape.relu(pre);
-        let h2 = tape.spmm(a_norm, tape.matmul(h, params.w2));
-        let logits = tape.add(h2, tape.row_broadcast(params.b2, h2.rows()));
-        nn::log_softmax_rows(tape, logits)
+        let h = self.hidden_layer_projected(tape, a_norm, xw1, params);
+        nn::log_softmax_rows(tape, self.output_layer(tape, a_norm, h, params))
     }
 
     /// Class probabilities for every node of a concrete graph (no gradients).
     pub fn predict_proba(&self, graph: &Graph) -> Matrix {
         let tape = Tape::new();
-        let x = tape.constant(graph.features().clone());
-        let params = self.insert_params_frozen(&tape);
-        let logits = self.graph_logits(&tape, graph, x, &params);
+        let (_, logits) = self.graph_hidden_and_logits(&tape, graph);
         let probs = nn::softmax_rows(&tape, logits);
         tape.value(probs)
     }
@@ -242,42 +232,29 @@ impl Gcn {
     /// build edge features).
     pub fn node_embeddings(&self, graph: &Graph) -> Matrix {
         let tape = Tape::new();
-        let x = tape.constant(graph.features().clone());
-        let params = self.insert_params_frozen(&tape);
-        let h = self.graph_hidden(&tape, graph, x, &params);
+        let (_, h, _) = self.graph_hidden(&tape, graph);
         tape.value(h)
     }
 
-    /// Full-graph logits on the sparse normalized adjacency.
-    fn graph_logits(&self, tape: &Tape, graph: &Graph, x: Var, params: &GcnParamVars) -> Var {
+    /// Full-graph first layer `σ(Ã·(X·W₁) + b₁)` of the frozen model, returned
+    /// with the sparse normalized adjacency and the parameters it recorded (the
+    /// second layer's inputs).
+    fn graph_hidden(&self, tape: &Tape, graph: &Graph) -> (SparseVar, Var, GcnParamVars) {
         let a_norm = tape.sparse_constant(geattack_graph::normalized_adjacency_csr(graph).matrix);
-        self.logits_sparse(tape, a_norm, x, params)
+        let xw1 = tape.constant(graph.project(&self.params.w1));
+        let params = self.insert_params_frozen(tape);
+        (a_norm, self.hidden_layer_projected(tape, a_norm, xw1, &params), params)
     }
 
     /// Full-graph hidden layer **and** logits off one shared first-layer product:
-    /// the hidden activations `σ(Ã X W₁ + b₁)` are computed once and feed both
-    /// return values, instead of [`Gcn::predict_proba`] and
-    /// [`Gcn::node_embeddings`] each paying the first layer separately. The op
-    /// sequence per output is identical to the single-purpose paths, so both
-    /// values are bit-identical to them — this is what `BatchedForward` records.
-    pub(crate) fn graph_hidden_and_logits(
-        &self,
-        tape: &Tape,
-        graph: &Graph,
-        x: Var,
-        params: &GcnParamVars,
-    ) -> (Var, Var) {
-        let a_norm = tape.sparse_constant(geattack_graph::normalized_adjacency_csr(graph).matrix);
-        let h = self.hidden_layer_sparse(tape, a_norm, x, params);
-        let h2 = tape.spmm(a_norm, tape.matmul(h, params.w2));
-        let logits = tape.add(h2, tape.row_broadcast(params.b2, h2.rows()));
-        (h, logits)
-    }
-
-    /// Full-graph hidden layer on the sparse normalized adjacency.
-    fn graph_hidden(&self, tape: &Tape, graph: &Graph, x: Var, params: &GcnParamVars) -> Var {
-        let a_norm = tape.sparse_constant(geattack_graph::normalized_adjacency_csr(graph).matrix);
-        self.hidden_layer_sparse(tape, a_norm, x, params)
+    /// the hidden activations are computed once and feed both return values,
+    /// instead of [`Gcn::predict_proba`] and [`Gcn::node_embeddings`] each
+    /// paying the first layer separately. The op sequence per output is
+    /// identical to the single-purpose paths, so both values are bit-identical
+    /// to them — this is what `BatchedForward` records.
+    pub(crate) fn graph_hidden_and_logits(&self, tape: &Tape, graph: &Graph) -> (Var, Var) {
+        let (a_norm, h, params) = self.graph_hidden(tape, graph);
+        (h, self.output_layer(tape, a_norm, h, &params))
     }
 }
 
@@ -323,18 +300,15 @@ mod tests {
         // Dense reference forward, built explicitly on the dense tape path.
         let tape = Tape::new();
         let a_norm = tape.constant(geattack_graph::normalized_adjacency(&g));
-        let x = tape.constant(g.features().clone());
+        let x = tape.constant(g.features().to_dense());
         let params = gcn.insert_params_frozen(&tape);
         let dense_logits = tape.value(gcn.logits(&tape, a_norm, x, &params));
         let dense_hidden = tape.value(gcn.hidden_layer(&tape, a_norm, x, &params));
 
-        // Sparse forward on the same parameters.
+        // Sparse forward on the same parameters: CSR adjacency, CSR `X·W₁`.
         let tape = Tape::new();
-        let a_sparse = tape.sparse_constant(geattack_graph::normalized_adjacency_csr(&g).matrix);
-        let x = tape.constant(g.features().clone());
-        let params = gcn.insert_params_frozen(&tape);
-        let sparse_logits = tape.value(gcn.logits_sparse(&tape, a_sparse, x, &params));
-        let sparse_hidden = tape.value(gcn.hidden_layer_sparse(&tape, a_sparse, x, &params));
+        let (sparse_hidden, sparse_logits) = gcn.graph_hidden_and_logits(&tape, &g);
+        let (sparse_hidden, sparse_logits) = (tape.value(sparse_hidden), tape.value(sparse_logits));
 
         assert_eq!(sparse_logits.as_slice(), dense_logits.as_slice());
         assert_eq!(sparse_hidden.as_slice(), dense_hidden.as_slice());
@@ -361,7 +335,7 @@ mod tests {
         let gcn = Gcn::new(4, 8, 2, &mut rng);
         let tape = Tape::new();
         let a_norm = tape.constant(geattack_graph::normalized_adjacency(&g));
-        let x = tape.constant(g.features().clone());
+        let x = tape.constant(g.features().to_dense());
         let params = gcn.insert_params(&tape);
         let lp = gcn.log_probs(&tape, a_norm, x, &params);
         let loss = nn::masked_nll(&tape, lp, &[0, 3], &[0, 1], 2);
@@ -382,7 +356,7 @@ mod tests {
         let f = |adj: &Matrix| -> f64 {
             let tape = Tape::new();
             let a = tape.input(adj.clone());
-            let x = tape.constant(g.features().clone());
+            let x = tape.constant(g.features().to_dense());
             let params = gcn.insert_params_frozen(&tape);
             let lp = gcn.log_probs_from_raw_adj(&tape, a, x, &params);
             tape.value(nn::node_class_nll(&tape, lp, target, class, 2)).scalar()
@@ -391,7 +365,7 @@ mod tests {
         let dense_adj = g.to_dense();
         let tape = Tape::new();
         let a = tape.input(dense_adj.clone());
-        let x = tape.constant(g.features().clone());
+        let x = tape.constant(g.features().to_dense());
         let params = gcn.insert_params_frozen(&tape);
         let lp = gcn.log_probs_from_raw_adj(&tape, a, x, &params);
         let loss = nn::node_class_nll(&tape, lp, target, class, 2);

@@ -3,19 +3,17 @@
 //! Graph convolutional network models, training and evaluation for the GEAttack
 //! reproduction: the differentiable two-layer GCN that is attacked ([`gcn`]), the
 //! masked GCN the explainers and joint attacks share ([`masked`]), its training
-//! loop ([`train`]), evaluation helpers ([`eval`]) and the linearized
-//! surrogate model used by the Nettack baseline ([`surrogate`]).
+//! loop ([`train`]), the shared full-graph forward ([`batched`]) and
+//! evaluation helpers ([`eval`]).
 
 pub mod batched;
 pub mod eval;
 pub mod gcn;
 pub mod masked;
-pub mod surrogate;
 pub mod train;
 
 pub use batched::BatchedForward;
 pub use eval::{accuracy, node_predictions, predicted_class, NodePrediction};
 pub use gcn::{Gcn, GcnParamVars, GcnParams};
 pub use masked::EdgeSlots;
-pub use surrogate::{Surrogate, SurrogateConfig};
 pub use train::{train, EpochStats, TrainConfig, TrainedGcn};

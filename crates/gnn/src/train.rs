@@ -1,6 +1,6 @@
 //! Full-batch GCN training with validation-based early stopping.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,10 +69,11 @@ pub struct TrainedGcn {
 /// order, zero entries skipped); the dense one is the O(n²·f) oracle the tests
 /// pin the O(nnz·f) sparse one against.
 enum Operands {
-    /// CSR adjacency and CSR features, shared with every epoch's tape.
+    /// CSR adjacency and the graph's own CSR features, shared with every
+    /// epoch's tape.
     Sparse {
-        a_norm: Rc<SparseMatrix>,
-        x: Rc<SparseMatrix>,
+        a_norm: Arc<SparseMatrix>,
+        x: Arc<SparseMatrix>,
     },
     #[cfg(test)]
     Dense { a_norm: Matrix, x: Matrix },
@@ -88,8 +89,8 @@ impl Operands {
                 model.log_probs(tape, a_norm, x, params)
             }
             Operands::Sparse { a_norm, x } => {
-                let a_norm = tape.sparse_constant(Rc::clone(a_norm));
-                let xw1 = tape.spmm(tape.sparse_constant(Rc::clone(x)), params.w1);
+                let a_norm = tape.sparse_constant(Arc::clone(a_norm));
+                let xw1 = tape.spmm(tape.sparse_constant(Arc::clone(x)), params.w1);
                 model.log_probs_sparse_projected(tape, a_norm, xw1, params)
             }
         }
@@ -101,8 +102,8 @@ impl Operands {
 /// the (1–5%-dense) features are multiplied as sparse operands.
 pub fn train(graph: &Graph, split: &DataSplit, config: &TrainConfig) -> TrainedGcn {
     let operands = Operands::Sparse {
-        a_norm: Rc::new(geattack_graph::normalized_adjacency_csr(graph).matrix),
-        x: Rc::new(SparseMatrix::from_dense(graph.features())),
+        a_norm: Arc::new(geattack_graph::normalized_adjacency_csr(graph).matrix),
+        x: Arc::clone(graph.features()),
     };
     train_with(graph, split, config, operands)
 }
@@ -113,7 +114,7 @@ pub fn train(graph: &Graph, split: &DataSplit, config: &TrainConfig) -> TrainedG
 fn train_dense_oracle(graph: &Graph, split: &DataSplit, config: &TrainConfig) -> TrainedGcn {
     let operands = Operands::Dense {
         a_norm: geattack_graph::normalized_adjacency(graph),
-        x: graph.features().clone(),
+        x: graph.features().to_dense(),
     };
     train_with(graph, split, config, operands)
 }

@@ -378,7 +378,7 @@ mod tests {
         let cfg = GeneratorConfig::at_scale(0.15, 11);
         let spec = DatasetName::Acm.spec();
         let g = generate(&spec, &cfg);
-        let x = g.features();
+        let x = g.features().to_dense();
         // Sparse: average active words per node close to the configured number.
         let avg_active = x.sum() / g.num_nodes() as f64;
         assert!(avg_active < 1.5 * cfg.words_per_node as f64);
@@ -421,7 +421,7 @@ mod tests {
         let b = generate(&DatasetName::Citeseer.spec(), &cfg);
         assert_eq!(a.num_edges(), b.num_edges());
         assert_eq!(a.csr(), b.csr());
-        assert!(a.features().approx_eq(b.features(), 0.0));
+        assert_eq!(a.features(), b.features());
     }
 
     #[test]
@@ -432,7 +432,7 @@ mod tests {
         let via_family = family.generate(&FamilyConfig::new(0.1, 42));
         let direct = generate(&DatasetName::Cora.spec(), &GeneratorConfig::at_scale(0.1, 42));
         assert_eq!(via_family.csr(), direct.csr());
-        assert!(via_family.features().approx_eq(direct.features(), 0.0));
+        assert_eq!(via_family.features(), direct.features());
         assert_eq!(via_family.labels(), direct.labels());
         // The default `load` applies the same LCC preprocessing as `datasets::load`.
         let loaded = family.load(&FamilyConfig::new(0.1, 42));

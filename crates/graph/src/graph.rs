@@ -1,8 +1,9 @@
 //! The central attributed-graph type used across the workspace.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use geattack_tensor::Matrix;
+use geattack_tensor::{Matrix, SparseMatrix};
 
 use crate::csr::Csr;
 
@@ -11,14 +12,17 @@ use crate::csr::Csr;
 /// The adjacency lives as CSR ([`Csr`]) plus a canonical edge-set hash index
 /// for `O(1)` membership tests — the sparse compute core and the traversal
 /// preprocessing both consume the CSR directly, so nothing `O(n²)` is stored.
-/// Node features are a dense `n x d` matrix and every node carries a class
-/// label in `0..n_classes`. [`Graph::to_dense`] materializes the dense
-/// adjacency for the dense test oracles.
+/// Node features are an `n x d` CSR matrix held **once** behind an [`Arc`]:
+/// the attacks only ever insert edges, so every clone, perturbed copy and
+/// [`crate::Perturbation::apply`] result shares the source's features, and
+/// every `X·W` is a CSR product ([`Graph::project`], [`Graph::project_rows`]).
+/// Every node carries a class label in `0..n_classes`. [`Graph::to_dense`]
+/// materializes the dense adjacency for the dense test oracles.
 #[derive(Clone, Debug)]
 pub struct Graph {
     csr: Csr,
     edge_set: HashSet<(usize, usize)>,
-    features: Matrix,
+    features: Arc<SparseMatrix>,
     labels: Vec<usize>,
     n_classes: usize,
 }
@@ -65,11 +69,16 @@ impl Graph {
         Self::from_csr(Csr::from_edges(n, edges), features, labels, n_classes)
     }
 
-    /// Creates a graph directly from a CSR adjacency.
+    /// Creates a graph directly from a CSR adjacency. The dense `features`
+    /// are converted to CSR (the only copy the graph keeps).
     ///
     /// # Panics
     /// Panics on mismatched feature/label counts or out-of-range labels.
     pub fn from_csr(csr: Csr, features: Matrix, labels: Vec<usize>, n_classes: usize) -> Self {
+        Self::with_features(csr, Arc::new(SparseMatrix::from_dense(&features)), labels, n_classes)
+    }
+
+    fn with_features(csr: Csr, features: Arc<SparseMatrix>, labels: Vec<usize>, n_classes: usize) -> Self {
         let n = csr.num_nodes();
         assert_eq!(features.rows(), n, "feature rows must match node count");
         assert_eq!(labels.len(), n, "label count must match node count");
@@ -118,9 +127,21 @@ impl Graph {
         self.csr.to_dense()
     }
 
-    /// Node feature matrix (`n x d`).
-    pub fn features(&self) -> &Matrix {
+    /// Node feature matrix (`n x d`, CSR), shared by every clone of the graph.
+    pub fn features(&self) -> &Arc<SparseMatrix> {
         &self.features
+    }
+
+    /// The feature projection `X·W` (`n x w.cols()`) as a CSR product —
+    /// bit-identical to the dense `X.matmul(w)`.
+    pub fn project(&self, w: &Matrix) -> Matrix {
+        self.features.spmm(w)
+    }
+
+    /// Rows `nodes` of [`Graph::project`], in the given order, computed
+    /// without touching any other row.
+    pub fn project_rows(&self, nodes: &[usize], w: &Matrix) -> Matrix {
+        self.features.spmm_rows(nodes, w)
     }
 
     /// Node labels.
@@ -221,9 +242,10 @@ impl Graph {
                 }
             }
         }
-        let features = self.features.gather_rows(nodes);
+        let rows: Vec<Vec<(usize, f64)>> = nodes.iter().map(|&u| self.features.row_entries(u).collect()).collect();
+        let features = SparseMatrix::from_rows(k, self.num_features(), &rows);
         let labels = nodes.iter().map(|&u| self.labels[u]).collect();
-        Graph::from_edges(k, &edges, features, labels, self.n_classes)
+        Graph::with_features(Csr::from_edges(k, &edges), Arc::new(features), labels, self.n_classes)
     }
 }
 
@@ -288,7 +310,7 @@ mod tests {
         let rebuilt = Graph::from_edges(
             4,
             &[(0, 1), (1, 2), (1, 3)],
-            g.features().clone(),
+            g.features().to_dense(),
             g.labels().to_vec(),
             2,
         );
@@ -309,11 +331,26 @@ mod tests {
     #[test]
     fn induced_subgraph_remaps() {
         let g = triangle_plus_isolated();
-        let sub = g.induced_subgraph(&[2, 0, 1]);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 3);
-        assert_eq!(sub.labels(), &[1, 0, 0]);
-        assert_eq!(sub.features().row(0), g.features().row(2));
+        let induced = g.induced_subgraph(&[2, 0, 1]);
+        assert_eq!(induced.num_nodes(), 3);
+        assert_eq!(induced.num_edges(), 3);
+        assert_eq!(induced.labels(), &[1, 0, 0]);
+        assert_eq!(
+            induced.features().to_dense(),
+            g.features().to_dense().gather_rows(&[2, 0, 1])
+        );
+    }
+
+    #[test]
+    fn copies_share_one_feature_matrix() {
+        let g = triangle_plus_isolated();
+        assert!(Arc::ptr_eq(g.features(), g.clone().features()));
+        let mut edited = g.clone();
+        assert!(edited.add_edge(0, 3));
+        assert!(Arc::ptr_eq(g.features(), edited.features()));
+        let mut p = crate::Perturbation::new();
+        p.add_edge(1, 3);
+        assert!(Arc::ptr_eq(g.features(), p.apply(&g).features()));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! The central type is [`graph::Graph`]: a CSR-native attributed graph
 //! `G = (A, X, y)` whose adjacency is stored sparse end to end (a dense matrix
-//! is only materialized through the [`graph::Graph::to_dense`] escape hatch).
+//! is only materialized through the [`graph::Graph::to_dense`] escape hatch)
+//! and whose features are one CSR matrix shared by every copy of the graph.
 //! Supporting modules provide the CSR structure itself ([`csr`]), the
 //! incremental generator builder ([`builder`]), largest connected-component
 //! extraction and GCN normalization ([`preprocess`]), computation-subgraph

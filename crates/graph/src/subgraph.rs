@@ -24,14 +24,14 @@ use crate::graph::Graph;
 /// local edge count.
 #[derive(Clone, Debug)]
 pub struct ComputationSubgraph {
-    /// Original (global) node id of every local node, ascending.
+    /// Original (global) node id of every local node, ascending. The local
+    /// features are these rows of the graph's: consumers project them with
+    /// [`Graph::project_rows`] instead of gathering a `k x d` copy.
     pub nodes: Vec<usize>,
     /// Map from global node id to local index.
     pub global_to_local: HashMap<usize, usize>,
     /// Local adjacency in CSR form (`k` nodes).
     pub csr: Csr,
-    /// Local feature matrix (`k x d`).
-    pub features: Matrix,
     /// Local index of the target node the subgraph was built around.
     pub target_local: usize,
 }
@@ -99,13 +99,11 @@ pub fn computation_subgraph(graph: &Graph, target: usize, hops: usize, extra_nod
         }
     }
     let local_csr = Csr::from_edges(k, &local_edges);
-    let features = graph.features().gather_rows(&nodes);
     let target_local = global_to_local[&target];
     ComputationSubgraph {
         nodes,
         global_to_local,
         csr: local_csr,
-        features,
         target_local,
     }
 }
@@ -136,7 +134,6 @@ mod tests {
         assert_eq!(adj[(0, 2)], 0.0);
         assert!(sub.csr.has_edge(0, 1));
         assert!(!sub.csr.has_edge(0, 2));
-        assert_eq!(sub.features.row(0), g.features().row(1));
     }
 
     #[test]

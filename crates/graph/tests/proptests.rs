@@ -29,6 +29,31 @@ fn graph_from_edges(edges: &[(usize, usize)]) -> Graph {
     Graph::new(adj, features, labels, 3)
 }
 
+const F: usize = 9;
+
+/// `N x F` dense features whose rows are empty (signed zeros only), fully
+/// dense, or mixed; the mixed rows carry `-0.0` and `0.0` entries.
+fn features_strategy() -> impl Strategy<Value = Matrix> {
+    let value = (0usize..4, -2.0f64..2.0).prop_map(|(pick, v)| [-0.0, 0.0, v, v][pick]);
+    proptest::collection::vec((0usize..3, proptest::collection::vec(value, F)), N).prop_map(|rows| {
+        let data = rows
+            .into_iter()
+            .flat_map(|(kind, values)| {
+                values.into_iter().map(move |v| match kind {
+                    0 => -0.0 * v.signum(),
+                    1 if v == 0.0 => 0.75,
+                    _ => v,
+                })
+            })
+            .collect();
+        Matrix::from_vec(N, F, data)
+    })
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -164,6 +189,28 @@ proptest! {
             prop_assert_eq!(sparse.degrees[i].to_bits(), degree.to_bits());
             prop_assert_eq!(sparse.inv_sqrt[i].to_bits(), (1.0 / degree.sqrt()).to_bits());
         }
+    }
+
+    /// The CSR feature projections — all rows, a row subset, and the kernel
+    /// under both — equal the dense gather-then-matmul to the bit, for repeated
+    /// and unsorted row indices and every panel width.
+    #[test]
+    fn csr_projections_are_bitwise_equal_to_dense_matmul(
+        x in features_strategy(),
+        rows in proptest::collection::vec(0usize..N, 0..20),
+        width in 1usize..20,
+        seed in 0u64..1000,
+    ) {
+        let graph = Graph::from_edges(N, &[], x.clone(), vec![0; N], 1);
+        let w = Matrix::from_fn(F, width, |i, j| ((seed as f64 + 1.0) * (i as f64 + 0.3) - 0.9 * j as f64).sin());
+        let dense = graph.features().to_dense();
+        prop_assert_eq!(bits(&dense), bits(&x.map(|v| v + 0.0)), "CSR round-trip drops only the zeros' sign");
+        let expected = bits(&dense.gather_rows(&rows).matmul(&w));
+        prop_assert_eq!(bits(&graph.features().spmm_rows(&rows, &w)), expected.clone());
+        prop_assert_eq!(bits(&graph.project_rows(&rows, &w)), expected);
+        prop_assert_eq!(bits(&x.gather_rows(&rows).matmul(&w)), bits(&dense.gather_rows(&rows).matmul(&w)));
+        prop_assert_eq!(bits(&graph.project(&w)), bits(&dense.matmul(&w)));
+        prop_assert_eq!(bits(&graph.project(&w)), bits(&x.matmul(&w)));
     }
 
     #[test]

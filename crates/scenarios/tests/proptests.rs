@@ -41,7 +41,7 @@ proptest! {
         let a = family(name).generate(&config);
         let b = family(name).generate(&config);
         prop_assert!(a.csr() == b.csr(), "{name}: adjacency differs");
-        prop_assert!(a.features().approx_eq(b.features(), 0.0), "{name}: features differ");
+        prop_assert!(a.features() == b.features(), "{name}: features differ");
         prop_assert_eq!(a.labels(), b.labels(), "{name}: labels differ");
     }
 
@@ -51,7 +51,7 @@ proptest! {
         let a = family(name).generate(&FamilyConfig::new(0.12, seed));
         let b = family(name).generate(&FamilyConfig::new(0.12, seed + 1));
         prop_assert!(
-            a.csr() != b.csr() || !a.features().approx_eq(b.features(), 0.0),
+            a.csr() != b.csr() || a.features() != b.features(),
             "{}: seeds {} and {} produced identical graphs",
             name, seed, seed + 1
         );

@@ -1,9 +1,10 @@
 //! Weighted compressed-sparse-row matrices and their kernels.
 //!
 //! [`SparseMatrix`] is the sparse counterpart of [`Matrix`]: a CSR structure with
-//! `f64` values, built for the workspace's one sparse hot shape — a (normalized)
-//! graph adjacency multiplying dense feature/embedding blocks. Two kernels carry
-//! the whole sparse compute core:
+//! `f64` values, built for the workspace's sparse hot shapes — a (normalized)
+//! graph adjacency multiplying dense embedding blocks, and a graph's CSR
+//! features multiplying a weight matrix. Two kernels carry the whole sparse
+//! compute core:
 //!
 //! * [`SparseMatrix::spmm`] — CSR · dense, register-blocked (see [`crate::kernels`]).
 //!   Per output row the stored entries are accumulated in ascending column order,
@@ -246,15 +247,41 @@ impl SparseMatrix {
             self.rows,
             n
         );
-        let bs = b.as_slice();
         for i in 0..self.rows {
-            let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-            let entries = self.indices[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.values[lo..hi].iter().copied());
-            crate::kernels::mul_row_panels(entries, bs, n, out.row_mut(i));
+            crate::kernels::mul_row_panels(self.row_entries(i), b.as_slice(), n, out.row_mut(i));
         }
+    }
+
+    /// The rows `rows` of `self · b` (`rows.len() x b.cols()`), in the given
+    /// order: output row `r` is row `rows[r]` of the full product, bit for bit
+    /// (same kernel, same per-row accumulation order). Indices may repeat and
+    /// need not be sorted. This is how a subgraph's `X·W₁` is computed without
+    /// gathering its `k x f` feature block first.
+    pub fn spmm_rows(&self, rows: &[usize], b: &Matrix) -> Matrix {
+        let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "spmm");
+        assert_eq!(
+            self.cols,
+            b.rows(),
+            "spmm: inner dimensions differ ({} vs {})",
+            self.cols,
+            b.rows()
+        );
+        let n = b.cols();
+        let mut out = Matrix::zeros(rows.len(), n);
+        for (r, &i) in rows.iter().enumerate() {
+            assert!(i < self.rows, "spmm_rows: row {i} out of range for {} rows", self.rows);
+            crate::kernels::mul_row_panels(self.row_entries(i), b.as_slice(), n, out.row_mut(r));
+        }
+        out
+    }
+
+    /// Row `i`'s stored `(column, value)` pairs in ascending column order — the
+    /// accumulation order of every product kernel.
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.row_indices(i)
+            .iter()
+            .copied()
+            .zip(self.row_values(i).iter().copied())
     }
 
     /// The original unblocked scalar spmm loop, kept as the oracle the blocked

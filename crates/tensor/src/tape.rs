@@ -9,6 +9,7 @@
 
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
@@ -90,7 +91,7 @@ impl SparseVar {
 }
 
 pub(crate) struct SparseNode {
-    pub(crate) matrix: Rc<SparseMatrix>,
+    pub(crate) matrix: Arc<SparseMatrix>,
     /// Positions at which `∂L/∂A` is requested (the candidate mask). Empty for
     /// constants that are never differentiated against.
     pub(crate) positions: Rc<Vec<(usize, usize)>>,
@@ -294,9 +295,10 @@ impl Tape {
 
     /// Registers a sparse matrix as a constant operand (never differentiated
     /// against; asking for its gradient yields zeros at zero positions).
-    /// Passing an `Rc` shares the matrix with the caller instead of copying
-    /// it, so a loop can register the same operand on every fresh tape.
-    pub fn sparse_constant(&self, matrix: impl Into<Rc<SparseMatrix>>) -> SparseVar {
+    /// Passing an `Arc` shares the matrix with the caller instead of copying
+    /// it, so a loop can register the same operand (a graph's CSR features,
+    /// say) on every fresh tape.
+    pub fn sparse_constant(&self, matrix: impl Into<Arc<SparseMatrix>>) -> SparseVar {
         self.sparse_push(matrix.into(), Rc::new(Vec::new()))
     }
 
@@ -313,10 +315,10 @@ impl Tape {
                 matrix.cols()
             );
         }
-        self.sparse_push(Rc::new(matrix), Rc::new(positions))
+        self.sparse_push(Arc::new(matrix), Rc::new(positions))
     }
 
-    fn sparse_push(&self, matrix: Rc<SparseMatrix>, positions: Rc<Vec<(usize, usize)>>) -> SparseVar {
+    fn sparse_push(&self, matrix: Arc<SparseMatrix>, positions: Rc<Vec<(usize, usize)>>) -> SparseVar {
         let (rows, cols) = matrix.shape();
         let mut nodes = self.sparse_nodes.borrow_mut();
         let id = nodes.len();
@@ -328,9 +330,9 @@ impl Tape {
         SparseVar { id, rows, cols }
     }
 
-    /// The sparse matrix registered for `v` (cheap `Rc` clone).
-    pub fn sparse_value(&self, v: SparseVar) -> Rc<SparseMatrix> {
-        Rc::clone(&self.sparse_nodes.borrow()[v.id].matrix)
+    /// The sparse matrix registered for `v` (cheap `Arc` clone).
+    pub fn sparse_value(&self, v: SparseVar) -> Arc<SparseMatrix> {
+        Arc::clone(&self.sparse_nodes.borrow()[v.id].matrix)
     }
 
     /// The gradient positions registered for `v` (cheap `Rc` clone).
@@ -357,7 +359,7 @@ impl Tape {
             }
         }
         let transposed = self.sparse_nodes.borrow()[id].matrix.transpose();
-        let t = self.sparse_push(Rc::new(transposed), Rc::new(Vec::new()));
+        let t = self.sparse_push(Arc::new(transposed), Rc::new(Vec::new()));
         let nodes = self.sparse_nodes.borrow();
         nodes[id].transpose_id.set(Some(t.id));
         nodes[t.id].transpose_id.set(Some(id));
