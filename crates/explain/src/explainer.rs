@@ -29,12 +29,9 @@ impl Explanation {
                 std::mem::swap(&mut e.0, &mut e.1);
             }
         }
-        edges.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-                .then(a.1.cmp(&b.1))
-        });
+        // `total_cmp` is a total order even with NaN weights (a NaN ranks
+        // above every number), which `sort_by` requires of its comparator.
+        edges.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         Self {
             target,
             explained_class,
@@ -169,6 +166,25 @@ mod tests {
         assert_eq!(e.ranked_edges[0], (0, 1, 0.9));
         assert_eq!(e.ranked_edges[1], (0, 2, 0.5));
         assert_eq!(e.ranked_edges[2], (1, 3, 0.2));
+    }
+
+    #[test]
+    fn nan_weights_sort_deterministically() {
+        // A comparator that calls NaN "equal" to everything is not a total
+        // order; ranking must still be well defined and order-independent.
+        let edges = vec![
+            (0, 1, 0.5),
+            (1, 2, f64::NAN),
+            (2, 3, 0.9),
+            (0, 3, f64::NAN),
+            (1, 3, 0.1),
+        ];
+        let e = Explanation::from_edge_weights(0, 0, edges.clone());
+        let order: Vec<(usize, usize)> = e.ranked_edges.iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(order, vec![(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)]);
+        let reversed = Explanation::from_edge_weights(0, 0, edges.into_iter().rev().collect());
+        let reversed: Vec<(usize, usize)> = reversed.ranked_edges.iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(order, reversed);
     }
 
     #[test]

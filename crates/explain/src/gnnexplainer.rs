@@ -12,13 +12,18 @@
 //! the masked forward pass is the shared [`Gcn::masked_log_probs`]. A mask
 //! entry off the adjacency would get zero gradient, so this optimizes the same
 //! variables as a dense `k×k` mask at `O(|E_sub|·d)` per epoch.
+//!
+//! Only the mask changes between epochs, so the loss and its gradient are
+//! recorded on one tape and replayed at each updated mask
+//! ([`geattack_tensor::Tape::replay`]); a test pins the result bit for bit to
+//! the fresh-tape-per-epoch loop.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use geattack_gnn::{EdgeSlots, Gcn, GcnParamVars};
 use geattack_graph::{computation_subgraph, Graph};
-use geattack_tensor::{grad::grad_values, init, nn, Adam, Optimizer, Tape, Var};
+use geattack_tensor::{grad::grad, init, nn, Adam, Matrix, Optimizer, Tape, Var};
 
 use crate::explainer::{Explainer, Explanation};
 
@@ -115,6 +120,36 @@ impl Explainer for GnnExplainer {
 
     fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.gnnexplainer");
+        self.explain_with(model, graph, target, explained_class, Self::optimize_mask)
+    }
+
+    fn name(&self) -> &'static str {
+        "GNNExplainer"
+    }
+}
+
+/// One explanation's mask-optimization problem: everything but the mask is
+/// fixed across epochs.
+struct MaskProblem<'a> {
+    model: &'a Gcn,
+    slots: EdgeSlots,
+    /// The subgraph's feature projection `X·W₁`.
+    xw1: Matrix,
+    target_local: usize,
+    explained_class: usize,
+}
+
+impl GnnExplainer {
+    /// Builds the target's mask problem, runs `optimize` from the seeded
+    /// initial mask and ranks the subgraph's edges by the optimized mask.
+    fn explain_with(
+        &self,
+        model: &Gcn,
+        graph: &Graph,
+        target: usize,
+        explained_class: usize,
+        optimize: impl FnOnce(&Self, &MaskProblem, Matrix) -> Matrix,
+    ) -> Explanation {
         let sub = computation_subgraph(graph, target, self.config.hops, &[]);
         let slots = EdgeSlots::new(&sub);
         if slots.nnz() == 0 {
@@ -122,34 +157,16 @@ impl Explainer for GnnExplainer {
         }
 
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed.wrapping_add(target as u64));
-        let mut mask = init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, &mut rng);
-        let mut optimizer = Adam::new(self.config.lr);
-        // X·W₁ depends on the mask no more than the slot values do, so both
-        // feed every epoch's tape as constants.
-        let xw1_value = graph.project_rows(&sub.nodes, &model.params().w1);
-
-        for _ in 0..self.config.epochs {
-            let tape = Tape::new();
-            let xw1 = tape.constant(xw1_value.clone());
-            let a = tape.constant(slots.values().clone());
-            let params = model.insert_params_frozen(&tape);
-            let m = tape.input(mask.clone());
-            let loss = self.loss(
-                &tape,
-                model,
-                &slots,
-                a,
-                xw1,
-                &params,
-                m,
-                sub.target_local,
-                explained_class,
-            );
-            let grads = grad_values(&tape, loss, &[m]);
-            let mut mask_params = vec![mask];
-            optimizer.step(&mut mask_params, &grads);
-            mask = mask_params.pop().unwrap();
-        }
+        let mask = init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, &mut rng);
+        let problem = MaskProblem {
+            model,
+            xw1: graph.project_rows(&sub.nodes, &model.params().w1),
+            slots,
+            target_local: sub.target_local,
+            explained_class,
+        };
+        let mask = optimize(self, &problem, mask);
+        let slots = &problem.slots;
 
         // The weight of edge (i,j), i < j, is σ((m_ij + m_ji)/2).
         let edges = (0..slots.nnz())
@@ -163,8 +180,63 @@ impl Explainer for GnnExplainer {
         Explanation::from_edge_weights(target, explained_class, edges)
     }
 
-    fn name(&self) -> &'static str {
-        "GNNExplainer"
+    /// Records the loss at `mask` on a tape with `grad` w.r.t. the mask,
+    /// returning the tape, the mask leaf and its gradient. Only the mask
+    /// changes between epochs; the slot values, `X·W₁` and the frozen
+    /// parameters are constants.
+    fn record_mask_gradient(&self, problem: &MaskProblem, mask: &Matrix) -> (Tape, Var, Var) {
+        let tape = Tape::new();
+        let xw1 = tape.constant(problem.xw1.clone());
+        let a = tape.constant(problem.slots.values().clone());
+        let params = problem.model.insert_params_frozen(&tape);
+        let m = tape.input(mask.clone());
+        let loss = self.loss(
+            &tape,
+            problem.model,
+            &problem.slots,
+            a,
+            xw1,
+            &params,
+            m,
+            problem.target_local,
+            problem.explained_class,
+        );
+        let dm = grad(&tape, loss, &[m])[0];
+        (tape, m, dm)
+    }
+
+    /// Runs the configured Adam epochs on the mask. The loss and its gradient
+    /// form one fixed-shape program whose only input is the mask, so it is
+    /// recorded once and replayed each later epoch at the updated mask.
+    fn optimize_mask(&self, problem: &MaskProblem, mut mask: Matrix) -> Matrix {
+        if self.config.epochs == 0 {
+            return mask;
+        }
+        let mut optimizer = Adam::new(self.config.lr);
+        let (tape, m, dm) = self.record_mask_gradient(problem, &mask);
+        for epoch in 0..self.config.epochs {
+            if epoch > 0 {
+                tape.set_value(m, &mask);
+                tape.replay();
+            }
+            optimizer.step(
+                std::slice::from_mut(&mut mask),
+                std::slice::from_ref(&*tape.value_ref(dm)),
+            );
+        }
+        mask
+    }
+
+    /// [`GnnExplainer::optimize_mask`] with a fresh tape recorded every epoch:
+    /// the oracle replay is pinned against.
+    #[cfg(test)]
+    fn optimize_mask_fresh_tapes(&self, problem: &MaskProblem, mut mask: Matrix) -> Matrix {
+        let mut optimizer = Adam::new(self.config.lr);
+        for _ in 0..self.config.epochs {
+            let (tape, _, dm) = self.record_mask_gradient(problem, &mask);
+            optimizer.step(std::slice::from_mut(&mut mask), &[tape.value(dm)]);
+        }
+        mask
     }
 }
 
@@ -232,6 +304,70 @@ mod tests {
             assert_eq!(x.1, y.1);
             assert!((x.2 - y.2).abs() < 1e-12);
         }
+    }
+
+    /// Every field of an explanation, weights as bits.
+    fn explanation_bits(e: &Explanation) -> (usize, usize, Vec<(usize, usize, u64)>) {
+        let edges = e.ranked_edges.iter().map(|&(u, v, w)| (u, v, w.to_bits())).collect();
+        (e.target, e.explained_class, edges)
+    }
+
+    #[test]
+    fn replayed_mask_optimization_is_bit_identical_to_fresh_tapes() {
+        let (graph, model) = small_setup();
+        let hub = (0..graph.num_nodes()).max_by_key(|&i| graph.degree(i)).unwrap();
+        let targets = [hub, graph.num_nodes() / 2];
+        for epochs in [0, 1, 40] {
+            let explainer = GnnExplainer::new(GnnExplainerConfig {
+                epochs,
+                ..Default::default()
+            });
+            for target in targets {
+                let class = model.predict_proba(&graph).argmax_row(target);
+                let replayed = explainer.explain_with(&model, &graph, target, class, GnnExplainer::optimize_mask);
+                let fresh =
+                    explainer.explain_with(&model, &graph, target, class, GnnExplainer::optimize_mask_fresh_tapes);
+                assert_eq!(
+                    explanation_bits(&replayed),
+                    explanation_bits(&fresh),
+                    "epochs={epochs} target={target}"
+                );
+                assert_eq!(
+                    explanation_bits(&explainer.explain_class(&model, &graph, target, class)),
+                    explanation_bits(&replayed)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_matches_fresh_tapes_on_an_edgeless_subgraph() {
+        // A node without edges has an empty slot set (nnz = 0): no mask to
+        // optimize, and both paths return the same empty explanation.
+        let (graph, model) = small_setup();
+        let mut edges = Vec::new();
+        for u in 0..graph.num_nodes() {
+            for &v in graph.neighbors(u) {
+                if u < v && u != 0 && v != 0 {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let cut = Graph::from_edges(
+            graph.num_nodes(),
+            &edges,
+            graph.features().to_dense(),
+            graph.labels().to_vec(),
+            graph.num_classes(),
+        );
+        let explainer = GnnExplainer::new(GnnExplainerConfig {
+            epochs: 40,
+            ..Default::default()
+        });
+        let replayed = explainer.explain_with(&model, &cut, 0, 1, GnnExplainer::optimize_mask);
+        let fresh = explainer.explain_with(&model, &cut, 0, 1, GnnExplainer::optimize_mask_fresh_tapes);
+        assert!(replayed.is_empty());
+        assert_eq!(explanation_bits(&replayed), explanation_bits(&fresh));
     }
 
     #[test]

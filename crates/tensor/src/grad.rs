@@ -111,9 +111,10 @@ pub fn grad_values(tape: &Tape, output: Var, wrt: &[Var]) -> Vec<Matrix> {
 
 /// Marks the nodes up to `output` whose gradient can reach a requested
 /// operand: the `wrt` nodes themselves, every spmm over a requested sparse
-/// operand (its output gradient feeds the masked SDDMM), and every node with a
-/// live parent. Parents precede their children on the tape, so one forward
-/// pass settles every node.
+/// operand (its output gradient feeds the masked SDDMM), and every
+/// non-detached node with a live parent (a detached op — the softmax row max,
+/// the ReLU mask — is a constant to the gradient). Parents precede their
+/// children on the tape, so one forward pass settles every node.
 ///
 /// The sweep visits only live nodes and [`vjp`] emits contributions only into
 /// live parents. Every child of a live node is live, so a live node still
@@ -131,7 +132,7 @@ fn live_nodes(tape: &Tape, output: Var, wrt: &[Var], sparse_wrt: &[SparseVar]) -
         for (id, node) in nodes[..live.len()].iter().enumerate() {
             live[id] = live[id]
                 || matches!(node.op, Op::Spmm { sparse } if sparse_wrt.iter().any(|s| s.id() == sparse))
-                || node.parents.as_slice().iter().any(|&p| live[p]);
+                || (!node.op.is_detached() && node.parents.as_slice().iter().any(|&p| live[p]));
         }
     });
     live
@@ -163,7 +164,7 @@ fn vjp(tape: &Tape, id: usize, op: &Op, parents: &[usize], g: Var, live: &[bool]
     let parent_var = |k: usize| tape.var_for(parents[k]);
     let wants = |k: usize| live[parents[k]];
     match op {
-        Op::Leaf => (None, None),
+        Op::Leaf | Op::ReluMask | Op::RowMax => (None, None),
         Op::Add => (wants(0).then_some((parents[0], g)), wants(1).then_some((parents[1], g))),
         Op::Sub => (
             wants(0).then_some((parents[0], g)),
@@ -205,11 +206,10 @@ fn vjp(tape: &Tape, id: usize, op: &Op, parents: &[usize], g: Var, live: &[bool]
             one(parents[0], tape.mul(g, deriv))
         }
         Op::Relu => {
-            // The subgradient mask is treated as a constant: the second derivative
-            // of ReLU is zero almost everywhere, so detaching is exact for the
-            // double-backward use case.
-            let mask = tape.with_node(parents[0], |n| n.value.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-            let mask = tape.constant(mask);
+            // The subgradient mask is a detached op: the second derivative of
+            // ReLU is zero almost everywhere, so detaching is exact for the
+            // double-backward use case, and a replayed tape recomputes it.
+            let mask = tape.relu_mask(parent_var(0));
             one(parents[0], tape.mul(g, mask))
         }
         Op::Tanh => {

@@ -10,6 +10,10 @@
 //! adjacency matrix flows through the explainer's inner gradient-descent updates
 //! (Eq. 6–8 of the paper), i.e. a gradient of a function of a gradient.
 //!
+//! A recorded tape can also be re-run: [`Tape::set_value`] overwrites an input
+//! and [`Tape::replay`] re-evaluates every node in place, bit-identical to a
+//! fresh recording (see [`tape`] for the rule a replayed program must follow).
+//!
 //! ## Example
 //!
 //! ```

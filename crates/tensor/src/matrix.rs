@@ -188,10 +188,16 @@ impl Matrix {
 
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+        let mut out = Self::zeros(self.rows, self.cols);
+        self.map_into(f, &mut out);
+        out
+    }
+
+    /// [`Matrix::map`] into a same-shape buffer (every element overwritten).
+    pub(crate) fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Self) {
+        assert_eq!(self.shape(), out.shape(), "map_into shape mismatch");
+        for (o, &x) in out.data.iter_mut().zip(&self.data) {
+            *o = f(x);
         }
     }
 
@@ -204,16 +210,17 @@ impl Matrix {
 
     /// Combines two same-shape matrices element-wise with `f`.
     pub fn zip_map(&self, other: &Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        let mut out = Self::zeros(self.rows, self.cols);
+        self.zip_map_into(other, f, &mut out);
+        out
+    }
+
+    /// [`Matrix::zip_map`] into a same-shape buffer (every element overwritten).
+    pub(crate) fn zip_map_into(&self, other: &Self, f: impl Fn(f64, f64) -> f64, out: &mut Self) {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+        assert_eq!(self.shape(), out.shape(), "zip_map_into shape mismatch");
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
         }
     }
 
@@ -248,12 +255,18 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Self {
         let mut out = Self::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] into a `cols x rows` buffer (every element overwritten).
+    pub(crate) fn transpose_into(&self, out: &mut Self) {
+        assert_eq!(out.shape(), (self.cols, self.rows), "transpose_into shape mismatch");
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
             }
         }
-        out
     }
 
     /// Matrix product `self * other` using an i-k-j loop order so the inner loop
@@ -263,19 +276,27 @@ impl Matrix {
     /// the dense product bit-identical to the sparse `spmm` — the zero-skip is
     /// also load-bearing for exactness: `acc + 0.0` flips a `-0.0` accumulator.
     pub fn matmul(&self, other: &Self) -> Self {
+        let mut out = Self::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into a `self.rows x other.cols` buffer. Every element
+    /// is overwritten (the kernel's first sweep is write-only), so the zero-skip
+    /// pattern of `self` may differ from the one that last filled `out`.
+    pub(crate) fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Self::zeros(self.rows, other.cols);
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into shape mismatch");
         let n = other.cols;
         let bs = other.as_slice();
         for i in 0..self.rows {
             let entries = self.row(i).iter().copied().enumerate().filter(|&(_, a_ik)| a_ik != 0.0);
             crate::kernels::mul_row_panels(entries, bs, n, &mut out.data[i * n..(i + 1) * n]);
         }
-        out
     }
 
     /// Sum of all elements.
@@ -295,30 +316,36 @@ impl Matrix {
     /// Column vector (`rows x 1`) of per-row sums.
     pub fn row_sums(&self) -> Self {
         let mut out = Self::zeros(self.rows, 1);
-        for i in 0..self.rows {
-            out[(i, 0)] = self.row(i).iter().sum();
-        }
+        self.row_sums_into(&mut out);
         out
     }
 
-    /// Row vector (`1 x cols`) of per-column sums.
-    pub fn col_sums(&self) -> Self {
-        let mut out = Self::zeros(1, self.cols);
+    /// [`Matrix::row_sums`] into a `rows x 1` buffer (every element overwritten).
+    pub(crate) fn row_sums_into(&self, out: &mut Self) {
+        assert_eq!(out.shape(), (self.rows, 1), "row_sums_into shape mismatch");
+        for i in 0..self.rows {
+            out.data[i] = self.row(i).iter().sum();
+        }
+    }
+
+    /// Per-column sums into a `1 x cols` buffer (zeroed, then accumulated row
+    /// by row).
+    pub(crate) fn col_sums_into(&self, out: &mut Self) {
+        assert_eq!(out.shape(), (1, self.cols), "col_sums_into shape mismatch");
+        out.data.fill(0.0);
         for i in 0..self.rows {
             for j in 0..self.cols {
-                out[(0, j)] += self[(i, j)];
+                out.data[j] += self[(i, j)];
             }
         }
-        out
     }
 
-    /// Column vector of per-row maxima.
-    pub fn row_max(&self) -> Self {
-        let mut out = Self::zeros(self.rows, 1);
+    /// Per-row maxima into a `rows x 1` buffer (every element overwritten).
+    pub(crate) fn row_max_into(&self, out: &mut Self) {
+        assert_eq!(out.shape(), (self.rows, 1), "row_max_into shape mismatch");
         for i in 0..self.rows {
-            out[(i, 0)] = self.row(i).iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            out.data[i] = self.row(i).iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         }
-        out
     }
 
     /// Index of the maximum element in row `i`.
@@ -351,19 +378,32 @@ impl Matrix {
     /// Selects the given rows into a new `indices.len() x cols` matrix.
     pub fn gather_rows(&self, indices: &[usize]) -> Self {
         let mut out = Self::zeros(indices.len(), self.cols);
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Matrix::gather_rows`] into an `indices.len() x cols` buffer (every
+    /// element overwritten).
+    pub(crate) fn gather_rows_into(&self, indices: &[usize], out: &mut Self) {
+        assert_eq!(
+            out.shape(),
+            (indices.len(), self.cols),
+            "gather_rows_into shape mismatch"
+        );
         for (k, &i) in indices.iter().enumerate() {
             assert!(i < self.rows, "gather_rows index {i} out of bounds ({})", self.rows);
             out.row_mut(k).copy_from_slice(self.row(i));
         }
-        out
     }
 
-    /// Scatters the rows of `self` (a `indices.len() x cols` matrix) into a
-    /// `total_rows x cols` zero matrix at positions `indices`, accumulating
-    /// duplicates.
-    pub fn scatter_rows(&self, indices: &[usize], total_rows: usize) -> Self {
+    /// Scatters the rows of `self` (a `indices.len() x cols` matrix) into the
+    /// `total_rows x cols` buffer `out` at positions `indices`: `out` is zeroed,
+    /// then rows are accumulated in index order, so duplicates add up.
+    pub(crate) fn scatter_rows_into(&self, indices: &[usize], out: &mut Self) {
         assert_eq!(self.rows, indices.len(), "scatter_rows index count mismatch");
-        let mut out = Self::zeros(total_rows, self.cols);
+        assert_eq!(out.cols, self.cols, "scatter_rows_into shape mismatch");
+        let total_rows = out.rows;
+        out.data.fill(0.0);
         for (k, &i) in indices.iter().enumerate() {
             assert!(i < total_rows, "scatter_rows index {i} out of bounds ({total_rows})");
             let src = self.row(k);
@@ -372,19 +412,26 @@ impl Matrix {
                 *d += s;
             }
         }
-        out
     }
 
-    /// Broadcasts a column vector (`rows x 1`) across `cols` columns.
-    pub fn broadcast_col(&self, cols: usize) -> Self {
+    /// Broadcasts a column vector (`rows x 1`) across the columns of the
+    /// `rows x cols` buffer `out` (every element overwritten).
+    pub(crate) fn broadcast_col_into(&self, out: &mut Self) {
         assert_eq!(self.cols, 1, "broadcast_col requires an n x 1 matrix");
-        Self::from_fn(self.rows, cols, |i, _| self[(i, 0)])
+        assert_eq!(out.rows, self.rows, "broadcast_col_into shape mismatch");
+        for i in 0..self.rows {
+            out.row_mut(i).fill(self.data[i]);
+        }
     }
 
-    /// Broadcasts a row vector (`1 x cols`) across `rows` rows.
-    pub fn broadcast_row(&self, rows: usize) -> Self {
+    /// Broadcasts a row vector (`1 x cols`) across the rows of the
+    /// `rows x cols` buffer `out` (every element overwritten).
+    pub(crate) fn broadcast_row_into(&self, out: &mut Self) {
         assert_eq!(self.rows, 1, "broadcast_row requires a 1 x n matrix");
-        Self::from_fn(rows, self.cols, |_, j| self[(0, j)])
+        assert_eq!(out.cols, self.cols, "broadcast_row_into shape mismatch");
+        for i in 0..out.rows {
+            out.row_mut(i).copy_from_slice(&self.data);
+        }
     }
 
     /// Returns `true` when every element differs from `other` by at most `tol`.
@@ -478,7 +525,9 @@ mod tests {
     fn row_and_col_sums() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert!(m.row_sums().approx_eq(&Matrix::col_vector(&[6.0, 15.0]), 1e-12));
-        assert!(m.col_sums().approx_eq(&Matrix::row_vector(&[5.0, 7.0, 9.0]), 1e-12));
+        let mut col_sums = Matrix::full(1, 3, f64::NAN);
+        m.col_sums_into(&mut col_sums);
+        assert!(col_sums.approx_eq(&Matrix::row_vector(&[5.0, 7.0, 9.0]), 1e-12));
         assert_eq!(m.sum(), 21.0);
         assert!((m.mean() - 3.5).abs() < 1e-12);
     }
@@ -489,7 +538,8 @@ mod tests {
         let g = m.gather_rows(&[4, 0, 2]);
         assert_eq!(g.row(0), m.row(4));
         assert_eq!(g.row(1), m.row(0));
-        let s = g.scatter_rows(&[4, 0, 2], 5);
+        let mut s = Matrix::full(5, 3, f64::NAN);
+        g.scatter_rows_into(&[4, 0, 2], &mut s);
         assert_eq!(s.row(4), m.row(4));
         assert_eq!(s.row(1), &[0.0, 0.0, 0.0]);
     }
@@ -497,18 +547,21 @@ mod tests {
     #[test]
     fn scatter_accumulates_duplicates() {
         let g = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let s = g.scatter_rows(&[1, 1], 3);
+        let mut s = Matrix::full(3, 2, f64::NAN);
+        g.scatter_rows_into(&[1, 1], &mut s);
         assert_eq!(s.row(1), &[4.0, 6.0]);
     }
 
     #[test]
     fn broadcast_shapes_and_values() {
         let c = Matrix::col_vector(&[1.0, 2.0]);
-        let b = c.broadcast_col(3);
+        let mut b = Matrix::zeros(2, 3);
+        c.broadcast_col_into(&mut b);
         assert_eq!(b.shape(), (2, 3));
         assert_eq!(b[(1, 2)], 2.0);
         let r = Matrix::row_vector(&[1.0, 2.0, 3.0]);
-        let b = r.broadcast_row(2);
+        let mut b = Matrix::zeros(2, 3);
+        r.broadcast_row_into(&mut b);
         assert_eq!(b.shape(), (2, 3));
         assert_eq!(b[(1, 0)], 1.0);
     }

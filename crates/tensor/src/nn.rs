@@ -8,7 +8,7 @@ use crate::tape::{Tape, Var};
 
 /// Numerically-stable row-wise softmax.
 ///
-/// The per-row maximum is subtracted as a detached constant; this does not change
+/// The per-row maximum is subtracted as a detached value; this does not change
 /// the value or the gradient of softmax and keeps `exp` in range.
 pub fn softmax_rows(tape: &Tape, x: Var) -> Var {
     let shifted = sub_row_max(tape, x);
@@ -27,9 +27,8 @@ pub fn log_softmax_rows(tape: &Tape, x: Var) -> Var {
 }
 
 fn sub_row_max(tape: &Tape, x: Var) -> Var {
-    let max = tape.value_ref(x).row_max();
-    let max_c = tape.constant(max);
-    tape.sub(x, tape.col_broadcast(max_c, x.cols()))
+    let max = tape.row_max(x);
+    tape.sub(x, tape.col_broadcast(max, x.cols()))
 }
 
 /// Builds a one-hot matrix (`labels.len() x n_classes`) for use as a constant mask.

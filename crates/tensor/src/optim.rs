@@ -1,8 +1,9 @@
 //! First-order optimizers over lists of parameter matrices.
 //!
 //! Parameters live outside the tape as plain [`Matrix`] values; a training step
-//! records a fresh tape, computes gradients with [`crate::grad::grad_values`] and
-//! hands them to one of these optimizers.
+//! records a tape (or replays a recorded one at the current parameters, see
+//! [`crate::tape`]), reads the gradients out and hands them to one of these
+//! optimizers.
 
 use crate::matrix::Matrix;
 

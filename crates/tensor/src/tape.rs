@@ -6,6 +6,28 @@
 //! differentiable — the double-backward capability GEAttack's bilevel objective
 //! needs (the outer gradient w.r.t. the adjacency matrix flows through the inner
 //! explainer gradient-descent steps).
+//!
+//! # Record once, replay many times
+//!
+//! A recorded tape is also a program. [`Tape::set_value`] overwrites an input
+//! leaf in place and [`Tape::replay`] re-evaluates every recorded node in id
+//! order, writing into the buffers the recording allocated. Recording and
+//! replay share one evaluator per op (recording allocates the output shape and
+//! calls it), so a replayed tape holds, bit for bit, the values a fresh
+//! recording at the new leaves would hold — gradient nodes included. Loops that
+//! run one fixed-shape computation many times (an explainer's mask epochs, a
+//! GCN's training epochs) record it once and replay it instead of rebuilding
+//! the tape every step.
+//!
+//! The rule that makes this sound: **what gets recorded — ops, shapes, indices
+//! and any value read eagerly while recording (`value_ref(...)` feeding a
+//! scalar or a branch) — may depend only on constants, never on a leaf that is
+//! later overwritten.** Values the gradient must treat as constants (the
+//! softmax row max, the ReLU subgradient mask) are therefore recorded as
+//! detached ops rather than read out and re-inserted as leaves. Tapes holding a
+//! [`Tape::sparse_input`] with gradient positions cannot be replayed: their
+//! SDDMM gradients are accumulated outside the tape by
+//! [`crate::grad::grad_full`] and would go stale.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
@@ -126,6 +148,9 @@ pub(crate) enum Op {
     Transpose,
     Sigmoid,
     Relu,
+    /// Detached ReLU subgradient mask `[a > 0]` (1.0 or 0.0 per element); no
+    /// gradient flows through it.
+    ReluMask,
     Tanh,
     Exp,
     Ln,
@@ -135,6 +160,9 @@ pub(crate) enum Op {
     SumRows,
     /// Per-column sums into a `1 x m` matrix.
     SumCols,
+    /// Detached per-row maxima into an `n x 1` matrix; no gradient flows
+    /// through it.
+    RowMax,
     /// Broadcast of a `1x1` scalar to `rows x cols`.
     BroadcastScalar {
         rows: usize,
@@ -163,6 +191,14 @@ pub(crate) enum Op {
     Spmm {
         sparse: usize,
     },
+}
+
+impl Op {
+    /// Whether the op is a detached read of its parent: its value enters the
+    /// computation as a constant, so gradient construction never marks it live.
+    pub(crate) fn is_detached(&self) -> bool {
+        matches!(self, Op::ReluMask | Op::RowMax)
+    }
 }
 
 /// The (at most two) parent node ids of an operation, stored inline: every
@@ -199,9 +235,10 @@ pub(crate) struct Node {
 
 /// An autodiff tape (a growable arena of [`Node`]s).
 ///
-/// A tape is intended to be short-lived: create one per training step / attack
-/// iteration, record the forward (and any gradient) computation, read the results
-/// out as [`Matrix`] values and drop it.
+/// Either record a computation once per step (read the results out as
+/// [`Matrix`] values and drop the tape), or record it once and re-run it with
+/// [`Tape::set_value`] + [`Tape::replay`] — see the module docs for the rule a
+/// replayed recording must follow.
 #[derive(Default)]
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
@@ -255,7 +292,55 @@ impl Tape {
         Ref::map(self.nodes.borrow(), |nodes| &nodes[v.id].value)
     }
 
-    pub(crate) fn push(&self, op: Op, parents: Parents, value: Matrix) -> Var {
+    /// Overwrites the value of the input leaf `leaf` in place. The next
+    /// [`Tape::replay`] propagates it to every node recorded after it.
+    ///
+    /// # Panics
+    /// Panics if `leaf` is not a leaf or `value` has a different shape.
+    pub fn set_value(&self, leaf: Var, value: &Matrix) {
+        let mut nodes = self.nodes.borrow_mut();
+        let node = &mut nodes[leaf.id];
+        assert!(matches!(node.op, Op::Leaf), "set_value: node {} is not a leaf", leaf.id);
+        assert_eq!(
+            node.value.shape(),
+            value.shape(),
+            "set_value: shape mismatch for leaf {}",
+            leaf.id
+        );
+        node.value.as_mut_slice().copy_from_slice(value.as_slice());
+    }
+
+    /// Re-evaluates every recorded node in id order from the current leaf
+    /// values, overwriting each node's value in place. The result equals a
+    /// fresh recording of the same program at the current leaves, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the tape holds a [`Tape::sparse_input`] with gradient
+    /// positions: those gradients live outside the tape and cannot be replayed.
+    pub fn replay(&self) {
+        let sparse = self.sparse_nodes.borrow();
+        assert!(
+            sparse.iter().all(|s| s.positions.is_empty()),
+            "replay: the tape holds a sparse input with gradient positions, whose gradients are not tape nodes"
+        );
+        let mut nodes = self.nodes.borrow_mut();
+        for id in 0..nodes.len() {
+            let (before, rest) = nodes.split_at_mut(id);
+            let node = &mut rest[0];
+            if matches!(node.op, Op::Leaf) {
+                continue;
+            }
+            eval_into(&node.op, node.parents, before, &sparse, &mut node.value);
+            debug_assert!(
+                !node.value.has_non_finite(),
+                "tape op {:?} produced a non-finite value",
+                node.op
+            );
+        }
+    }
+
+    /// Appends a node holding its already-computed `value`.
+    fn push(&self, op: Op, parents: Parents, value: Matrix) -> Var {
         debug_assert!(!value.has_non_finite(), "tape op {op:?} produced a non-finite value");
         let rows = value.rows();
         let cols = value.cols();
@@ -265,8 +350,18 @@ impl Tape {
         Var { id, rows, cols }
     }
 
-    pub(crate) fn with_node<R>(&self, id: usize, f: impl FnOnce(&Node) -> R) -> R {
-        f(&self.nodes.borrow()[id])
+    /// Records `op` over `parents`: allocates the `rows x cols` output and
+    /// fills it with the op's evaluator, the one [`Tape::replay`] runs.
+    fn record(&self, op: Op, parents: Parents, rows: usize, cols: usize) -> Var {
+        let mut value = Matrix::zeros(rows, cols);
+        eval_into(
+            &op,
+            parents,
+            &self.nodes.borrow(),
+            &self.sparse_nodes.borrow(),
+            &mut value,
+        );
+        self.push(op, parents, value)
     }
 
     pub(crate) fn with_nodes<R>(&self, f: impl FnOnce(&[Node]) -> R) -> R {
@@ -381,55 +476,39 @@ impl Tape {
     /// Element-wise sum `a + b`.
     pub fn add(&self, a: Var, b: Var) -> Var {
         Self::assert_same_shape(a, b, "add");
-        let value = {
-            let nodes = self.nodes.borrow();
-            nodes[a.id].value.add(&nodes[b.id].value)
-        };
-        self.push(Op::Add, Parents::two(a.id, b.id), value)
+        self.record(Op::Add, Parents::two(a.id, b.id), a.rows, a.cols)
     }
 
     /// Element-wise difference `a - b`.
     pub fn sub(&self, a: Var, b: Var) -> Var {
         Self::assert_same_shape(a, b, "sub");
-        let value = {
-            let nodes = self.nodes.borrow();
-            nodes[a.id].value.sub(&nodes[b.id].value)
-        };
-        self.push(Op::Sub, Parents::two(a.id, b.id), value)
+        self.record(Op::Sub, Parents::two(a.id, b.id), a.rows, a.cols)
     }
 
     /// Element-wise negation `-a`.
     pub fn neg(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| -x);
-        self.push(Op::Neg, Parents::one(a.id), value)
+        self.record(Op::Neg, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise (Hadamard) product `a ⊙ b`.
     pub fn mul(&self, a: Var, b: Var) -> Var {
         Self::assert_same_shape(a, b, "mul");
-        let value = {
-            let nodes = self.nodes.borrow();
-            nodes[a.id].value.hadamard(&nodes[b.id].value)
-        };
-        self.push(Op::Mul, Parents::two(a.id, b.id), value)
+        self.record(Op::Mul, Parents::two(a.id, b.id), a.rows, a.cols)
     }
 
     /// Adds the constant `s` to every element.
     pub fn add_scalar(&self, a: Var, s: f64) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| x + s);
-        self.push(Op::AddScalar(s), Parents::one(a.id), value)
+        self.record(Op::AddScalar(s), Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Multiplies every element by the constant `s`.
     pub fn mul_scalar(&self, a: Var, s: f64) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| x * s);
-        self.push(Op::MulScalar(s), Parents::one(a.id), value)
+        self.record(Op::MulScalar(s), Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise power `a^p` with constant exponent `p`.
     pub fn pow_scalar(&self, a: Var, p: f64) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| x.powf(p));
-        self.push(Op::PowScalar(p), Parents::one(a.id), value)
+        self.record(Op::PowScalar(p), Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Matrix product `a @ b`.
@@ -439,11 +518,7 @@ impl Tape {
             "matmul: inner dimensions differ ({} vs {})",
             a.cols, b.rows
         );
-        let value = {
-            let nodes = self.nodes.borrow();
-            nodes[a.id].value.matmul(&nodes[b.id].value)
-        };
-        self.push(Op::MatMul, Parents::two(a.id, b.id), value)
+        self.record(Op::MatMul, Parents::two(a.id, b.id), a.rows, b.cols)
     }
 
     /// Sparse-times-dense matrix product `a @ b` where `a` is a registered
@@ -457,116 +532,107 @@ impl Tape {
             "spmm: inner dimensions differ ({} vs {})",
             a.cols, b.rows
         );
-        let value = {
-            let sparse = self.sparse_nodes.borrow();
-            let nodes = self.nodes.borrow();
-            sparse[a.id].matrix.spmm(&nodes[b.id].value)
-        };
-        self.push(Op::Spmm { sparse: a.id }, Parents::one(b.id), value)
+        self.record(Op::Spmm { sparse: a.id }, Parents::one(b.id), a.rows, b.cols)
     }
 
     /// Matrix transpose.
     pub fn transpose(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.transpose();
-        self.push(Op::Transpose, Parents::one(a.id), value)
+        self.record(Op::Transpose, Parents::one(a.id), a.cols, a.rows)
     }
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(Op::Sigmoid, Parents::one(a.id), value)
+        self.record(Op::Sigmoid, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise ReLU.
     pub fn relu(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(|x| x.max(0.0));
-        self.push(Op::Relu, Parents::one(a.id), value)
+        self.record(Op::Relu, Parents::one(a.id), a.rows, a.cols)
+    }
+
+    /// The ReLU subgradient mask `[a > 0]` as a detached value: gradients
+    /// treat it as a constant.
+    pub(crate) fn relu_mask(&self, a: Var) -> Var {
+        self.record(Op::ReluMask, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(f64::tanh);
-        self.push(Op::Tanh, Parents::one(a.id), value)
+        self.record(Op::Tanh, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise exponential.
     pub fn exp(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(f64::exp);
-        self.push(Op::Exp, Parents::one(a.id), value)
+        self.record(Op::Exp, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Element-wise natural logarithm.
     pub fn ln(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.map(f64::ln);
-        self.push(Op::Ln, Parents::one(a.id), value)
+        self.record(Op::Ln, Parents::one(a.id), a.rows, a.cols)
     }
 
     /// Sum of all elements as a `1x1` matrix.
     pub fn sum_all(&self, a: Var) -> Var {
-        let value = Matrix::from_vec(1, 1, vec![self.nodes.borrow()[a.id].value.sum()]);
-        self.push(Op::SumAll, Parents::one(a.id), value)
+        self.record(Op::SumAll, Parents::one(a.id), 1, 1)
     }
 
     /// Per-row sums as an `n x 1` column vector.
     pub fn sum_rows(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.row_sums();
-        self.push(Op::SumRows, Parents::one(a.id), value)
+        self.record(Op::SumRows, Parents::one(a.id), a.rows, 1)
     }
 
     /// Per-column sums as a `1 x m` row vector.
     pub fn sum_cols(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.id].value.col_sums();
-        self.push(Op::SumCols, Parents::one(a.id), value)
+        self.record(Op::SumCols, Parents::one(a.id), 1, a.cols)
+    }
+
+    /// Per-row maxima as a detached `n x 1` column vector: gradients treat it
+    /// as a constant.
+    pub(crate) fn row_max(&self, a: Var) -> Var {
+        self.record(Op::RowMax, Parents::one(a.id), a.rows, 1)
     }
 
     /// Broadcasts a `1x1` scalar to a `rows x cols` matrix.
     pub fn broadcast_scalar(&self, a: Var, rows: usize, cols: usize) -> Var {
         assert_eq!(a.shape(), (1, 1), "broadcast_scalar requires a 1x1 input");
-        let s = self.nodes.borrow()[a.id].value.scalar();
-        self.push(
-            Op::BroadcastScalar { rows, cols },
-            Parents::one(a.id),
-            Matrix::full(rows, cols, s),
-        )
+        self.record(Op::BroadcastScalar { rows, cols }, Parents::one(a.id), rows, cols)
     }
 
     /// Broadcasts an `n x 1` column vector across `cols` columns.
     pub fn col_broadcast(&self, a: Var, cols: usize) -> Var {
         assert_eq!(a.cols, 1, "col_broadcast requires an n x 1 input");
-        let value = self.nodes.borrow()[a.id].value.broadcast_col(cols);
-        self.push(Op::ColBroadcast { cols }, Parents::one(a.id), value)
+        self.record(Op::ColBroadcast { cols }, Parents::one(a.id), a.rows, cols)
     }
 
     /// Broadcasts a `1 x m` row vector across `rows` rows.
     pub fn row_broadcast(&self, a: Var, rows: usize) -> Var {
         assert_eq!(a.rows, 1, "row_broadcast requires a 1 x m input");
-        let value = self.nodes.borrow()[a.id].value.broadcast_row(rows);
-        self.push(Op::RowBroadcast { rows }, Parents::one(a.id), value)
+        self.record(Op::RowBroadcast { rows }, Parents::one(a.id), rows, a.cols)
     }
 
     /// Selects rows `indices` of `a`.
     pub fn gather_rows(&self, a: Var, indices: &[usize]) -> Var {
-        let value = self.nodes.borrow()[a.id].value.gather_rows(indices);
-        self.push(
+        self.record(
             Op::GatherRows {
                 indices: Rc::new(indices.to_vec()),
             },
             Parents::one(a.id),
-            value,
+            indices.len(),
+            a.cols,
         )
     }
 
     /// Scatters the rows of `a` into a `total_rows x cols` zero matrix at `indices`.
     pub fn scatter_rows(&self, a: Var, indices: &[usize], total_rows: usize) -> Var {
         assert_eq!(a.rows, indices.len(), "scatter_rows: row count must match index count");
-        let value = self.nodes.borrow()[a.id].value.scatter_rows(indices, total_rows);
-        self.push(
+        self.record(
             Op::ScatterRows {
                 indices: Rc::new(indices.to_vec()),
                 total_rows,
             },
             Parents::one(a.id),
-            value,
+            total_rows,
+            a.cols,
         )
     }
 
@@ -595,6 +661,44 @@ impl Tape {
     pub fn div(&self, a: Var, b: Var) -> Var {
         let inv = self.pow_scalar(b, -1.0);
         self.mul(a, inv)
+    }
+}
+
+/// The evaluator of every non-leaf op: computes `op` over the values of
+/// `parents` (all ids below the node's own, so `nodes` may be just the prefix
+/// before it) into `out`, which already has the output shape. Every element of
+/// `out` is overwritten; its prior contents are ignored. Recording and
+/// [`Tape::replay`] both run exactly this code, which is what makes a replay
+/// bit-identical to a fresh recording.
+fn eval_into(op: &Op, parents: Parents, nodes: &[Node], sparse: &[SparseNode], out: &mut Matrix) {
+    let arg = |k: usize| &nodes[parents.as_slice()[k]].value;
+    match op {
+        Op::Leaf => unreachable!("leaves hold their values; they are never evaluated"),
+        Op::Add => arg(0).zip_map_into(arg(1), |a, b| a + b, out),
+        Op::Sub => arg(0).zip_map_into(arg(1), |a, b| a - b, out),
+        Op::Mul => arg(0).zip_map_into(arg(1), |a, b| a * b, out),
+        Op::Neg => arg(0).map_into(|x| -x, out),
+        Op::AddScalar(s) => arg(0).map_into(|x| x + s, out),
+        Op::MulScalar(s) => arg(0).map_into(|x| x * s, out),
+        Op::PowScalar(p) => arg(0).map_into(|x| x.powf(*p), out),
+        Op::MatMul => arg(0).matmul_into(arg(1), out),
+        Op::Spmm { sparse: s } => sparse[*s].matrix.spmm_into(arg(0), out),
+        Op::Transpose => arg(0).transpose_into(out),
+        Op::Sigmoid => arg(0).map_into(|x| 1.0 / (1.0 + (-x).exp()), out),
+        Op::Relu => arg(0).map_into(|x| x.max(0.0), out),
+        Op::ReluMask => arg(0).map_into(|x| if x > 0.0 { 1.0 } else { 0.0 }, out),
+        Op::Tanh => arg(0).map_into(f64::tanh, out),
+        Op::Exp => arg(0).map_into(f64::exp, out),
+        Op::Ln => arg(0).map_into(f64::ln, out),
+        Op::SumAll => out.as_mut_slice()[0] = arg(0).sum(),
+        Op::SumRows => arg(0).row_sums_into(out),
+        Op::SumCols => arg(0).col_sums_into(out),
+        Op::RowMax => arg(0).row_max_into(out),
+        Op::BroadcastScalar { .. } => out.as_mut_slice().fill(arg(0).scalar()),
+        Op::ColBroadcast { .. } => arg(0).broadcast_col_into(out),
+        Op::RowBroadcast { .. } => arg(0).broadcast_row_into(out),
+        Op::GatherRows { indices } => arg(0).gather_rows_into(indices, out),
+        Op::ScatterRows { indices, .. } => arg(0).scatter_rows_into(indices, out),
     }
 }
 
@@ -674,6 +778,34 @@ mod tests {
         let b = tape.input(Matrix::row_vector(&[4.0, 3.0]));
         let d = tape.div(a, b);
         assert!(tape.value(d).approx_eq(&Matrix::row_vector(&[0.5, 3.0]), 1e-12));
+    }
+
+    #[test]
+    fn replay_recomputes_from_overwritten_leaves() {
+        let tape = Tape::new();
+        let x = tape.input(Matrix::row_vector(&[1.0, -2.0]));
+        let y = tape.sum_all(tape.mul(tape.relu(x), x));
+        tape.set_value(x, &Matrix::row_vector(&[3.0, 4.0]));
+        assert_eq!(tape.value(y).scalar(), 1.0, "set_value alone does not recompute");
+        tape.replay();
+        assert_eq!(tape.value(y).scalar(), 25.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a leaf")]
+    fn set_value_rejects_computed_nodes() {
+        let tape = Tape::new();
+        let x = tape.input(Matrix::ones(1, 1));
+        let y = tape.neg(x);
+        tape.set_value(y, &Matrix::ones(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "set_value: shape mismatch")]
+    fn set_value_rejects_a_new_shape() {
+        let tape = Tape::new();
+        let x = tape.input(Matrix::ones(1, 2));
+        tape.set_value(x, &Matrix::ones(2, 1));
     }
 
     #[test]
