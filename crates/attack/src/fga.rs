@@ -57,7 +57,7 @@ fn greedy_gradient_attack(
         } else {
             gradients.untargeted(&working, ctx.target)
         };
-        let Some(best) = best_candidate_by_gradient(&grad, ctx.target, &candidates) else {
+        let Some(best) = best_candidate_by_gradient(&grad, &candidates) else {
             break;
         };
         perturbation.add_edge(ctx.target, best);
@@ -100,7 +100,6 @@ impl FgaT {
 mod tests {
     use super::*;
     use crate::tests::{pick_victim, small_setup};
-    use geattack_gnn::predicted_class;
 
     #[test]
     fn fga_t_reaches_target_label_with_degree_budget() {
@@ -222,7 +221,5 @@ mod tests {
         let prob_small = model.predict_proba(&p_small)[(victim, target_label)];
         let prob_large = model.predict_proba(&p_large)[(victim, target_label)];
         assert!(prob_large >= prob_small - 1e-9);
-        // With 4 edges the prediction should move to (or at least toward) the target label.
-        let _ = predicted_class(&model, &p_large, victim);
     }
 }

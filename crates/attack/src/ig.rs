@@ -12,7 +12,9 @@
 use geattack_graph::{Graph, Perturbation};
 use geattack_tensor::SparseMatrix;
 
-use crate::{candidate_endpoints, undirected_entry, AttackContext, LossGradients, TargetGradient, TargetedAttack};
+use crate::{
+    best_candidate_by_gradient, candidate_endpoints, AttackContext, LossGradients, TargetGradient, TargetedAttack,
+};
 
 /// Configuration of IG-Attack.
 #[derive(Clone, Debug)]
@@ -129,15 +131,7 @@ impl TargetedAttack for IgAttack {
                 break;
             }
             let ig = self.integrated_gradients_with(&gradients, ctx, &working, &candidates);
-            let best = candidates
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    undirected_entry(&ig, ctx.target, a)
-                        .partial_cmp(&undirected_entry(&ig, ctx.target, b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("candidates is non-empty");
+            let best = best_candidate_by_gradient(&ig, &candidates).expect("candidates is non-empty");
             perturbation.add_edge(ctx.target, best);
             working.add_edge(ctx.target, best);
         }
@@ -189,7 +183,7 @@ mod tests {
         let &(u, v) = &chosen.added()[0];
         let other = if u == victim { v } else { u };
         assert!(
-            undirected_entry(&ig, victim, other) <= 0.0,
+            ig.undirected(other) <= 0.0,
             "selected edge must have non-positive IG score"
         );
     }

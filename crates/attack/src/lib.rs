@@ -99,11 +99,6 @@ pub struct TargetGradient {
 }
 
 impl TargetGradient {
-    /// The target node this gradient slice belongs to.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.row.len()
@@ -287,9 +282,6 @@ pub fn sparse_adjacency_gradient_projected(
 /// the feature projection `X·W₁` is independent of the adjacency — computing it
 /// once here (as a CSR product, [`Graph::project`]) and reusing it removes an
 /// `nnz(X)·h` product per gradient call.
-/// Results are bit-identical to the one-shot [`targeted_loss_gradient`] /
-/// [`untargeted_loss_gradient`] helpers, which are themselves thin wrappers
-/// around this type.
 pub struct LossGradients<'a> {
     model: &'a Gcn,
     xw1: Matrix,
@@ -311,49 +303,27 @@ impl<'a> LossGradients<'a> {
         sparse_adjacency_gradient_projected(self.model, raw, &self.xw1, target, class, negate)
     }
 
-    /// Targeted attack-loss gradient (Eq. 4) at `graph`'s candidate endpoints.
+    /// Gradient of the targeted attack loss `L_GNN = -log f(A, X)^{ŷ}_{target}`
+    /// (Eq. 4) at `graph`'s candidate endpoints. The loss is minimized by edge
+    /// insertions, so the most negative entries are the most attractive.
     pub fn targeted(&self, graph: &Graph, target: usize, target_label: usize) -> TargetGradient {
         self.at_raw(&graph.csr().to_sparse(), target, target_label, false)
     }
 
-    /// Untargeted attack-loss gradient at `graph`'s candidate endpoints.
+    /// Gradient of the untargeted attack loss `+log f(A, X)^{y_true}_{target}`
+    /// at `graph`'s candidate endpoints; again the most negative entries are
+    /// the most attractive.
     pub fn untargeted(&self, graph: &Graph, target: usize) -> TargetGradient {
         self.at_raw(&graph.csr().to_sparse(), target, graph.label(target), true)
     }
 }
 
-/// Gradient of the targeted attack loss
-/// `L_GNN = -log f(A, X)^{ŷ}_{target}` (Eq. 4) with respect to the raw adjacency
-/// matrix at the target's candidate endpoints, evaluated at `graph`.
-///
-/// Because the loss is to be **minimized** by edge insertions, candidates with the
-/// most negative gradient entries are the most attractive. Loops that call this
-/// repeatedly for one model should hold a [`LossGradients`] instead.
-pub fn targeted_loss_gradient(model: &Gcn, graph: &Graph, target: usize, target_label: usize) -> TargetGradient {
-    LossGradients::new(model, graph).targeted(graph, target, target_label)
-}
-
-/// Gradient of the *untargeted* attack loss `+log f(A, X)^{y_true}_{target}`
-/// (maximizing the cross-entropy of the true label) with respect to the raw
-/// adjacency matrix at the target's candidate endpoints. Candidates with the
-/// most negative entries are most attractive.
-pub fn untargeted_loss_gradient(model: &Gcn, graph: &Graph, target: usize) -> TargetGradient {
-    LossGradients::new(model, graph).untargeted(graph, target)
-}
-
-/// Combined (symmetrized) gradient score of inserting the undirected edge
-/// `(target, v)`: the sum of the two directed entries.
-pub fn undirected_entry(grad: &TargetGradient, target: usize, v: usize) -> f64 {
-    debug_assert_eq!(target, grad.target(), "gradient slice belongs to a different target");
-    grad.undirected(v)
-}
-
 /// Picks the candidate with the minimum symmetrized gradient entry (the edge whose
 /// insertion most decreases the loss). Returns `None` if `candidates` is empty.
-pub fn best_candidate_by_gradient(grad: &TargetGradient, target: usize, candidates: &[usize]) -> Option<usize> {
+pub fn best_candidate_by_gradient(grad: &TargetGradient, candidates: &[usize]) -> Option<usize> {
     candidates.iter().copied().min_by(|&a, &b| {
-        undirected_entry(grad, target, a)
-            .partial_cmp(&undirected_entry(grad, target, b))
+        grad.undirected(a)
+            .partial_cmp(&grad.undirected(b))
             .unwrap_or(std::cmp::Ordering::Equal)
     })
 }
@@ -415,11 +385,11 @@ mod tests {
     fn targeted_gradient_identifies_helpful_edges() {
         let (graph, model) = small_setup(2);
         let (victim, target_label) = pick_victim(&graph, &model);
-        let grad = targeted_loss_gradient(&model, &graph, victim, target_label);
+        let grad = LossGradients::new(&model, &graph).targeted(&graph, victim, target_label);
         let cands = candidate_endpoints(&graph, victim, &[]);
-        let best = best_candidate_by_gradient(&grad, victim, &cands).unwrap();
+        let best = best_candidate_by_gradient(&grad, &cands).unwrap();
         // The chosen edge must have a negative score (it decreases the targeted loss)...
-        assert!(undirected_entry(&grad, victim, best) < 0.0);
+        assert!(grad.undirected(best) < 0.0);
         // ...and actually increase the probability of the target label when added.
         let before = model.predict_proba(&graph)[(victim, target_label)];
         let mut attacked = graph.clone();
@@ -440,7 +410,7 @@ mod tests {
         let (victim, target_label) = pick_victim(&graph, &model);
 
         let features = graph.features().to_dense();
-        let sparse = targeted_loss_gradient(&model, &graph, victim, target_label);
+        let sparse = LossGradients::new(&model, &graph).targeted(&graph, victim, target_label);
         let grad = dense_adjacency_gradient(&model, &graph.to_dense(), &features, victim, target_label, false);
         let max_abs = (0..graph.num_nodes())
             .map(|v| grad[(victim, v)].abs())
@@ -459,7 +429,7 @@ mod tests {
             );
         }
 
-        let sparse = untargeted_loss_gradient(&model, &graph, victim);
+        let sparse = LossGradients::new(&model, &graph).untargeted(&graph, victim);
         let dense = dense_adjacency_gradient(&model, &graph.to_dense(), &features, victim, graph.label(victim), true);
         for v in 0..graph.num_nodes() {
             if v == victim {
@@ -480,7 +450,7 @@ mod tests {
         // runs for the dense adjacency gradient.
         let (graph, model) = small_setup(6);
         let (victim, target_label) = pick_victim(&graph, &model);
-        let sparse = targeted_loss_gradient(&model, &graph, victim, target_label);
+        let sparse = LossGradients::new(&model, &graph).targeted(&graph, victim, target_label);
 
         let loss_at = |adj: &Matrix| -> f64 {
             let tape = Tape::new();
@@ -517,9 +487,9 @@ mod tests {
     fn untargeted_gradient_nonzero_on_candidates() {
         let (graph, model) = small_setup(3);
         let (victim, _) = pick_victim(&graph, &model);
-        let grad = untargeted_loss_gradient(&model, &graph, victim);
+        let grad = LossGradients::new(&model, &graph).untargeted(&graph, victim);
         let cands = candidate_endpoints(&graph, victim, &[]);
-        let any_nonzero = cands.iter().any(|&v| undirected_entry(&grad, victim, v).abs() > 1e-12);
+        let any_nonzero = cands.iter().any(|&v| grad.undirected(v).abs() > 1e-12);
         assert!(any_nonzero, "untargeted gradient is identically zero on candidates");
     }
 

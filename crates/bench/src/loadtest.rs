@@ -1,74 +1,13 @@
-//! The `geattack-loadtest` concurrency harness: N clients × mixed workloads
-//! against a running `geattack-serve` daemon.
+//! FNV-1a report digests.
 //!
-//! Each client thread submits its share of requests over its own TCP
-//! connection, round-robining the configured spec files with a per-client
-//! offset so concurrent clients always mix cheap and heavy work. The harness
-//! measures client-observed latency per request (connect → `done` event),
-//! summarizes throughput and tail latency, verifies that every response for
-//! the same spec is **byte-identical** across clients (the served-report
-//! determinism invariant under concurrency), and snapshots the daemon's own
-//! `stats` telemetry — queue wait/run histograms, peak in-flight — at the end
-//! of the run.
+//! `perfbench` prints and compares report digests with [`fnv1a_hex`] and
+//! imports it from this path (`perfbench/src/stats.rs`). The benchmark
+//! package only changes together with a benchmark change, so the function
+//! stays at this path until the next one moves it next to the telemetry code.
 //!
-//! The result serializes to the JSON recorded in `BENCH_pr8.json` and printed
-//! by the `geattack-loadtest` binary.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use serde::Value;
-
-use geattack_fleet::client::{control, submit};
-
-/// What to run: how many clients, how many requests each, over which specs.
-#[derive(Clone, Debug)]
-pub struct LoadtestConfig {
-    /// Daemon address, e.g. `127.0.0.1:7341`.
-    pub addr: String,
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Sweep submissions per client.
-    pub requests_per_client: usize,
-    /// `(label, spec JSON text)` pairs; clients round-robin these with a
-    /// per-client offset so the live mix always spans the list.
-    pub specs: Vec<(String, String)>,
-    /// Connect + submit timeout per request.
-    pub timeout: Duration,
-}
-
-/// `{count,p50,p95,p99,max,mean}` over a set of latencies, milliseconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LatencyQuantiles {
-    pub count: usize,
-    pub p50: f64,
-    pub p95: f64,
-    pub p99: f64,
-    pub max: f64,
-    pub mean: f64,
-}
-
-/// Summarizes a latency sample (any order; empty → all zeros).
-pub fn quantiles(samples: &[f64]) -> LatencyQuantiles {
-    if samples.is_empty() {
-        return LatencyQuantiles::default();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let at = |q: f64| {
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    };
-    LatencyQuantiles {
-        count: sorted.len(),
-        p50: at(0.50),
-        p95: at(0.95),
-        p99: at(0.99),
-        max: *sorted.last().expect("non-empty"),
-        mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-    }
-}
+//! Load against the serve daemon is driven by `perfbench --workload
+//! serve-mix` (the measured request mix); CI's concurrent serve smoke uses
+//! parallel `geattack-serve submit` clients.
 
 /// FNV-1a 64-bit digest, hex — enough to compare served reports for
 /// byte-identity without a hashing dependency.
@@ -81,305 +20,14 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-/// One spec's aggregate across the run.
-#[derive(Clone, Debug)]
-pub struct SpecOutcome {
-    /// The spec's label (file stem).
-    pub label: String,
-    /// Completed requests of this spec.
-    pub completed: usize,
-    /// Client-observed latency of this spec's requests.
-    pub latency_ms: LatencyQuantiles,
-    /// Digests of every distinct response body seen for this spec; length 1
-    /// means every client got byte-identical bytes.
-    pub digests: Vec<String>,
-}
-
-/// Everything a load-test run measured.
-#[derive(Clone, Debug)]
-pub struct LoadtestReport {
-    pub clients: usize,
-    pub requests_per_client: usize,
-    /// Requests that reached `done`.
-    pub completed: usize,
-    /// Requests that errored (messages in `errors`).
-    pub failed: usize,
-    /// Wall-clock of the whole run, milliseconds.
-    pub wall_ms: f64,
-    /// Completed requests per wall-clock second.
-    pub throughput_rps: f64,
-    /// Client-observed latency over all completed requests.
-    pub latency_ms: LatencyQuantiles,
-    /// Per-spec breakdown, in the order the specs were configured.
-    pub per_spec: Vec<SpecOutcome>,
-    /// True iff every spec produced exactly one distinct response body.
-    pub reports_consistent: bool,
-    /// The daemon's `stats` response after the run (wait/run histograms,
-    /// peak in-flight), when reachable.
-    pub server_stats: Option<Value>,
-    /// First few request errors, for diagnosis.
-    pub errors: Vec<String>,
-}
-
-fn object(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn quantiles_value(q: &LatencyQuantiles) -> Value {
-    object(vec![
-        ("count", Value::Number(q.count as f64)),
-        ("p50", Value::Number(q.p50)),
-        ("p95", Value::Number(q.p95)),
-        ("p99", Value::Number(q.p99)),
-        ("max", Value::Number(q.max)),
-        ("mean", Value::Number(q.mean)),
-    ])
-}
-
-impl LoadtestReport {
-    /// The report as a JSON value (the `BENCH_pr8.json` snapshot shape).
-    pub fn to_value(&self) -> Value {
-        object(vec![
-            ("clients", Value::Number(self.clients as f64)),
-            ("requests_per_client", Value::Number(self.requests_per_client as f64)),
-            ("completed", Value::Number(self.completed as f64)),
-            ("failed", Value::Number(self.failed as f64)),
-            ("wall_ms", Value::Number(self.wall_ms)),
-            ("throughput_rps", Value::Number(self.throughput_rps)),
-            ("latency_ms", quantiles_value(&self.latency_ms)),
-            (
-                "per_spec",
-                Value::Array(
-                    self.per_spec
-                        .iter()
-                        .map(|s| {
-                            object(vec![
-                                ("label", Value::String(s.label.clone())),
-                                ("completed", Value::Number(s.completed as f64)),
-                                ("latency_ms", quantiles_value(&s.latency_ms)),
-                                ("distinct_reports", Value::Number(s.digests.len() as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("reports_consistent", Value::Bool(self.reports_consistent)),
-            ("server_stats", self.server_stats.clone().unwrap_or(Value::Null)),
-            (
-                "errors",
-                Value::Array(self.errors.iter().map(|e| Value::String(e.clone())).collect()),
-            ),
-        ])
-    }
-
-    /// Pretty JSON of [`LoadtestReport::to_value`].
-    pub fn to_pretty(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("report serializes")
-    }
-
-    /// One-line human summary for terminals and CI logs.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{} clients × {} requests: {} done, {} failed in {:.1}s — {:.2} req/s, p50 {:.0}ms p95 {:.0}ms p99 {:.0}ms{}",
-            self.clients,
-            self.requests_per_client,
-            self.completed,
-            self.failed,
-            self.wall_ms / 1e3,
-            self.throughput_rps,
-            self.latency_ms.p50,
-            self.latency_ms.p95,
-            self.latency_ms.p99,
-            if self.reports_consistent {
-                ", reports byte-identical"
-            } else {
-                ", REPORTS DIVERGED"
-            }
-        )
-    }
-}
-
-/// The spec index client `client` uses for its `request`-th submission: a
-/// round-robin with a per-client offset, so at any instant the in-flight mix
-/// spans the spec list instead of every client hammering the same spec.
-pub fn spec_index(client: usize, request: usize, spec_count: usize) -> usize {
-    (client + request) % spec_count.max(1)
-}
-
-struct RequestRecord {
-    spec: usize,
-    latency_ms: f64,
-}
-
-/// Runs the load test: spawns the client threads, drives every request,
-/// aggregates latency/digests and snapshots the daemon's `stats`. Errors only
-/// on an empty/invalid configuration; individual request failures are counted
-/// in the report instead.
-pub fn run(config: &LoadtestConfig) -> Result<LoadtestReport, String> {
-    if config.specs.is_empty() {
-        return Err("loadtest needs at least one spec".to_string());
-    }
-    if config.clients == 0 || config.requests_per_client == 0 {
-        return Err("loadtest needs at least one client and one request".to_string());
-    }
-    let records: Mutex<Vec<RequestRecord>> = Mutex::new(Vec::new());
-    // spec index → digest → how many responses hashed to it.
-    let digests: Mutex<Vec<BTreeMap<String, usize>>> = Mutex::new(vec![BTreeMap::new(); config.specs.len()]);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        let (records, digests, errors) = (&records, &digests, &errors);
-        for client in 0..config.clients {
-            scope.spawn(move || {
-                for request in 0..config.requests_per_client {
-                    let spec = spec_index(client, request, config.specs.len());
-                    let (label, text) = &config.specs[spec];
-                    let begun = Instant::now();
-                    match submit(&config.addr, text, config.timeout, |_| {}) {
-                        Ok(outcome) => {
-                            let latency_ms = begun.elapsed().as_secs_f64() * 1e3;
-                            records
-                                .lock()
-                                .expect("records lock")
-                                .push(RequestRecord { spec, latency_ms });
-                            *digests.lock().expect("digest lock")[spec]
-                                .entry(fnv1a_hex(outcome.report_pretty.as_bytes()))
-                                .or_insert(0) += 1;
-                        }
-                        Err(e) => errors
-                            .lock()
-                            .expect("errors lock")
-                            .push(format!("client {client} request {request} ({label}): {e}")),
-                    }
-                }
-            });
-        }
-    });
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let records = records.into_inner().expect("records lock");
-    let digests = digests.into_inner().expect("digest lock");
-    let mut errors = errors.into_inner().expect("errors lock");
-    errors.truncate(8);
-
-    let all: Vec<f64> = records.iter().map(|r| r.latency_ms).collect();
-    let per_spec: Vec<SpecOutcome> = config
-        .specs
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| {
-            let latencies: Vec<f64> = records.iter().filter(|r| r.spec == i).map(|r| r.latency_ms).collect();
-            SpecOutcome {
-                label: label.clone(),
-                completed: latencies.len(),
-                latency_ms: quantiles(&latencies),
-                digests: digests[i].keys().cloned().collect(),
-            }
-        })
-        .collect();
-    let completed = records.len();
-    let failed = config.clients * config.requests_per_client - completed;
-    let reports_consistent = per_spec_consistent(&per_spec);
-    let server_stats = control(&config.addr, "{\"request\":\"stats\"}", config.timeout).ok();
-    Ok(LoadtestReport {
-        clients: config.clients,
-        requests_per_client: config.requests_per_client,
-        completed,
-        failed,
-        wall_ms,
-        throughput_rps: if wall_ms > 0.0 {
-            completed as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-        latency_ms: quantiles(&all),
-        per_spec,
-        reports_consistent,
-        server_stats,
-        errors,
-    })
-}
-
-/// Every spec with at least one completion produced exactly one distinct
-/// response body.
-fn per_spec_consistent(per_spec: &[SpecOutcome]) -> bool {
-    per_spec.iter().all(|s| s.completed == 0 || s.digests.len() == 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles_pick_order_statistics() {
-        let q = quantiles(&[10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]);
-        assert_eq!(q.count, 10);
-        assert_eq!(q.p50, 50.0);
-        assert_eq!(q.p95, 100.0);
-        assert_eq!(q.p99, 100.0);
-        assert_eq!(q.max, 100.0);
-        assert!((q.mean - 55.0).abs() < 1e-9);
-        // Order-independent, and a singleton collapses to itself.
-        assert_eq!(quantiles(&[3.0, 1.0, 2.0]).p50, 2.0);
-        let single = quantiles(&[42.0]);
-        assert_eq!((single.p50, single.p99, single.max), (42.0, 42.0, 42.0));
-        assert_eq!(quantiles(&[]).count, 0);
-    }
 
     #[test]
     fn fnv_digest_separates_bytes_and_is_stable() {
         assert_eq!(fnv1a_hex(b""), "cbf29ce484222325");
         assert_eq!(fnv1a_hex(b"report"), fnv1a_hex(b"report"));
         assert_ne!(fnv1a_hex(b"report"), fnv1a_hex(b"report "));
-    }
-
-    #[test]
-    fn per_client_offset_mixes_the_workload() {
-        // With 2 specs, concurrent clients 0 and 1 start on different specs,
-        // so the heavy spec never monopolizes the in-flight set.
-        assert_eq!(spec_index(0, 0, 2), 0);
-        assert_eq!(spec_index(1, 0, 2), 1);
-        assert_eq!(spec_index(0, 1, 2), 1);
-        assert_eq!(spec_index(1, 1, 2), 0);
-        // Degenerate spec lists never divide by zero.
-        assert_eq!(spec_index(3, 5, 0), 0);
-    }
-
-    #[test]
-    fn report_serializes_with_consistency_verdict() {
-        let report = LoadtestReport {
-            clients: 2,
-            requests_per_client: 3,
-            completed: 6,
-            failed: 0,
-            wall_ms: 2000.0,
-            throughput_rps: 3.0,
-            latency_ms: quantiles(&[100.0, 200.0]),
-            per_spec: vec![SpecOutcome {
-                label: "quick".to_string(),
-                completed: 6,
-                latency_ms: quantiles(&[100.0, 200.0]),
-                digests: vec!["abc".to_string()],
-            }],
-            reports_consistent: true,
-            server_stats: None,
-            errors: Vec::new(),
-        };
-        let json = report.to_pretty();
-        assert!(json.contains("\"throughput_rps\": 3"), "{json}");
-        assert!(json.contains("\"distinct_reports\": 1"), "{json}");
-        assert!(report.summary_line().contains("byte-identical"));
-
-        let diverged = LoadtestReport {
-            per_spec: vec![SpecOutcome {
-                digests: vec!["a".to_string(), "b".to_string()],
-                ..report.per_spec[0].clone()
-            }],
-            reports_consistent: false,
-            ..report
-        };
-        assert!(!per_spec_consistent(&diverged.per_spec));
-        assert!(diverged.summary_line().contains("DIVERGED"));
     }
 }

@@ -91,7 +91,7 @@
 //! `concurrent-serve-smoke` job pins.
 //!
 //! The client side lives in [`geattack_fleet::client`] (shared with the fleet
-//! coordinator and the loadtest); [`submit`], [`control`], [`connect_retry`]
+//! coordinator); [`submit`], [`control`], [`connect_retry`]
 //! and [`SubmitOutcome`] are re-exported here for compatibility. [`submit`]
 //! connects (with retries, so scripts can start the daemon concurrently),
 //! sends one spec, surfaces progress lines and returns the reassembled pretty

@@ -4,6 +4,7 @@
 //! full, drain/term-signal shut the daemon down cleanly, and closed
 //! connections do not pile up handler threads.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -155,25 +156,38 @@ fn concurrent_clients_get_byte_identical_reports_and_overlap_in_flight() {
             ..Default::default()
         },
     );
-    let outcomes = std::thread::scope(|scope| {
-        let submit_one = |text: &str| {
+    // Each client submits its own spec, then the other client's: the first
+    // pair overlaps by construction, and the swapped second pair checks that
+    // concurrent clients asking for the same spec get the same bytes.
+    let (outcomes_a, outcomes_b) = std::thread::scope(|scope| {
+        let submit_in_turn = |specs: [&str; 2]| {
             let addr = addr.clone();
-            let text = text.to_string();
-            scope.spawn(move || submit(&addr, &text, Duration::from_secs(60), |_| {}))
+            let specs = specs.map(str::to_string);
+            scope.spawn(move || specs.map(|text| submit(&addr, &text, Duration::from_secs(60), |_| {})))
         };
-        let a = submit_one(&spec_a);
-        let b = submit_one(&spec_b);
+        let a = submit_in_turn([&spec_a, &spec_b]);
+        let b = submit_in_turn([&spec_b, &spec_a]);
         (a.join().expect("client a"), b.join().expect("client b"))
     });
-    let outcome_a = outcomes.0.expect("request a succeeds");
-    let outcome_b = outcomes.1.expect("request b succeeds");
-    assert_eq!(outcome_a.report_pretty, reference_a, "served bytes must match the CLI");
-    assert_eq!(outcome_b.report_pretty, reference_b, "served bytes must match the CLI");
-    assert_ne!(outcome_a.request_id, outcome_b.request_id, "requests get distinct ids");
+    let [a_own, a_swapped] = outcomes_a.map(|outcome| outcome.expect("client a's requests succeed"));
+    let [b_own, b_swapped] = outcomes_b.map(|outcome| outcome.expect("client b's requests succeed"));
+    for (outcome, reference) in [
+        (&a_own, &reference_a),
+        (&b_own, &reference_b),
+        (&a_swapped, &reference_b),
+        (&b_swapped, &reference_a),
+    ] {
+        assert_eq!(&outcome.report_pretty, reference, "served bytes must match the CLI");
+    }
+    let ids: BTreeSet<_> = [&a_own, &a_swapped, &b_own, &b_swapped]
+        .iter()
+        .map(|outcome| outcome.request_id)
+        .collect();
+    assert_eq!(ids.len(), 4, "requests get distinct ids: {ids:?}");
 
     let stats = &raw_request(&addr, &[r#"{"request":"stats"}"#])[0];
     let requests = field(stats, "requests");
-    assert_eq!(number(&requests, "served"), 2.0);
+    assert_eq!(number(&requests, "served"), 4.0);
     assert!(
         number(&requests, "peak_in_flight") >= 2.0,
         "two workers must have executed simultaneously: {stats:?}"
@@ -181,12 +195,12 @@ fn concurrent_clients_get_byte_identical_reports_and_overlap_in_flight() {
     let queue = field(stats, "queue");
     assert_eq!(number(&queue, "workers"), 2.0);
     let latency = field(stats, "latency_ms");
-    assert_eq!(number(&field(&latency, "request_run"), "count"), 2.0);
-    assert_eq!(number(&field(&latency, "request_wait"), "count"), 2.0);
+    assert_eq!(number(&field(&latency, "request_run"), "count"), 4.0);
+    assert_eq!(number(&field(&latency, "request_wait"), "count"), 4.0);
 
     let _ = raw_request(&addr, &[r#"{"request":"drain"}"#]);
     let accepted = handle.join().expect("daemon thread").expect("daemon exits cleanly");
-    assert_eq!(accepted, 2);
+    assert_eq!(accepted, 4);
 }
 
 #[test]
@@ -400,7 +414,7 @@ fn hostile_lines_get_error_events_and_the_daemon_stays_up() {
 #[test]
 fn finished_connections_are_reaped_not_held_for_the_daemon_lifetime() {
     let (addr, handle) = daemon(ServeOptions::default());
-    // One connection per request, as the loadtest and fleet clients do.
+    // One connection per request, as the submit and fleet clients do.
     for _ in 0..64 {
         let health = &raw_request(&addr, &[r#"{"request":"health"}"#])[0];
         assert!(matches!(field(health, "status"), Value::String(s) if s == "ok"));

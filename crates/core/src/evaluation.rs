@@ -34,34 +34,13 @@ pub struct AttackOutcome {
 /// `explanation_size` is the explanation subgraph size `L` (20 by default): the
 /// explainer's ranking is truncated to its top-`L` edges before the top-`K`
 /// detection metrics are computed, mirroring the paper's protocol.
-pub fn evaluate_attack(
-    model: &Gcn,
-    graph: &Graph,
-    explainer: &dyn Explainer,
-    victim: &Victim,
-    perturbation: &Perturbation,
-    detection_k: usize,
-    explanation_size: usize,
-) -> AttackOutcome {
-    evaluate_attack_instrumented(
-        model,
-        graph,
-        explainer,
-        victim,
-        perturbation,
-        detection_k,
-        explanation_size,
-        None,
-    )
-}
-
-/// [`evaluate_attack`] that also accumulates explain/detect wall-clock into
-/// `phases` when given: "explain" is the inspector explaining the attacked
-/// prediction, "detect" is applying the perturbation, re-predicting and
-/// scoring adversarial-edge detection. The computation is identical either
-/// way.
+///
+/// When `phases` is given, explain/detect wall-clock accumulates into it:
+/// "explain" is the inspector explaining the attacked prediction, "detect" is
+/// applying the perturbation, re-predicting and scoring adversarial-edge
+/// detection. The computation is identical either way.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_attack_instrumented(
+pub fn evaluate_attack(
     model: &Gcn,
     graph: &Graph,
     explainer: &dyn Explainer,

@@ -56,7 +56,7 @@ pub mod telemetry;
 pub use engine::{CancelToken, CellEvent, Engine, SweepHandle};
 pub use error::{CellFailure, GeError};
 pub use evaluation::{
-    aggregate_runs, evaluate_attack_instrumented, summarize_run, AggregatedSummary, AttackOutcome, MeanStd, RunSummary,
+    aggregate_runs, evaluate_attack, summarize_run, AggregatedSummary, AttackOutcome, MeanStd, RunSummary,
 };
 pub use geattack::{GeAttack, GeAttackConfig};
 pub use persist::{base_key, pg_stage_key, prepare_base_cached, prepare_on_cached, CODE_VERSION_SALT};

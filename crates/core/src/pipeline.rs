@@ -24,7 +24,7 @@ use geattack_graph::{stratified_split, DataSplit, Graph};
 use geattack_scenarios::{BudgetSpec, ScenarioSpec};
 
 use crate::error::{GeError, Result};
-use crate::evaluation::{evaluate_attack_instrumented, AttackOutcome};
+use crate::evaluation::{evaluate_attack, AttackOutcome};
 use crate::geattack::{GeAttack, GeAttackConfig};
 use crate::pg_geattack::{PgGeAttack, PgGeAttackConfig};
 use crate::targets::{assign_target_labels, select_victims_from_probs, Victim, VictimSelectionConfig};
@@ -600,7 +600,7 @@ pub fn run_attacker(
         if let Some(phases) = phases {
             phases.add_attack(attack_started.elapsed());
         }
-        evaluate_attack_instrumented(
+        evaluate_attack(
             &prepared.model,
             &prepared.graph,
             inspector,

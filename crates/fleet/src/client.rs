@@ -1,5 +1,5 @@
 //! The client side of the `geattack-serve` NDJSON protocol, shared by the
-//! fleet coordinator, `geattack-serve submit` and `geattack-loadtest`.
+//! fleet coordinator and `geattack-serve submit`.
 //!
 //! One connection carries one request line and its response stream:
 //!

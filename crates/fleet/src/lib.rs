@@ -6,8 +6,8 @@
 //!
 //! * [`client`] — the client side of the serve NDJSON protocol
 //!   ([`ServeClient`], plus the [`connect_retry`]/[`control`]/[`submit`] free
-//!   functions the bench crate re-exports), shared by the coordinator,
-//!   `geattack-serve submit` and `geattack-loadtest`.
+//!   functions the bench crate re-exports), shared by the coordinator and
+//!   `geattack-serve submit`.
 //! * [`manifest`] — the worker list: repeated `--worker host:port` flags or a
 //!   JSON fleet manifest ([`parse_manifest`]).
 //! * [`coordinator`] — the [`Coordinator`]: deterministic `p % N` shard

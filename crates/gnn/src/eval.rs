@@ -33,12 +33,6 @@ pub struct NodePrediction {
     pub margin: f64,
 }
 
-/// Computes [`NodePrediction`]s for the listed nodes.
-pub fn node_predictions(model: &Gcn, graph: &Graph, nodes: &[usize]) -> Vec<NodePrediction> {
-    let probs = model.predict_proba(graph);
-    nodes.iter().map(|&i| prediction_from_probs(&probs, graph, i)).collect()
-}
-
 /// Computes a single node's prediction record from a precomputed probability matrix.
 pub fn prediction_from_probs(probs: &Matrix, graph: &Graph, node: usize) -> NodePrediction {
     let label = graph.label(node);
@@ -58,11 +52,6 @@ pub fn prediction_from_probs(probs: &Matrix, graph: &Graph, node: usize) -> Node
         true_class_prob,
         margin: true_class_prob - best_other,
     }
-}
-
-/// Predicted class of a single node (convenience wrapper).
-pub fn predicted_class(model: &Gcn, graph: &Graph, node: usize) -> usize {
-    model.predict_proba(graph).argmax_row(node)
 }
 
 #[cfg(test)]
@@ -96,7 +85,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = toy_graph();
         let gcn = Gcn::new(2, 4, 2, &mut rng);
-        for p in node_predictions(&gcn, &g, &[0, 1, 2, 3]) {
+        let probs = gcn.predict_proba(&g);
+        for p in (0..4).map(|i| prediction_from_probs(&probs, &g, i)) {
             if p.predicted == p.label {
                 assert!(p.margin >= 0.0, "correct prediction must have non-negative margin");
             } else {
@@ -111,7 +101,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let g = toy_graph();
         let gcn = Gcn::new(2, 4, 2, &mut rng);
-        let preds = node_predictions(&gcn, &g, &[2]);
-        assert_eq!(preds[0].predicted, predicted_class(&gcn, &g, 2));
+        let probs = gcn.predict_proba(&g);
+        assert_eq!(prediction_from_probs(&probs, &g, 2).predicted, probs.argmax_row(2));
     }
 }

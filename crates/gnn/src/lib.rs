@@ -13,7 +13,7 @@ pub mod masked;
 pub mod train;
 
 pub use batched::BatchedForward;
-pub use eval::{accuracy, node_predictions, predicted_class, NodePrediction};
+pub use eval::{accuracy, NodePrediction};
 pub use gcn::{Gcn, GcnParamVars, GcnParams};
 pub use masked::EdgeSlots;
 pub use train::{train, EpochStats, TrainConfig, TrainedGcn};
