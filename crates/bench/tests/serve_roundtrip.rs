@@ -177,6 +177,30 @@ fn request_level_errors_come_back_as_error_events_and_the_daemon_survives() {
     daemon.join().expect("daemon thread").expect("daemon exits cleanly");
 }
 
+#[test]
+fn oversized_grids_get_an_error_event_and_the_daemon_survives() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let engine = Engine::new().serial(true);
+    let daemon = std::thread::spawn(move || serve(listener, &engine, ServeOptions::with_max_requests(Some(1))));
+
+    // 20,000 scales x 20,000 seeds fit one request line (~0.5 MB) but expand
+    // to 4e8 cells: planning them would abort the daemon on the allocation.
+    let scales: Vec<String> = (1..=20_000).map(|i| (i as f64 / 20_000.0).to_string()).collect();
+    let seeds: Vec<String> = (0..20_000).map(|i| i.to_string()).collect();
+    let huge = format!(
+        r#"{{ "name": "huge", "families": ["cora"], "attackers": ["fga"], "scales": [{}], "seeds": [{}] }}"#,
+        scales.join(","),
+        seeds.join(",")
+    );
+    let err = submit(&addr, &huge, Duration::from_secs(10), |_| {}).unwrap_err();
+    assert!(err.contains("result cells"), "{err}");
+
+    let outcome = submit(&addr, SPEC, Duration::from_secs(10), |_| {}).expect("valid submit succeeds");
+    assert_eq!(outcome.sweep, "serve-rt");
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+}
+
 /// Sends raw NDJSON lines over one connection and returns one parsed response
 /// per request line.
 fn raw_request(addr: &str, lines: &[&str]) -> Vec<Value> {

@@ -41,14 +41,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use geattack_cache::{CacheCounters, CacheStore};
-use geattack_graph::datasets::GeneratorConfig;
-use geattack_scenarios::{BudgetSpec, ScenarioSpec, SweepSpec};
+use geattack_graph::FamilyConfig;
+use geattack_scenarios::{BudgetSpec, SweepSpec};
 use geattack_telemetry::{span_labeled, Counter, Histogram, Level, MetricsRegistry};
 
 use crate::error::{CellFailure, GeError, Result};
 use crate::evaluation::summarize_run;
 use crate::persist::{prepare_base_cached, prepare_on_cached};
-use crate::pipeline::{run_attacker, Base, BudgetRule, GraphSource, PipelineConfig, Prepared};
+use crate::pipeline::{run_attacker, Base, BudgetRule, PipelineConfig, Prepared};
 use crate::registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 use crate::sweep::{
     estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, BaseId,
@@ -616,13 +616,12 @@ fn run_prep_cell<'a>(
         .iter()
         .find(|p| p.name() == cell.explainer)
         .expect("planned cells only reference resolved explainers");
-    let source = GraphSource::Scenario(ScenarioSpec::named(cell.family.clone()));
     let mut config = if spec.quick {
-        PipelineConfig::quick_source(source, cell.seed)
+        PipelineConfig::quick(cell.family.clone(), cell.seed)
     } else {
-        PipelineConfig::paper_scale_source(source, cell.seed)
+        PipelineConfig::paper_scale(cell.family.clone(), cell.seed)
     };
-    config.generator = GeneratorConfig::at_scale(cell.scale, cell.seed);
+    config.graph = FamilyConfig::new(cell.scale, cell.seed);
     config.set_victim_count(spec.victims);
     config.explainer = explainer.prepare_kind();
     if let Some(size) = explainer.explanation_size() {
@@ -799,7 +798,7 @@ mod tests {
         }
 
         fn build(&self, prepared: &Prepared) -> Result<Box<dyn TargetedAttack + Sync>> {
-            if prepared.config().generator.seed == 1 {
+            if prepared.config().graph.seed == 1 {
                 Err(GeError::Prepare("flaky attacker refuses seed 1".to_string()))
             } else {
                 Ok(prepared.attacker(AttackerKind::Rna))
@@ -960,7 +959,7 @@ mod tests {
             self.seen
                 .lock()
                 .unwrap()
-                .push((prepared.config().generator.seed, Arc::downgrade(&prepared.graph)));
+                .push((prepared.config().graph.seed, Arc::downgrade(&prepared.graph)));
             Ok(Box::new(geattack_explain::GnnExplainer::new(
                 prepared.config().gnnexplainer.clone(),
             )))

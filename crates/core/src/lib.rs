@@ -9,7 +9,7 @@
 //!   by differentiable inner gradient-descent steps (double backward).
 //! * [`pg_geattack`] — the PGExplainer variant of the joint attack (Section 5.3).
 //! * [`targets`] — victim selection and target-label assignment (Section 5.1).
-//! * [`pipeline`] — dataset → GCN → victims (the shared [`pipeline::Base`])
+//! * [`pipeline`] — graph family → GCN → victims (the shared [`pipeline::Base`])
 //!   → explainer stage → attack → evaluation.
 //! * [`evaluation`] — ASR / ASR-T and detection aggregation (mean ± std).
 //! * [`report`] — markdown tables and figure series matching the paper's format.
@@ -30,9 +30,8 @@
 //! ```no_run
 //! use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind, PipelineConfig};
 //! use geattack_core::evaluation::summarize_run;
-//! use geattack_graph::DatasetName;
 //!
-//! let prepared = prepare(PipelineConfig::quick(DatasetName::Cora, 0)).unwrap();
+//! let prepared = prepare(PipelineConfig::quick("cora", 0)).unwrap();
 //! let outcomes = run_attacker_kind(&prepared, AttackerKind::GeAttack).unwrap();
 //! let summary = summarize_run("GEAttack", &outcomes);
 //! println!("ASR-T = {:.1}%, F1@15 = {:.1}%", summary.asr_t * 100.0, summary.f1 * 100.0);
@@ -63,7 +62,7 @@ pub use persist::{base_key, pg_stage_key, prepare_base_cached, prepare_on_cached
 pub use pg_geattack::{PgGeAttack, PgGeAttackConfig};
 pub use pipeline::{
     prepare, prepare_base, prepare_on, run_attacker, run_attacker_kind, AttackerKind, Base, BudgetRule, ExplainerKind,
-    GraphSource, PipelineConfig, Prepared,
+    PipelineConfig, Prepared,
 };
 pub use registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 pub use report::{format_percent, Figure, Series, TableBlock};

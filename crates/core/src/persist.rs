@@ -6,9 +6,10 @@
 //! [`PipelineConfig`]. This module memoizes them as separate entries:
 //!
 //! * the **base** ([`Base`]: graph, split, GCN, victims), keyed by
-//!   [`base_key`] over the graph source, generator, training and
-//!   victim-selection configs — no explainer setting, so a GNNExplainer cell
-//!   and a PGExplainer cell on the same graph share one entry;
+//!   [`base_key`] over the graph family with its scale and seed, the
+//!   training and the victim-selection configs — no explainer setting, so a
+//!   GNNExplainer cell and a PGExplainer cell on the same graph share one
+//!   entry;
 //! * the **PGExplainer stage** (the trained MLP), keyed by [`pg_stage_key`]
 //!   over the base key plus PGExplainer's training config. GNNExplainer runs
 //!   per victim at attack time and has no stage entry.
@@ -34,13 +35,11 @@
 use geattack_cache::{CacheStore, Decoder, Encoder, KeyHasher};
 use geattack_explain::{PgExplainer, PgExplainerConfig, PgMlpParams};
 use geattack_gnn::{Gcn, GcnParams};
-use geattack_graph::{DataSplit, Graph};
+use geattack_graph::{DataSplit, GeneratorConfig, Graph};
 use geattack_tensor::Matrix;
 
 use crate::error::{GeError, Result};
-use crate::pipeline::{
-    prepare_base, prepare_on, train_pg_explainer, Base, ExplainerKind, GraphSource, PipelineConfig, Prepared,
-};
+use crate::pipeline::{prepare_base, prepare_on, train_pg_explainer, Base, ExplainerKind, PipelineConfig, Prepared};
 use crate::targets::Victim;
 
 /// Version salt folded into every cache key. Bump on any change to the
@@ -65,19 +64,17 @@ pub fn base_key(config: &PipelineConfig) -> String {
 /// the salt invalidates existing entries).
 pub fn base_key_salted(config: &PipelineConfig, salt: &str) -> String {
     let mut h = KeyHasher::new();
-    h.write_str("geattack-base").write_str(salt);
-    match &config.source {
-        GraphSource::Dataset(dataset) => {
-            h.write_str("dataset").write_str(dataset.as_str());
-        }
-        GraphSource::Scenario(spec) => {
-            h.write_str("scenario")
-                .write_str(&geattack_scenarios::canonical(&spec.family))
-                .write_opt_f64(spec.scale)
-                .write_opt_u64(spec.seed);
-        }
-    }
-    let g = &config.generator;
+    // The graph fields keep the byte layout of the keys earlier builds wrote
+    // for registry families (a `"scenario"` tag, two absent scale/seed
+    // overrides, then the citation generator's fields at the family's scale
+    // and seed), so existing `prepare-v4` entries keep hitting.
+    h.write_str("geattack-base")
+        .write_str(salt)
+        .write_str("scenario")
+        .write_str(&geattack_scenarios::canonical(&config.family))
+        .write_opt_f64(None)
+        .write_opt_u64(None);
+    let g = GeneratorConfig::at_scale(config.graph.scale, config.graph.seed);
     h.write_f64(g.scale)
         .write_usize(g.min_features)
         .write_usize(g.words_per_node)
@@ -437,11 +434,10 @@ mod tests {
     use crate::evaluation::summarize_run;
     use crate::pipeline::tests::assert_same_experiment;
     use crate::pipeline::{prepare, run_attacker_kind, AttackerKind};
-    use geattack_graph::datasets::{DatasetName, GeneratorConfig};
 
     fn tiny_config(seed: u64) -> PipelineConfig {
-        let mut config = PipelineConfig::quick(DatasetName::Cora, seed);
-        config.generator = GeneratorConfig::at_scale(0.06, seed);
+        let mut config = PipelineConfig::quick("cora", seed);
+        config.graph.scale = 0.06;
         config.set_victim_count(4);
         config.gnnexplainer.epochs = 10;
         config
@@ -494,14 +490,16 @@ mod tests {
 
     /// Golden keys: every on-disk cache entry written by an earlier build stays
     /// reachable only while these hex digests stay put. Change them together
-    /// with [`CODE_VERSION_SALT`], never on their own.
+    /// with [`CODE_VERSION_SALT`], never on their own. The values are the keys
+    /// the engine has written for this config (family `cora`) since
+    /// `prepare-v4`.
     #[test]
     fn cache_keys_match_golden_values() {
-        assert_eq!(base_key(&tiny_config(7)), "511c22725f5177cc661b2fa0bfba5e3b");
+        assert_eq!(base_key(&tiny_config(7)), "8bd5313e1ef73e06fa2c4e096cf44306");
         let mut pg = tiny_config(7);
         pg.explainer = ExplainerKind::PgExplainer;
         assert_eq!(base_key(&pg), base_key(&tiny_config(7)), "one base per graph");
-        assert_eq!(pg_stage_key(&pg).as_deref(), Some("8951f293a0e44b064556c4d4fb4f048e"));
+        assert_eq!(pg_stage_key(&pg).as_deref(), Some("a2b0c0aa79908e3ef92e086e58f7365a"));
         assert_eq!(pg_stage_key(&tiny_config(7)), None, "GNNExplainer has no stage entry");
     }
 

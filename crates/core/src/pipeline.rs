@@ -1,4 +1,4 @@
-//! End-to-end experiment pipeline: graph source → GCN → victims → attacks →
+//! End-to-end experiment pipeline: graph family → GCN → victims → attacks →
 //! evaluation.
 //!
 //! This module glues the substrates together exactly the way the paper's
@@ -8,9 +8,10 @@
 //! pre-pass, run every attacker in the evasion setting with budget `Δ = degree`,
 //! and score both attack success and explainer-based detection.
 //!
-//! The graph comes from a [`GraphSource`]: either one of the paper's citation
-//! datasets or any named [`geattack_scenarios`] family, so the same pipeline
-//! runs on the paper's datasets and on the scenario families alike.
+//! The graph is a family of the [`geattack_scenarios`] registry, named in
+//! [`PipelineConfig::family`]. The paper's citation datasets (`cora`,
+//! `citeseer`, `acm`) are registry families like the synthetic ones, so the
+//! same pipeline runs on both.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,9 +20,8 @@ use serde::{Deserialize, Serialize};
 use geattack_attack::{AttackContext, Fga, FgaT, FgaTE, FgaTEConfig, IgAttack, Nettack, RandomAttack, TargetedAttack};
 use geattack_explain::{Explainer, GnnExplainer, GnnExplainerConfig, PgExplainer, PgExplainerConfig};
 use geattack_gnn::{train, BatchedForward, Gcn, TrainConfig};
-use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-use geattack_graph::{stratified_split, DataSplit, Graph};
-use geattack_scenarios::{BudgetSpec, ScenarioSpec};
+use geattack_graph::{stratified_split, DataSplit, FamilyConfig, Graph};
+use geattack_scenarios::BudgetSpec;
 
 use crate::error::{GeError, Result};
 use crate::evaluation::{evaluate_attack, AttackOutcome};
@@ -87,12 +87,6 @@ impl AttackerKind {
             AttackerKind::GeAttack => &["geattack"],
         }
     }
-
-    /// Parses a case-insensitive attacker name by looking it up in the builtin
-    /// attacker registry (see [`crate::registry`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        crate::registry::builtin_attacker_kind(s)
-    }
 }
 
 /// Overrides of a builtin attacker's settings for one attacker-axis entry, set
@@ -135,61 +129,6 @@ impl ExplainerKind {
             ExplainerKind::PgExplainer => &["pgexplainer", "pg-explainer", "pg"],
         }
     }
-
-    /// Parses a case-insensitive explainer name by looking it up in the
-    /// builtin explainer registry (see [`crate::registry`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        crate::registry::builtin_explainer_kind(s)
-    }
-}
-
-/// Where an experiment's graph comes from: one of the paper's citation datasets
-/// (with the full [`GeneratorConfig`] knob set) or a named scenario family from
-/// the `geattack-scenarios` registry.
-#[derive(Clone, Debug, PartialEq)]
-pub enum GraphSource {
-    /// A synthetic stand-in for one of the paper's benchmark datasets.
-    Dataset(DatasetName),
-    /// A scenario-registry graph family (BA-Shapes, SBM, ...).
-    Scenario(ScenarioSpec),
-}
-
-impl GraphSource {
-    /// Parses a source name: citation dataset names take priority, everything
-    /// else is looked up in the scenario registry.
-    pub fn parse(s: &str) -> Option<Self> {
-        if let Some(dataset) = DatasetName::parse(s) {
-            return Some(GraphSource::Dataset(dataset));
-        }
-        let spec = ScenarioSpec::named(s);
-        spec.validate().ok().map(|()| GraphSource::Scenario(spec))
-    }
-
-    /// Display label for tables and reports.
-    pub fn label(&self) -> String {
-        match self {
-            GraphSource::Dataset(dataset) => dataset.as_str().to_string(),
-            GraphSource::Scenario(spec) => geattack_scenarios::canonical(&spec.family),
-        }
-    }
-
-    /// Checks the source is resolvable without generating anything.
-    pub fn validate(&self) -> Result<()> {
-        match self {
-            GraphSource::Dataset(_) => Ok(()),
-            GraphSource::Scenario(spec) => spec.validate().map_err(GeError::GraphSource),
-        }
-    }
-
-    /// Generates the graph (largest connected component). Scenario sources
-    /// inherit scale and seed from `generator` unless the spec overrides them.
-    /// Unknown scenario families come back as [`GeError::GraphSource`].
-    pub fn load(&self, generator: &GeneratorConfig) -> Result<Graph> {
-        match self {
-            GraphSource::Dataset(dataset) => Ok(load(*dataset, generator)),
-            GraphSource::Scenario(spec) => spec.load(generator.scale, generator.seed).map_err(GeError::GraphSource),
-        }
-    }
 }
 
 /// How many adversarial edges each victim grants the attacker.
@@ -225,10 +164,11 @@ impl From<BudgetSpec> for BudgetRule {
 /// Full configuration of one experiment run.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Where the graph comes from (named dataset or scenario family).
-    pub source: GraphSource,
-    /// Synthetic-dataset generator settings (scale, seed, ...).
-    pub generator: GeneratorConfig,
+    /// Registry name of the graph family (see
+    /// [`geattack_scenarios::FAMILY_NAMES`]).
+    pub family: String,
+    /// Scale and seed the family generates its graph at.
+    pub graph: FamilyConfig,
     /// GCN training settings.
     pub train: TrainConfig,
     /// Victim selection settings.
@@ -256,16 +196,10 @@ impl PipelineConfig {
     /// fewer victims, fewer explainer epochs. `seed` drives the dataset, the model
     /// initialization and victim selection, so different seeds give independent
     /// runs (the paper reports mean ± std over 5 runs).
-    pub fn quick(dataset: DatasetName, seed: u64) -> Self {
-        Self::quick_source(GraphSource::Dataset(dataset), seed)
-    }
-
-    /// [`PipelineConfig::quick`] for an arbitrary graph source (the scenario
-    /// sweep runner's entry point).
-    pub fn quick_source(source: GraphSource, seed: u64) -> Self {
+    pub fn quick(family: impl Into<String>, seed: u64) -> Self {
         Self {
-            source,
-            generator: GeneratorConfig::at_scale(0.12, seed),
+            family: family.into(),
+            graph: FamilyConfig::new(0.12, seed),
             train: TrainConfig {
                 seed,
                 ..Default::default()
@@ -309,26 +243,26 @@ impl PipelineConfig {
     }
 
     /// A configuration matching the paper's scale (slow: full-size graphs and 40
-    /// victims) for any graph source.
-    pub fn paper_scale_source(source: GraphSource, seed: u64) -> Self {
+    /// victims).
+    pub fn paper_scale(family: impl Into<String>, seed: u64) -> Self {
         Self {
-            generator: GeneratorConfig::full_scale(seed),
+            graph: FamilyConfig::new(1.0, seed),
             victims: VictimSelectionConfig {
                 count: 40,
                 seed,
                 ..Default::default()
             },
-            ..Self::quick_source(source, seed)
+            ..Self::quick(family, seed)
         }
     }
 }
 
 /// The explainer-independent stage of an experiment: the graph, its split,
 /// the trained (frozen) GCN, the victims with their target labels and the
-/// clean-graph forward pass. It reads only the graph source, generator,
-/// training and victim-selection configs, so every cell inspecting the same
-/// (graph, model) shares one `Base`, whatever its explainer; [`prepare_on`]
-/// adds the explainer stage on top.
+/// clean-graph forward pass. It reads only the graph family with its scale
+/// and seed, the training and the victim-selection configs, so every cell
+/// inspecting the same (graph, model) shares one `Base`, whatever its
+/// explainer; [`prepare_on`] adds the explainer stage on top.
 pub struct Base {
     /// The clean graph (shared, immutable).
     pub graph: Arc<Graph>,
@@ -427,11 +361,6 @@ impl Prepared {
         &self.config
     }
 
-    /// Display label of the graph source this experiment was prepared from.
-    pub fn source_label(&self) -> String {
-        self.config.source.label()
-    }
-
     /// Re-scopes the experiment to a different victim set (used by the degree
     /// buckets of Figures 2/3/7 and the parameter sweeps). The graph, model
     /// and explainer state are shared, not copied.
@@ -472,7 +401,7 @@ impl Prepared {
     pub fn tuned_attacker(&self, kind: AttackerKind, params: &AttackerParams) -> Box<dyn TargetedAttack + Sync> {
         match kind {
             AttackerKind::Fga => Box::new(Fga),
-            AttackerKind::Rna => Box::new(RandomAttack::new(self.config.generator.seed)),
+            AttackerKind::Rna => Box::new(RandomAttack::new(self.config.graph.seed)),
             AttackerKind::FgaT => Box::new(FgaT::default()),
             AttackerKind::Nettack => Box::new(Nettack::default()),
             AttackerKind::IgAttack => Box::new(IgAttack::default()),
@@ -509,14 +438,17 @@ impl Prepared {
     }
 }
 
-/// The base stage of an experiment: generate the graph, split it, train the
-/// GCN, select victims and assign their target labels. Fails (instead of
-/// panicking) when the graph source cannot be loaded.
+/// The base stage of an experiment: generate the graph (the family's largest
+/// connected component), split it, train the GCN, select victims and assign
+/// their target labels. An unknown family is a [`GeError::GraphSource`], not
+/// a panic.
 pub fn prepare_base(config: &PipelineConfig) -> Result<Base> {
     let _span = geattack_telemetry::span(geattack_telemetry::Level::Phase, "prepare");
-    let graph = config.source.load(&config.generator)?;
+    let family = geattack_scenarios::resolve(&config.family)
+        .ok_or_else(|| GeError::GraphSource(geattack_scenarios::unknown_family(&config.family)))?;
+    let graph = family.load(&config.graph);
     use rand::SeedableRng as _;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.generator.seed);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.graph.seed);
     let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
     let trained = train(&graph, &split, &config.train);
     let model = trained.model;
@@ -548,8 +480,7 @@ pub(crate) fn train_pg_explainer(base: &Base, config: &PgExplainerConfig) -> PgE
 /// The explainer stage of an experiment: trains PGExplainer on `base` when it
 /// is the inspector (GNNExplainer trains nothing ahead of time). `base` must
 /// come from [`prepare_base`] (or the cache) on a `config` with the same
-/// graph source, generator, training and victim settings; the explainer
-/// settings are free.
+/// graph, training and victim settings; the explainer settings are free.
 pub fn prepare_on(base: &Base, config: PipelineConfig) -> Prepared {
     let pg_explainer =
         (config.explainer == ExplainerKind::PgExplainer).then(|| train_pg_explainer(base, &config.pgexplainer));
@@ -557,7 +488,7 @@ pub fn prepare_on(base: &Base, config: PipelineConfig) -> Prepared {
 }
 
 /// Prepares an experiment: both stages, [`prepare_base`] then [`prepare_on`].
-/// Fails (instead of panicking) when the graph source cannot be loaded.
+/// Fails (instead of panicking) when the graph family is unknown.
 pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
     Ok(prepare_on(&prepare_base(&config)?, config))
 }
@@ -674,8 +605,8 @@ pub(crate) mod tests {
     }
 
     fn tiny_config(seed: u64) -> PipelineConfig {
-        let mut config = PipelineConfig::quick(DatasetName::Cora, seed);
-        config.generator = GeneratorConfig::at_scale(0.06, seed);
+        let mut config = PipelineConfig::quick("cora", seed);
+        config.graph.scale = 0.06;
         config.victims.count = 6;
         config.victims.top_margin = 2;
         config.victims.bottom_margin = 2;
@@ -733,15 +664,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn attacker_kind_parse_and_names() {
-        assert_eq!(AttackerKind::parse("geattack"), Some(AttackerKind::GeAttack));
-        assert_eq!(AttackerKind::parse("FGA-T&E"), Some(AttackerKind::FgaTE));
-        assert_eq!(AttackerKind::parse("nope"), None);
-        assert_eq!(AttackerKind::ALL.len(), 7);
-        assert_eq!(AttackerKind::GeAttack.name(), "GEAttack");
-    }
-
-    #[test]
     fn parallel_and_serial_runs_agree() {
         let mut config = tiny_config(93);
         config.victims.count = 4;
@@ -762,35 +684,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn graph_source_parse_label_and_load() {
-        assert_eq!(
-            GraphSource::parse("cora"),
-            Some(GraphSource::Dataset(DatasetName::Cora))
-        );
-        let scenario = GraphSource::parse("Tree_Cycles").unwrap();
-        assert_eq!(scenario.label(), "tree-cycles");
-        assert!(scenario.validate().is_ok());
-        assert_eq!(GraphSource::parse("no-such-graph"), None);
-
-        let graph = scenario.load(&GeneratorConfig::at_scale(0.08, 1)).unwrap();
-        assert!(graph.num_nodes() >= 30);
-        let comps = graph.csr().connected_components();
-        assert!(comps.iter().all(|&c| c == comps[0]), "source load applies LCC");
-    }
-
-    #[test]
     fn scenario_source_pipeline_prepares_and_attacks() {
-        let mut config = PipelineConfig::quick_source(GraphSource::parse("ba-shapes").unwrap(), 17);
-        config.generator = GeneratorConfig::at_scale(0.08, 17);
+        let mut config = PipelineConfig::quick("BA_Shapes", 17);
+        config.graph.scale = 0.08;
         config.victims.count = 4;
         config.victims.top_margin = 1;
         config.victims.bottom_margin = 1;
         config.gnnexplainer.epochs = 10;
         let prepared = prepare(config).unwrap();
-        assert_eq!(prepared.source_label(), "ba-shapes");
+        let comps = prepared.graph.csr().connected_components();
+        assert!(comps.iter().all(|&c| c == comps[0]), "the family's LCC is loaded");
         assert!(!prepared.victims.is_empty(), "BA-Shapes must yield attackable victims");
         let outcomes = run_attacker_kind(&prepared, AttackerKind::FgaT).unwrap();
         assert_eq!(outcomes.len(), prepared.victims.len());
+    }
+
+    #[test]
+    fn unknown_family_is_a_graph_source_error() {
+        let err = prepare(PipelineConfig::quick("petersen", 0)).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), "graph-source");
+        assert!(err.to_string().contains("unknown graph family `petersen`"), "{err}");
     }
 
     #[test]
@@ -828,14 +741,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn explainer_kind_parse_and_names() {
-        assert_eq!(ExplainerKind::parse("GNNExplainer"), Some(ExplainerKind::GnnExplainer));
-        assert_eq!(ExplainerKind::parse("pg-explainer"), Some(ExplainerKind::PgExplainer));
-        assert_eq!(ExplainerKind::parse("shap"), None);
-        assert_eq!(ExplainerKind::PgExplainer.name(), "PGExplainer");
-    }
-
-    #[test]
     fn pg_explainer_pipeline_builds() {
         let mut config = tiny_config(94);
         config.explainer = ExplainerKind::PgExplainer;
@@ -844,6 +749,17 @@ pub(crate) mod tests {
         config.pgexplainer.training_instances = 4;
         let prepared = prepare(config).unwrap();
         assert!(prepared.pg_explainer.is_some());
+        // The registry's inspectors build through `Prepared::inspector`, and
+        // only for the kind the state was prepared for.
+        let explainers = crate::registry::builtin_explainers();
+        assert!(explainers.resolve("pg").unwrap().inspector(&prepared).is_ok());
+        let err = explainers
+            .resolve("gnn")
+            .unwrap()
+            .inspector(&prepared)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("prepared for PGExplainer"), "{err}");
         let outcomes = run_attacker_kind(&prepared, AttackerKind::GeAttack).unwrap();
         assert_eq!(outcomes.len(), prepared.victims.len());
     }

@@ -12,10 +12,10 @@
 //! [`AttackerPlugin`] builds a [`TargetedAttack`] from a [`Prepared`]
 //! experiment, [`ExplainerPlugin`] builds the inspector [`Explainer`]. The
 //! paper's [`AttackerKind`] / [`ExplainerKind`] enums remain as the builtin
-//! registrations (their `parse` methods are lookups into the builtin
-//! registries), and [`crate::engine::Engine`] carries its own registry pair so
-//! custom attackers and explainers can be registered per engine without
-//! touching any enum.
+//! registrations, and [`crate::engine::Engine`] carries its own registry pair
+//! so custom attackers and explainers can be registered per engine without
+//! touching any enum. A registry lookup is the only way from a name to an
+//! attacker or explainer.
 //!
 //! An axis entry may carry parameters, `name:key=value,...`: GEAttack takes
 //! `lambda` and `inner_steps` (Figures 4, 6 and 8), both explainers take
@@ -29,7 +29,7 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use geattack_attack::TargetedAttack;
-use geattack_explain::{Explainer, GnnExplainer};
+use geattack_explain::Explainer;
 
 use crate::error::{GeError, Result};
 use crate::pipeline::{AttackerKind, AttackerParams, ExplainerKind, Prepared};
@@ -44,12 +44,6 @@ pub trait AttackerPlugin: Send + Sync {
     /// is always accepted too).
     fn aliases(&self) -> Vec<String> {
         Vec::new()
-    }
-
-    /// The builtin kind behind this plugin, if any ([`AttackerKind::parse`]
-    /// uses this to keep resolving through the registry).
-    fn builtin_kind(&self) -> Option<AttackerKind> {
-        None
     }
 
     /// Builds an attacker instance for one prepared experiment.
@@ -77,12 +71,6 @@ pub trait ExplainerPlugin: Send + Sync {
     /// is always accepted too).
     fn aliases(&self) -> Vec<String> {
         Vec::new()
-    }
-
-    /// The builtin kind behind this plugin, if any ([`ExplainerKind::parse`]
-    /// uses this to keep resolving through the registry).
-    fn builtin_kind(&self) -> Option<ExplainerKind> {
-        None
     }
 
     /// Which builtin preparation behaviour cells inspected by this explainer
@@ -152,10 +140,6 @@ impl AttackerPlugin for BuiltinAttacker {
         self.kind.aliases().iter().map(|a| a.to_string()).collect()
     }
 
-    fn builtin_kind(&self) -> Option<AttackerKind> {
-        (self.params == AttackerParams::default()).then_some(self.kind)
-    }
-
     fn build(&self, prepared: &Prepared) -> Result<Box<dyn TargetedAttack + Sync>> {
         Ok(prepared.tuned_attacker(self.kind, &self.params))
     }
@@ -216,10 +200,6 @@ impl ExplainerPlugin for BuiltinExplainer {
         self.kind.aliases().iter().map(|a| a.to_string()).collect()
     }
 
-    fn builtin_kind(&self) -> Option<ExplainerKind> {
-        self.size.is_none().then_some(self.kind)
-    }
-
     fn prepare_kind(&self) -> ExplainerKind {
         self.kind
     }
@@ -244,18 +224,17 @@ impl ExplainerPlugin for BuiltinExplainer {
     }
 
     fn inspector(&self, prepared: &Prepared) -> Result<Box<dyn Explainer + Sync>> {
-        // `prepare_kind` routed preparation through the matching builtin path,
-        // so the prepared state fits this inspector; a mismatch (PG requested
-        // on GNN-prepared state) surfaces as a `Prepare` error, not a panic.
-        match self.kind {
-            ExplainerKind::GnnExplainer => Ok(Box::new(GnnExplainer::new(prepared.config().gnnexplainer.clone()))),
-            ExplainerKind::PgExplainer => match &prepared.pg_explainer {
-                Some(pg) => Ok(Box::new(Arc::clone(pg))),
-                None => Err(GeError::Prepare(
-                    "PGExplainer inspector requested but the prepared state has no trained PGExplainer".to_string(),
-                )),
-            },
+        // `prepare_kind` prepared the cell for this kind, so the prepared
+        // state's own inspector is this explainer; state prepared for the
+        // other kind surfaces as a `Prepare` error, not the wrong inspector.
+        if prepared.config().explainer != self.kind {
+            return Err(GeError::Prepare(format!(
+                "{} inspector requested on state prepared for {}",
+                self.kind.name(),
+                prepared.config().explainer.name()
+            )));
         }
+        prepared.inspector()
     }
 }
 
@@ -393,21 +372,11 @@ impl ExplainerRegistry {
     }
 }
 
-/// Process-wide builtin registries, built once (the enums' `parse` methods and
-/// the standalone `merge_shards` resolve against these).
+/// Process-wide builtin registries, built once (the standalone `merge_shards`
+/// resolves against these).
 fn builtins() -> &'static (AttackerRegistry, ExplainerRegistry) {
     static BUILTINS: OnceLock<(AttackerRegistry, ExplainerRegistry)> = OnceLock::new();
     BUILTINS.get_or_init(|| (AttackerRegistry::builtin(), ExplainerRegistry::builtin()))
-}
-
-/// Registry lookup behind [`AttackerKind::parse`].
-pub(crate) fn builtin_attacker_kind(name: &str) -> Option<AttackerKind> {
-    builtins().0.resolve(name).ok().and_then(|p| p.builtin_kind())
-}
-
-/// Registry lookup behind [`ExplainerKind::parse`].
-pub(crate) fn builtin_explainer_kind(name: &str) -> Option<ExplainerKind> {
-    builtins().1.resolve(name).ok().and_then(|p| p.builtin_kind())
 }
 
 /// The builtin attacker registry (shared, process-wide).
@@ -446,16 +415,22 @@ mod tests {
         for kind in AttackerKind::ALL {
             assert!(attackers.is_known(kind.name()), "{} must resolve", kind.name());
             for alias in kind.aliases() {
-                let plugin = attackers.resolve(alias).unwrap();
-                assert_eq!(plugin.builtin_kind(), Some(kind));
+                assert_eq!(
+                    attackers.resolve(&alias.to_ascii_uppercase()).unwrap().name(),
+                    kind.name()
+                );
             }
         }
+        assert!(!attackers.is_known("nope"));
         let explainers = ExplainerRegistry::builtin();
         for kind in ExplainerKind::ALL {
-            let plugin = explainers.resolve(kind.name()).unwrap();
-            assert_eq!(plugin.builtin_kind(), Some(kind));
-            assert_eq!(plugin.prepare_kind(), kind);
+            for alias in kind.aliases() {
+                let plugin = explainers.resolve(alias).unwrap();
+                assert_eq!(plugin.name(), kind.name());
+                assert_eq!(plugin.prepare_kind(), kind);
+            }
         }
+        assert!(!explainers.is_known("shap"));
     }
 
     #[test]
@@ -504,7 +479,6 @@ mod tests {
             .resolve("GEAttack: inner_steps=3, lambda=0.5")
             .unwrap();
         assert_eq!(tuned.name(), "GEAttack[lambda=0.5,inner_steps=3]");
-        assert_eq!(tuned.builtin_kind(), None, "a tuned entry is not the plain builtin");
         let sized = ExplainerRegistry::builtin().resolve("gnnexplainer:size=40").unwrap();
         assert_eq!(sized.name(), "GNNExplainer[size=40]");
         assert_eq!(sized.explanation_size(), Some(40));
@@ -535,12 +509,5 @@ mod tests {
         for entry in ["gnnexplainer:size=0", "gnnexplainer:size=5000", "pg:depth=2"] {
             assert!(explainers.resolve(entry).is_err(), "{entry}");
         }
-    }
-
-    #[test]
-    fn parse_goes_through_the_registry() {
-        assert_eq!(AttackerKind::parse("FGA-T&E"), Some(AttackerKind::FgaTE));
-        assert_eq!(ExplainerKind::parse("pg"), Some(ExplainerKind::PgExplainer));
-        assert_eq!(AttackerKind::parse("nope"), None);
     }
 }

@@ -9,13 +9,12 @@ use proptest::prelude::*;
 
 use geattack_core::persist::{decode_base, decode_pg_stage, encode_base, encode_pg_stage};
 use geattack_core::{prepare_base, prepare_on, Base, ExplainerKind, PipelineConfig};
-use geattack_graph::datasets::{DatasetName, GeneratorConfig};
 
 /// A small PGExplainer-inspected experiment, so the payloads cover every
 /// section the encoders write.
 fn config() -> PipelineConfig {
-    let mut config = PipelineConfig::quick(DatasetName::Cora, 41);
-    config.generator = GeneratorConfig::at_scale(0.03, 41);
+    let mut config = PipelineConfig::quick("cora", 41);
+    config.graph.scale = 0.03;
     config.set_victim_count(2);
     config.explainer = ExplainerKind::PgExplainer;
     config.pgexplainer.epochs = 1;

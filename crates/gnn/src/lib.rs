@@ -3,7 +3,7 @@
 //! Graph convolutional network models, training and evaluation for the GEAttack
 //! reproduction: the differentiable two-layer GCN that is attacked ([`gcn`]), the
 //! masked GCN the explainers and joint attacks share ([`masked`]), its training
-//! loop ([`train`]), the shared full-graph forward ([`batched`]) and
+//! loop ([`train`](mod@train)), the shared full-graph forward ([`batched`]) and
 //! evaluation helpers ([`eval`]).
 
 pub mod batched;

@@ -144,15 +144,6 @@ impl Default for GeneratorConfig {
 }
 
 impl GeneratorConfig {
-    /// Config at the paper's full scale.
-    pub fn full_scale(seed: u64) -> Self {
-        Self {
-            scale: 1.0,
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// Config at a reduced scale (useful for tests and CI).
     pub fn at_scale(scale: f64, seed: u64) -> Self {
         Self {

@@ -15,7 +15,7 @@
 //! high-degree nodes and late low-degree nodes carry different classes while
 //! features stay class-correlated through [`topic_features`].
 //!
-//! Generation is CSR-native: a [`GraphBuilder`] plus a [`DegreeTree`] replace
+//! Generation is CSR-native: a [`GraphBuilder`] plus a `DegreeTree` replace
 //! the old dense matrix and linear roulette scan, so the `huge` preset grows
 //! 100k-node graphs in `O(n·m·log n)` time and `O(E)` memory while every
 //! existing preset stays byte-identical (same RNG stream, same picks).

@@ -18,7 +18,7 @@
 //! * the three citation datasets, adapted by `geattack-graph`.
 //!
 //! [`registry`] resolves family names to generators; [`spec`] defines the
-//! serde-deserializable [`ScenarioSpec`] (one graph) and [`SweepSpec`] (a full
+//! serde-deserializable [`SweepSpec`] (a full
 //! `{family x scale x seed x attacker x explainer x budget}` grid). Execution
 //! lives in `geattack_core::engine`, which reuses one prepared experiment per
 //! (family, scale, seed, explainer) cell across all attackers and budgets.
@@ -28,5 +28,5 @@ pub mod registry;
 pub mod spec;
 
 pub use families::{BaShapes, KRegular, PowerlawCluster, StochasticBlockModel, TreeCycles, WattsStrogatz};
-pub use registry::{canonical, is_known, resolve, FAMILY_NAMES};
-pub use spec::{BudgetSpec, ScenarioSpec, SweepSpec};
+pub use registry::{canonical, is_known, resolve, unknown_family, FAMILY_NAMES};
+pub use spec::{BudgetSpec, SweepSpec};

@@ -43,6 +43,11 @@ pub fn resolve(name: &str) -> Option<Box<dyn GraphFamily>> {
     }
 }
 
+/// The error message for a family name the registry does not know.
+pub fn unknown_family(name: &str) -> String {
+    format!("unknown graph family `{name}` (known: {})", FAMILY_NAMES.join(", "))
+}
+
 /// Whether `name` resolves to a known family.
 pub fn is_known(name: &str) -> bool {
     FAMILY_NAMES.contains(&canonical(name).as_str())

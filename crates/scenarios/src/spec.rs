@@ -1,98 +1,19 @@
-//! Declarative scenario and sweep specifications (JSON).
+//! Declarative sweep specifications (JSON).
 //!
-//! A [`ScenarioSpec`] names one graph: a registry family plus optional scale
-//! and seed overrides. A [`SweepSpec`] describes a full experiment grid —
+//! A [`SweepSpec`] describes a full experiment grid —
 //! `{family x scale x seed x attacker x explainer x budget}` — that the
 //! `geattack-sweep` binary expands, executes and aggregates. Attacker and
 //! explainer names are kept as strings here so the spec layer stays free of the
 //! pipeline crates; the sweep executor resolves (and rejects) them against
 //! `geattack-core` before any cell runs.
 //!
-//! Both types serialize to/from JSON through the workspace's serde shim. The
+//! Specs serialize to/from JSON through the workspace's serde shim. The
 //! deserializer fills in defaults for omitted grid axes, so the minimal useful
 //! sweep spec is just a name, a family list and an attacker list.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
-use geattack_graph::{FamilyConfig, Graph};
-
 use crate::registry;
-
-/// One concrete graph scenario: a family name plus optional scale/seed
-/// overrides. `None` means "inherit from the surrounding pipeline config".
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScenarioSpec {
-    /// Registry name of the graph family (see [`registry::FAMILY_NAMES`]).
-    pub family: String,
-    /// Scale override in `(0, 1]`.
-    pub scale: Option<f64>,
-    /// Seed override.
-    pub seed: Option<u64>,
-}
-
-impl ScenarioSpec {
-    /// A scenario inheriting scale and seed from the pipeline.
-    pub fn named(family: impl Into<String>) -> Self {
-        Self {
-            family: family.into(),
-            scale: None,
-            seed: None,
-        }
-    }
-
-    /// Checks the family exists and the overrides are usable.
-    pub fn validate(&self) -> Result<(), String> {
-        if !registry::is_known(&self.family) {
-            return Err(format!(
-                "unknown graph family `{}` (known: {})",
-                self.family,
-                registry::FAMILY_NAMES.join(", ")
-            ));
-        }
-        if let Some(scale) = self.scale {
-            if !(scale > 0.0 && scale <= 1.0) {
-                return Err(format!("scenario scale {scale} out of (0, 1]"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Generates the scenario's graph (largest connected component), using
-    /// `default_scale`/`default_seed` where the spec does not override them.
-    pub fn load(&self, default_scale: f64, default_seed: u64) -> Result<Graph, String> {
-        self.validate()?;
-        let family = registry::resolve(&self.family).expect("validated above");
-        let config = FamilyConfig::new(self.scale.unwrap_or(default_scale), self.seed.unwrap_or(default_seed));
-        Ok(family.load(&config))
-    }
-}
-
-impl Serialize for ScenarioSpec {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![("family".to_string(), Value::String(self.family.clone()))];
-        if let Some(scale) = self.scale {
-            fields.push(("scale".to_string(), Value::Number(scale)));
-        }
-        if let Some(seed) = self.seed {
-            fields.push(("seed".to_string(), Value::Number(seed as f64)));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        // Accept both the object form and a bare family-name string.
-        if let Value::String(family) = value {
-            return Ok(Self::named(family.clone()));
-        }
-        Ok(Self {
-            family: String::deserialize(value.get_field("family")?)?,
-            scale: optional(value, "scale")?,
-            seed: optional(value, "seed")?,
-        })
-    }
-}
 
 /// Per-victim edge budget of one grid axis value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,8 +79,14 @@ impl Deserialize for BudgetSpec {
     }
 }
 
-/// A declarative experiment grid over scenarios, attackers, explainers, seeds
-/// and budgets.
+/// Most result cells one sweep grid may expand to. Far above any real sweep
+/// (the checked-in specs stay under 50), and small enough that expanding and
+/// planning a grid never makes a large allocation, whatever a submitted spec
+/// lists.
+pub const MAX_RESULT_CELLS: usize = 100_000;
+
+/// A declarative experiment grid over graph families, attackers, explainers,
+/// seeds and budgets.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepSpec {
     /// Sweep name (used for the report and its JSON artifact).
@@ -170,7 +97,7 @@ pub struct SweepSpec {
     pub scales: Vec<f64>,
     /// Independent seeds; defaults to `[0, 1]`.
     pub seeds: Vec<u64>,
-    /// Attacker names (resolved by the executor against `AttackerKind::parse`).
+    /// Attacker names (resolved by the executor against its attacker registry).
     pub attackers: Vec<String>,
     /// Explainer names; defaults to `["gnnexplainer"]`.
     pub explainers: Vec<String>,
@@ -207,8 +134,9 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Structural validation: every axis non-empty, families known, scales in
-    /// range. Attacker/explainer strings are resolved by the executor.
+    /// Structural validation: every axis non-empty, at most
+    /// [`MAX_RESULT_CELLS`] result cells, families known, scales in range.
+    /// Attacker/explainer strings are resolved by the executor.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("sweep name must not be empty".to_string());
@@ -225,8 +153,26 @@ impl SweepSpec {
                 return Err(format!("sweep axis `{axis}` must not be empty"));
             }
         }
-        for family in &self.families {
-            ScenarioSpec::named(family.clone()).validate()?;
+        let axes = [
+            self.families.len(),
+            self.scales.len(),
+            self.seeds.len(),
+            self.attackers.len(),
+            self.explainers.len(),
+            self.budgets.len(),
+        ];
+        if axes
+            .iter()
+            .try_fold(1usize, |cells, &len| cells.checked_mul(len))
+            .is_none_or(|cells| cells > MAX_RESULT_CELLS)
+        {
+            return Err(format!(
+                "sweep grid {} exceeds {MAX_RESULT_CELLS} result cells",
+                axes.map(|len| len.to_string()).join(" x ")
+            ));
+        }
+        if let Some(family) = self.families.iter().find(|f| !registry::is_known(f)) {
+            return Err(registry::unknown_family(family));
         }
         for &scale in &self.scales {
             if !(scale > 0.0 && scale <= 1.0) {
@@ -410,6 +356,30 @@ mod tests {
     }
 
     #[test]
+    fn grids_beyond_the_cell_cap_are_rejected() {
+        // 20,000 scales x 20,000 seeds: a ~0.5 MB spec whose 4e8 cells would
+        // abort the process if the grid were ever expanded.
+        let scales: Vec<String> = (1..=20_000).map(|i| (i as f64 / 20_000.0).to_string()).collect();
+        let seeds: Vec<String> = (0..20_000).map(|i: u64| i.to_string()).collect();
+        let text = format!(
+            r#"{{ "name": "huge", "families": ["cora"], "attackers": ["fga"], "scales": [{}], "seeds": [{}] }}"#,
+            scales.join(","),
+            seeds.join(",")
+        );
+        assert!(text.len() < 1 << 20, "fits a serve request line");
+        let err = SweepSpec::from_json(&text).unwrap_err();
+        assert!(err.contains("1 x 20000 x 20000 x 1 x 1 x 1"), "{err}");
+        assert!(err.contains("exceeds 100000 result cells"), "{err}");
+
+        // The cap itself is allowed; twice the cap is not.
+        let mut spec = SweepSpec::new("wide", vec!["cora".to_string()], vec!["fga".to_string()]);
+        spec.seeds = (0..MAX_RESULT_CELLS as u64).collect();
+        assert!(spec.validate().is_ok());
+        spec.scales = vec![0.1, 0.2];
+        assert!(spec.validate().unwrap_err().contains("result cells"));
+    }
+
+    #[test]
     fn duplicate_axis_values_are_rejected() {
         // Case/separator variants of the same family are one value after
         // canonicalization, so they would duplicate every cell of the grid.
@@ -477,20 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_spec_loads_with_inherited_and_overridden_knobs() {
-        let inherited = ScenarioSpec::named("tree-cycles").load(0.1, 3).unwrap();
-        let overridden = ScenarioSpec {
-            family: "tree-cycles".to_string(),
-            scale: Some(0.2),
-            seed: Some(3),
-        }
-        .load(0.1, 99)
-        .unwrap();
-        assert!(overridden.num_nodes() > inherited.num_nodes());
-        assert!(ScenarioSpec::named("nope").load(0.1, 0).is_err());
-    }
-
-    #[test]
     fn content_hash_is_stable_and_axis_sensitive() {
         let spec = SweepSpec::new("h", vec!["sbm".to_string()], vec!["fga".to_string()]);
         let hash = spec.content_hash();
@@ -510,11 +466,5 @@ mod tests {
         let mut other = spec;
         other.budgets = vec![BudgetSpec::Fixed(2)];
         assert_ne!(other.content_hash(), hash);
-    }
-
-    #[test]
-    fn scenario_spec_accepts_bare_string_form() {
-        let spec: ScenarioSpec = serde_json::from_str(r#""ba-shapes""#).unwrap();
-        assert_eq!(spec, ScenarioSpec::named("ba-shapes"));
     }
 }

@@ -5,7 +5,7 @@
 //! leaf crates like `geattack-cache` and `geattack-tensor` can emit telemetry
 //! without picking up serde or the rayon shim.
 //!
-//! * [`span`] — [`SpanGuard`]s measure a region on the monotonic clock and
+//! * [`span`](mod@span) — [`SpanGuard`]s measure a region on the monotonic clock and
 //!   report it, with its parent span and thread, to the installed recorder
 //!   when the guard drops. Spans carry a [`Level`] (`Cell` > `Phase` >
 //!   `Detail`); whether a span is live is a single relaxed atomic load, so an

@@ -271,7 +271,7 @@ impl Matrix {
 
     /// Matrix product `self * other` using an i-k-j loop order so the inner loop
     /// streams over contiguous rows of both operands, register-blocked through
-    /// [`crate::kernels::mul_row_panels`]. Zero `a_ik` entries are skipped (the
+    /// `kernels::mul_row_panels`. Zero `a_ik` entries are skipped (the
     /// same stream a [`crate::SparseMatrix`] of `self` would store), which keeps
     /// the dense product bit-identical to the sparse `spmm` — the zero-skip is
     /// also load-bearing for exactness: `acc + 0.0` flips a `-0.0` accumulator.

@@ -6,7 +6,7 @@
 //! features multiplying a weight matrix. Two kernels carry the whole sparse
 //! compute core:
 //!
-//! * [`SparseMatrix::spmm`] — CSR · dense, register-blocked (see [`crate::kernels`]).
+//! * [`SparseMatrix::spmm`] — CSR · dense, register-blocked (see the `kernels` module).
 //!   Per output row the stored entries are accumulated in ascending column order,
 //!   which is the **exact** floating-point operation sequence of [`Matrix::matmul`]
 //!   (an i-k-j loop that skips zero `a_ik`; the builders filter explicit zeros so
@@ -338,7 +338,7 @@ impl SparseMatrix {
     /// Bounds are validated in one pre-pass so the per-position loop is
     /// assert-free; consecutive positions sharing a row reuse one `g.row(i)`
     /// load (stored positions arrive row-major, so runs are long); and the dot
-    /// itself is the unrolled **in-order** [`crate::kernels::dot_in_order`], so
+    /// itself is the unrolled **in-order** `kernels::dot_in_order`, so
     /// every returned value is bit-identical to the naive
     /// `zip(g.row(i), b.row(j)).map(|..| x*y).sum()`.
     pub fn sddmm(positions: &[(usize, usize)], g: &Matrix, b: &Matrix) -> Vec<f64> {

@@ -233,7 +233,7 @@ pub(crate) struct Node {
     pub(crate) value: Matrix,
 }
 
-/// An autodiff tape (a growable arena of [`Node`]s).
+/// An autodiff tape (a growable arena of `Node`s).
 ///
 /// Either record a computation once per step (read the results out as
 /// [`Matrix`] values and drop the tape), or record it once and re-run it with

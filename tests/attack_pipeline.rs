@@ -2,12 +2,11 @@
 
 use geattack_core::evaluation::summarize_run;
 use geattack_core::pipeline::{run_attacker_kind, AttackerKind};
-use geattack_graph::DatasetName;
 use geattack_integration_tests::tiny_prepared;
 
 #[test]
 fn every_attacker_respects_the_protocol() {
-    let prepared = tiny_prepared(DatasetName::Cora, 3);
+    let prepared = tiny_prepared("cora", 3);
     for kind in AttackerKind::ALL {
         let outcomes = run_attacker_kind(&prepared, kind).unwrap();
         assert_eq!(outcomes.len(), prepared.victims.len(), "{}: outcome count", kind.name());
@@ -27,7 +26,7 @@ fn every_attacker_respects_the_protocol() {
 
 #[test]
 fn gradient_attacks_beat_random_attack() {
-    let prepared = tiny_prepared(DatasetName::Citeseer, 4);
+    let prepared = tiny_prepared("citeseer", 4);
     let rna = summarize_run("RNA", &run_attacker_kind(&prepared, AttackerKind::Rna).unwrap());
     let fga_t = summarize_run("FGA-T", &run_attacker_kind(&prepared, AttackerKind::FgaT).unwrap());
     let ge = summarize_run(
@@ -54,7 +53,7 @@ fn gradient_attacks_beat_random_attack() {
 
 #[test]
 fn untargeted_fga_has_asr_but_not_necessarily_asr_t() {
-    let prepared = tiny_prepared(DatasetName::Cora, 5);
+    let prepared = tiny_prepared("cora", 5);
     let fga = summarize_run("FGA", &run_attacker_kind(&prepared, AttackerKind::Fga).unwrap());
     assert!(fga.asr >= fga.asr_t, "ASR must always dominate ASR-T");
     assert!(fga.asr > 0.0, "untargeted FGA flipped nothing at all");

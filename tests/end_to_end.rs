@@ -5,13 +5,11 @@
 use geattack_core::evaluation::summarize_run;
 use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind};
 use geattack_gnn::accuracy;
-use geattack_graph::datasets::GeneratorConfig;
-use geattack_graph::DatasetName;
 use geattack_integration_tests::{tiny_config, tiny_prepared};
 
 #[test]
 fn full_pipeline_produces_sane_results() {
-    let prepared = tiny_prepared(DatasetName::Cora, 1);
+    let prepared = tiny_prepared("cora", 1);
 
     // The trained GCN must beat chance on the test split, otherwise the attack
     // evaluation is meaningless.
@@ -61,8 +59,8 @@ fn geattack_is_no_easier_to_detect_than_fga_t() {
     let mut ge_asr = 0.0;
     let mut ge_ndcg = 0.0;
     for &seed in &seeds {
-        let mut config = tiny_config(DatasetName::Citeseer, seed);
-        config.generator = GeneratorConfig::at_scale(0.12, seed);
+        let mut config = tiny_config("citeseer", seed);
+        config.graph.scale = 0.12;
         config.victims.count = 12;
         config.victims.top_margin = 4;
         config.victims.bottom_margin = 4;

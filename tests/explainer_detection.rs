@@ -5,12 +5,11 @@
 use geattack_attack::{AttackContext, FgaT, TargetedAttack};
 use geattack_core::pipeline::ExplainerKind;
 use geattack_explain::{detection_scores, Explainer, GnnExplainer, GnnExplainerConfig};
-use geattack_graph::DatasetName;
 use geattack_integration_tests::{tiny_config, tiny_prepared};
 
 #[test]
 fn gnnexplainer_detects_fga_t_edges_on_average() {
-    let prepared = tiny_prepared(DatasetName::Cora, 6);
+    let prepared = tiny_prepared("cora", 6);
     let explainer = GnnExplainer::new(GnnExplainerConfig {
         epochs: 30,
         ..Default::default()
@@ -32,7 +31,7 @@ fn gnnexplainer_detects_fga_t_edges_on_average() {
 
 #[test]
 fn pgexplainer_pipeline_produces_valid_detection_scores() {
-    let mut config = tiny_config(DatasetName::Citeseer, 7);
+    let mut config = tiny_config("citeseer", 7);
     config.explainer = ExplainerKind::PgExplainer;
     config.victims.count = 4;
     let prepared = geattack_core::pipeline::prepare(config).unwrap();
@@ -52,7 +51,7 @@ fn pgexplainer_pipeline_produces_valid_detection_scores() {
 #[test]
 fn explanation_of_clean_graph_contains_no_adversarial_edges() {
     // Sanity: detection metrics must be zero when nothing was perturbed.
-    let prepared = tiny_prepared(DatasetName::Cora, 8);
+    let prepared = tiny_prepared("cora", 8);
     let explainer = GnnExplainer::new(GnnExplainerConfig {
         epochs: 20,
         ..Default::default()

@@ -8,11 +8,10 @@
 use geattack_core::engine::Engine;
 use geattack_core::evaluation::AttackOutcome;
 use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind};
-use geattack_graph::DatasetName;
 use geattack_integration_tests::{spec_file, tiny_config};
 
 fn outcomes_with_parallel(parallel: bool, kind: AttackerKind, seed: u64) -> Vec<AttackOutcome> {
-    let mut config = tiny_config(DatasetName::Cora, seed);
+    let mut config = tiny_config("cora", seed);
     config.victims.count = 6;
     config.parallel = parallel;
     let prepared = prepare(config).unwrap();

@@ -5,6 +5,7 @@
 //! `shard-equivalence` and `cache-roundtrip` jobs `cmp` at the binary level.
 
 use geattack_core::engine::Engine;
+use geattack_core::registry::builtin_explainers;
 use geattack_core::sweep::{merge_shards, Shard, SweepReport, SweepRun};
 use geattack_core::{ExplainerKind, GeError};
 use geattack_integration_tests::spec_file;
@@ -55,7 +56,11 @@ fn cache_entries(spec: &SweepSpec) -> u64 {
     let pg_explainers = spec
         .explainers
         .iter()
-        .filter(|name| ExplainerKind::parse(name) == Some(ExplainerKind::PgExplainer))
+        .filter(|name| {
+            builtin_explainers()
+                .resolve(name)
+                .is_ok_and(|plugin| plugin.prepare_kind() == ExplainerKind::PgExplainer)
+        })
         .count();
     (bases * (1 + pg_explainers)) as u64
 }

@@ -4,15 +4,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use geattack_core::pipeline::{prepare, PipelineConfig, Prepared};
-use geattack_graph::datasets::GeneratorConfig;
-use geattack_graph::DatasetName;
 use geattack_scenarios::SweepSpec;
 
-/// A deliberately tiny experiment configuration so the integration tests run in a
+/// A deliberately tiny experiment configuration on graph `family` (a
+/// scenario-registry name such as `"cora"`) so the integration tests run in a
 /// few seconds while still exercising every stage of the pipeline.
-pub fn tiny_config(dataset: DatasetName, seed: u64) -> PipelineConfig {
-    let mut config = PipelineConfig::quick(dataset, seed);
-    config.generator = GeneratorConfig::at_scale(0.07, seed);
+pub fn tiny_config(family: &str, seed: u64) -> PipelineConfig {
+    let mut config = PipelineConfig::quick(family, seed);
+    config.graph.scale = 0.07;
     config.victims.count = 8;
     config.victims.top_margin = 3;
     config.victims.bottom_margin = 3;
@@ -24,9 +23,9 @@ pub fn tiny_config(dataset: DatasetName, seed: u64) -> PipelineConfig {
     config
 }
 
-/// Prepares a tiny experiment (synthetic dataset, trained GCN, victims).
-pub fn tiny_prepared(dataset: DatasetName, seed: u64) -> Prepared {
-    prepare(tiny_config(dataset, seed)).expect("tiny config always prepares")
+/// Prepares a tiny experiment (synthetic graph, trained GCN, victims).
+pub fn tiny_prepared(family: &str, seed: u64) -> Prepared {
+    prepare(tiny_config(family, seed)).expect("tiny config always prepares")
 }
 
 /// A deterministic RNG for tests that need one.
