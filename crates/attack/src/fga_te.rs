@@ -88,11 +88,7 @@ impl TargetedAttack for FgaTE {
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.fga-te");
         let exclude = self.excluded_endpoints(ctx);
-        FgaT::default().attack_excluding(ctx, &exclude)
-    }
-
-    fn name(&self) -> &'static str {
-        "FGA-T&E"
+        FgaT.attack_excluding(ctx, &exclude)
     }
 }
 

@@ -13,7 +13,7 @@ use geattack_graph::{Graph, Perturbation};
 use geattack_tensor::SparseMatrix;
 
 use crate::{
-    best_candidate_by_gradient, candidate_endpoints, AttackContext, LossGradients, TargetGradient, TargetedAttack,
+    best_candidate_by_gradient, greedy_insertions, AttackContext, LossGradients, TargetGradient, TargetedAttack,
 };
 
 /// Configuration of IG-Attack.
@@ -121,31 +121,18 @@ impl IgAttack {
 impl TargetedAttack for IgAttack {
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.ig");
-        let mut perturbation = Perturbation::new();
-        let mut working = ctx.graph.clone();
         let gradients = LossGradients::new(ctx.model, ctx.graph);
-
-        for _ in 0..ctx.budget {
-            let candidates = candidate_endpoints(&working, ctx.target, &[]);
-            if candidates.is_empty() {
-                break;
-            }
-            let ig = self.integrated_gradients_with(&gradients, ctx, &working, &candidates);
-            let best = best_candidate_by_gradient(&ig, &candidates).expect("candidates is non-empty");
-            perturbation.add_edge(ctx.target, best);
-            working.add_edge(ctx.target, best);
-        }
-        perturbation
-    }
-
-    fn name(&self) -> &'static str {
-        "IG-Attack"
+        greedy_insertions(ctx, &[], |working, candidates| {
+            let ig = self.integrated_gradients_with(&gradients, ctx, working, &candidates);
+            best_candidate_by_gradient(&ig, &candidates)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_endpoints;
     use crate::fga::FgaT;
     use crate::tests::{pick_victim, small_setup};
 
@@ -199,7 +186,7 @@ mod tests {
             target_label,
             budget: 2,
         };
-        for p in [IgAttack::default().attack(&ctx), FgaT::default().attack(&ctx)] {
+        for p in [IgAttack::default().attack(&ctx), FgaT.attack(&ctx)] {
             for &(u, v) in p.added() {
                 assert!(u == victim || v == victim);
             }

@@ -16,6 +16,13 @@
 //! the target's degree (configurable). Every attack returns a
 //! [`geattack_graph::Perturbation`] so the evaluation pipeline can later ask which
 //! edges were adversarial.
+//!
+//! Every greedy attacker — FGA, FGA-T, FGA-T&E, IG-Attack, Nettack and both
+//! joint attacks of `geattack-core` — runs the one insertion loop
+//! [`greedy_insertions`] and supplies only its *pick rule*: given the current
+//! working graph and the target's candidate endpoints, which one to connect
+//! next. RNA is the exception: it shuffles its candidates once and takes the
+//! first `Δ`.
 
 use geattack_gnn::Gcn;
 use geattack_graph::{Graph, Perturbation};
@@ -68,9 +75,6 @@ impl<'a> AttackContext<'a> {
 pub trait TargetedAttack {
     /// Runs the attack and returns the chosen perturbation (at most `budget` edges).
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation;
-
-    /// Name used in result tables.
-    fn name(&self) -> &'static str;
 }
 
 /// Candidate endpoints for a direct attack on `target`: every node that is not the
@@ -79,6 +83,35 @@ pub fn candidate_endpoints(graph: &Graph, target: usize, exclude: &[usize]) -> V
     (0..graph.num_nodes())
         .filter(|&v| v != target && !graph.has_edge(target, v) && !exclude.contains(&v))
         .collect()
+}
+
+/// The greedy insertion loop every greedy attacker shares.
+///
+/// Up to `ctx.budget` times: list the target's candidate endpoints in the
+/// working graph (the clean graph plus every edge inserted so far, minus
+/// `exclude`), ask `pick` for one of them, and insert the edge `(target,
+/// pick)` into both the working graph and the returned perturbation. The loop
+/// stops early when no candidate is left or `pick` returns `None`. `pick`
+/// receives the candidates in increasing node order.
+pub fn greedy_insertions(
+    ctx: &AttackContext<'_>,
+    exclude: &[usize],
+    mut pick: impl FnMut(&Graph, Vec<usize>) -> Option<usize>,
+) -> Perturbation {
+    let mut perturbation = Perturbation::new();
+    let mut working = ctx.graph.clone();
+    for _ in 0..ctx.budget {
+        let candidates = candidate_endpoints(&working, ctx.target, exclude);
+        if candidates.is_empty() {
+            break;
+        }
+        let Some(chosen) = pick(&working, candidates) else {
+            break;
+        };
+        perturbation.add_edge(ctx.target, chosen);
+        working.add_edge(ctx.target, chosen);
+    }
+    perturbation
 }
 
 /// The adjacency gradient a direct attack actually consumes: the target's row
@@ -379,6 +412,53 @@ mod tests {
         let cands2 = candidate_endpoints(&graph, target, &[excluded]);
         assert!(!cands2.contains(&excluded));
         assert_eq!(cands2.len(), cands.len() - 1);
+    }
+
+    #[test]
+    fn greedy_insertions_offers_fresh_candidates_and_stops_on_none_or_budget() {
+        let (graph, model) = small_setup(7);
+        let target = (0..graph.num_nodes()).max_by_key(|&v| graph.degree(v)).unwrap();
+        let exclude = candidate_endpoints(&graph, target, &[])[..2].to_vec();
+        let ctx = AttackContext {
+            model: &model,
+            graph: &graph,
+            target,
+            target_label: 0,
+            budget: 3,
+        };
+
+        // A scripted pick: always the highest candidate. Every call sees the
+        // earlier insertions in `working` and is never offered the target, a
+        // clean or inserted neighbour, or an excluded node.
+        let mut inserted = Vec::new();
+        let p = greedy_insertions(&ctx, &exclude, |working, candidates| {
+            for &v in &inserted {
+                assert!(working.has_edge(target, v), "earlier insertion {v} missing");
+            }
+            for &v in &candidates {
+                assert!(v != target && !inserted.contains(&v) && !exclude.contains(&v));
+                assert!(!graph.has_edge(target, v), "neighbour {v} offered");
+            }
+            let chosen = *candidates.last().unwrap();
+            inserted.push(chosen);
+            Some(chosen)
+        });
+        assert_eq!(inserted.len(), 3, "the loop runs exactly `budget` picks");
+        let expected: Vec<(usize, usize)> = inserted.iter().map(|&v| (target.min(v), target.max(v))).collect();
+        assert_eq!(p.added(), expected.as_slice());
+
+        // `None` ends the loop after the pick that returned it.
+        let mut calls = 0;
+        let p = greedy_insertions(&ctx, &[], |_, candidates| {
+            calls += 1;
+            (calls < 2).then(|| candidates[0])
+        });
+        assert_eq!((calls, p.size()), (2, 1));
+
+        // No candidate left: `pick` is never asked.
+        let everyone = candidate_endpoints(&graph, target, &[]);
+        let p = greedy_insertions(&ctx, &everyone, |_, _| panic!("pick called without candidates"));
+        assert!(p.is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use geattack_graph::{Graph, Perturbation};
 use geattack_tensor::Matrix;
 
-use crate::{candidate_endpoints, AttackContext, TargetedAttack};
+use crate::{greedy_insertions, AttackContext, TargetedAttack};
 
 /// Configuration of the Nettack baseline.
 #[derive(Clone, Debug)]
@@ -62,31 +62,24 @@ impl TargetedAttack for Nettack {
         // argmax-margin score).
         let w = ctx.model.params().w1.matmul(&ctx.model.params().w2);
         let xw = ctx.graph.project(&w);
-
         let clean_degrees = degree_sequence(ctx.graph);
-        let mut perturbation = Perturbation::new();
-        let mut working = ctx.graph.clone();
 
-        for _ in 0..ctx.budget {
-            let candidates = candidate_endpoints(&working, ctx.target, &[]);
-            if candidates.is_empty() {
-                break;
-            }
-            let cache = SurrogateScorer::new(&working, &xw);
+        greedy_insertions(ctx, &[], |working, candidates| {
+            let cache = SurrogateScorer::new(working, &xw);
+            let margin_after = |v: usize| margin(&cache.target_logits_after_adding(ctx.target, v), ctx.target_label);
             let mut best: Option<(usize, f64)> = None;
             for &v in &candidates {
                 if self.config.degree_test
                     && !passes_degree_test(
                         &clean_degrees,
-                        &degree_sequence_after(&working, ctx.target, v),
+                        &degree_sequence_after(working, ctx.target, v),
                         self.config.d_min,
                         self.config.ll_cutoff,
                     )
                 {
                     continue;
                 }
-                let logits = cache.target_logits_after_adding(ctx.target, v);
-                let score = margin(&logits, ctx.target_label);
+                let score = margin_after(v);
                 if best.is_none_or(|(_, s)| score > s) {
                     best = Some((v, score));
                 }
@@ -94,29 +87,15 @@ impl TargetedAttack for Nettack {
             // If every candidate fails the unnoticeability test, fall back to the
             // best-scoring candidate without the test (the attacker still spends
             // its budget, as in the reference implementation's final fallback).
-            let chosen = match best {
-                Some((v, _)) => v,
-                None => {
-                    let cache = SurrogateScorer::new(&working, &xw);
-                    candidates
-                        .iter()
-                        .copied()
-                        .max_by(|&a, &b| {
-                            let sa = margin(&cache.target_logits_after_adding(ctx.target, a), ctx.target_label);
-                            let sb = margin(&cache.target_logits_after_adding(ctx.target, b), ctx.target_label);
-                            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .expect("candidates is non-empty")
-                }
-            };
-            perturbation.add_edge(ctx.target, chosen);
-            working.add_edge(ctx.target, chosen);
-        }
-        perturbation
-    }
-
-    fn name(&self) -> &'static str {
-        "Nettack"
+            match best {
+                Some((v, _)) => Some(v),
+                None => candidates.iter().copied().max_by(|&a, &b| {
+                    margin_after(a)
+                        .partial_cmp(&margin_after(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                }),
+            }
+        })
     }
 }
 
@@ -333,6 +312,7 @@ pub fn passes_degree_test(clean: &[usize], perturbed: &[usize], d_min: usize, cu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_endpoints;
     use crate::tests::{pick_victim, small_setup};
     use geattack_tensor::nn::gcn_normalize_matrix;
 

@@ -55,10 +55,6 @@ impl TargetedAttack for RandomAttack {
         }
         perturbation
     }
-
-    fn name(&self) -> &'static str {
-        "RNA"
-    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,10 @@
 //! * `--dry-run` prints the enumerated cell plan (with shard assignments when
 //!   `--shard` is given) without running anything.
 //! * `--list-families` prints Table 3: every registered family's statistics
-//!   at `--scale` (default 0.25, `--full` = 1.0) and `--seed`.
+//!   at `--scale` (default 0.25, `--full` = 1.0) and `--seed`. That is the
+//!   only effect `--full` has: on a sweep, `--quick`/`--full` only set the
+//!   spec's `quick` flag, which is part of the spec hash and changes no
+//!   result.
 //!
 //! The shared flags override the spec's axes ([`Options::apply_to`]).
 

@@ -16,7 +16,9 @@ use geattack_scenarios::SweepSpec;
 #[derive(Clone, Debug, Default)]
 pub struct Options {
     /// `Some(true)` after `--full`, `Some(false)` after `--quick`, `None`
-    /// (keep the spec's profile) when neither flag was given.
+    /// when neither flag was given. Sweeps record it as the spec's `quick`
+    /// flag, which changes no result; `--list-families` reads `--full` as
+    /// scale 1.0.
     pub full: Option<bool>,
     /// Replace the seeds axis with `seed..seed+N` (`--runs N`).
     pub runs: Option<usize>,
@@ -66,7 +68,8 @@ impl Options {
     /// Applies the flags to a parsed spec, each replacing one axis
     /// explicitly: `--scale F` the scales axis, `--victims N` the per-cell
     /// victim count, `--runs N` the seeds axis with `0..N`, `--seed N` offsets
-    /// every seed, and `--quick`/`--full` select the training profile.
+    /// every seed, and `--quick`/`--full` set the spec's `quick` flag (kept
+    /// in the spec and its hash; it changes no result).
     pub fn apply_to(&self, spec: &mut SweepSpec) {
         if let Some(scale) = self.scale {
             spec.scales = vec![scale];

@@ -18,7 +18,6 @@
 //! Table 3 — statistics of the graphs, not an experiment — is
 //! [`family_statistics`].
 
-use geattack_core::evaluation::AggregatedSummary;
 use geattack_core::report::{AggregatedMetric, Figure, Series, TableBlock};
 use geattack_core::sweep::{SweepAggregate, SweepReport};
 use geattack_graph::preprocess::stats;
@@ -48,7 +47,7 @@ pub fn render(report: &SweepReport) -> String {
             let a = group[0];
             let block = TableBlock {
                 dataset: title(report, a, [&a.explainer, "", &a.budget]),
-                columns: group.iter().map(|a| summary(a)).collect(),
+                columns: group.iter().map(|&a| a.clone()).collect(),
             };
             out.push_str(&block.to_markdown());
         }
@@ -162,24 +161,9 @@ fn title(report: &SweepReport, a: &SweepAggregate, [explainer, attacker, budget]
     title
 }
 
-/// An aggregate as one table column, under its attacker's display name.
-fn summary(a: &SweepAggregate) -> AggregatedSummary {
-    AggregatedSummary {
-        attacker: a.attacker.clone(),
-        runs: a.seeds,
-        asr: a.asr,
-        asr_t: a.asr_t,
-        precision: a.precision,
-        recall: a.recall,
-        f1: a.f1,
-        ndcg: a.ndcg,
-    }
-}
-
 /// A figure of all six metrics over the given (x, aggregate) points, as text.
 fn figure(title: String, points: &[(f64, &SweepAggregate)]) -> String {
     let x: Vec<f64> = points.iter().map(|(x, _)| *x).collect();
-    let columns: Vec<AggregatedSummary> = points.iter().map(|(_, a)| summary(a)).collect();
     let metrics: [(&str, AggregatedMetric); 6] = [
         ("ASR", |c| &c.asr),
         ("ASR-T", |c| &c.asr_t),
@@ -190,7 +174,7 @@ fn figure(title: String, points: &[(f64, &SweepAggregate)]) -> String {
     ];
     let series = metrics
         .iter()
-        .map(|(label, metric)| Series::new(*label, x.clone(), columns.iter().map(|c| *metric(c)).collect()));
+        .map(|(label, metric)| Series::new(*label, x.clone(), points.iter().map(|(_, a)| *metric(a)).collect()));
     Figure {
         title,
         series: series.collect(),

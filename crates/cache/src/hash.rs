@@ -85,12 +85,6 @@ impl KeyHasher {
         self
     }
 
-    /// Hashes a boolean field.
-    pub fn write_bool(&mut self, v: bool) -> &mut Self {
-        self.mix(&[0x04, v as u8]);
-        self
-    }
-
     /// Hashes an optional integer field; `None` and `Some` are distinct.
     pub fn write_opt_u64(&mut self, v: Option<u64>) -> &mut Self {
         match v {

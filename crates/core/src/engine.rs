@@ -616,11 +616,7 @@ fn run_prep_cell<'a>(
         .iter()
         .find(|p| p.name() == cell.explainer)
         .expect("planned cells only reference resolved explainers");
-    let mut config = if spec.quick {
-        PipelineConfig::quick(cell.family.clone(), cell.seed)
-    } else {
-        PipelineConfig::paper_scale(cell.family.clone(), cell.seed)
-    };
+    let mut config = PipelineConfig::quick(cell.family.clone(), cell.seed);
     config.graph = FamilyConfig::new(cell.scale, cell.seed);
     config.set_victim_count(spec.victims);
     config.explainer = explainer.prepare_kind();

@@ -154,49 +154,6 @@ pub fn summarize_run(attacker: &str, outcomes: &[AttackOutcome]) -> RunSummary {
     }
 }
 
-/// Per-attacker result aggregated over several runs (mean ± std, as reported in
-/// Tables 1 and 2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AggregatedSummary {
-    /// Attacker name.
-    pub attacker: String,
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// ASR over runs.
-    pub asr: MeanStd,
-    /// ASR-T over runs.
-    pub asr_t: MeanStd,
-    /// Precision@K over runs.
-    pub precision: MeanStd,
-    /// Recall@K over runs.
-    pub recall: MeanStd,
-    /// F1@K over runs.
-    pub f1: MeanStd,
-    /// NDCG@K over runs.
-    pub ndcg: MeanStd,
-}
-
-/// Aggregates per-run summaries of the same attacker.
-pub fn aggregate_runs(summaries: &[RunSummary]) -> AggregatedSummary {
-    assert!(!summaries.is_empty(), "cannot aggregate zero runs");
-    let attacker = summaries[0].attacker.clone();
-    assert!(
-        summaries.iter().all(|s| s.attacker == attacker),
-        "aggregate_runs mixes different attackers"
-    );
-    let collect = |f: fn(&RunSummary) -> f64| MeanStd::of(&summaries.iter().map(f).collect::<Vec<_>>());
-    AggregatedSummary {
-        attacker,
-        runs: summaries.len(),
-        asr: collect(|s| s.asr),
-        asr_t: collect(|s| s.asr_t),
-        precision: collect(|s| s.precision),
-        recall: collect(|s| s.recall),
-        f1: collect(|s| s.f1),
-        ndcg: collect(|s| s.ndcg),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,24 +194,5 @@ mod tests {
         assert!((s.asr - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.asr_t - 1.0 / 3.0).abs() < 1e-12);
         assert!((s.f1 - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_runs_mean_and_std() {
-        let a = summarize_run("X", &[outcome(true, true, 0.4)]);
-        let b = summarize_run("X", &[outcome(false, false, 0.2)]);
-        let agg = aggregate_runs(&[a, b]);
-        assert_eq!(agg.runs, 2);
-        assert!((agg.asr.mean - 0.5).abs() < 1e-12);
-        assert!((agg.f1.mean - 0.3).abs() < 1e-12);
-        assert!(agg.f1.std > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mixes different attackers")]
-    fn aggregate_rejects_mixed_attackers() {
-        let a = summarize_run("X", &[outcome(true, true, 0.4)]);
-        let b = summarize_run("Y", &[outcome(true, true, 0.4)]);
-        let _ = aggregate_runs(&[a, b]);
     }
 }

@@ -39,7 +39,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_attack::{candidate_endpoints, AttackContext, LossGradients, TargetGradient, TargetedAttack};
+use geattack_attack::{greedy_insertions, AttackContext, LossGradients, TargetGradient, TargetedAttack};
 use geattack_explain::{GnnExplainer, GnnExplainerConfig};
 use geattack_gnn::EdgeSlots;
 use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph, Perturbation};
@@ -151,39 +151,31 @@ impl GeAttack {
     }
 }
 
-/// Algorithm 1's greedy outer loop, shared by both joint attacks. Each
-/// iteration computes the full-graph `L_GNN` gradient (Section 4.1),
-/// shortlists the `pool` most promising candidates by it, asks `penalties` for
-/// the explainer term's gradient at every shortlist node, and inserts the edge
-/// [`choose_by_normalized_score`] picks. `B = 11ᵀ − I − A` (line 3) is tracked
-/// implicitly: the candidates are exactly the target's non-neighbours in the
-/// working graph, so inserting `(t, v)` (line 10) also zeroes `B[t, v]`.
+/// Algorithm 1's greedy outer loop, shared by both joint attacks: their pick
+/// rule for [`greedy_insertions`]. Each iteration computes the full-graph
+/// `L_GNN` gradient (Section 4.1), shortlists the `pool` most promising
+/// candidates by it, asks `penalties` for the explainer term's gradient at
+/// every shortlist node, and inserts the edge [`choose_by_normalized_score`]
+/// picks. `B = 11ᵀ − I − A` (line 3) is tracked implicitly: the candidates are
+/// exactly the target's non-neighbours in the working graph, so inserting
+/// `(t, v)` (line 10) also zeroes `B[t, v]`.
 pub(crate) fn greedy_joint_attack(
     ctx: &AttackContext<'_>,
     pool: usize,
     (lambda, divisor, strong_only): (f64, f64, bool),
     mut penalties: impl FnMut(&Graph, &[usize]) -> Vec<f64>,
 ) -> Perturbation {
-    let mut perturbation = Perturbation::new();
-    let mut working = ctx.graph.clone();
     let gradients = LossGradients::new(ctx.model, ctx.graph);
-    for _ in 0..ctx.budget {
-        let candidates = candidate_endpoints(&working, ctx.target, &[]);
-        if candidates.is_empty() {
-            break;
-        }
-        let g_attack = gradients.targeted(&working, ctx.target, ctx.target_label);
+    greedy_insertions(ctx, &[], |working, candidates| {
+        let g_attack = gradients.targeted(working, ctx.target, ctx.target_label);
         let shortlist = shortlist(&g_attack, candidates, pool);
         let scored = shortlist
             .iter()
-            .zip(penalties(&working, &shortlist))
+            .zip(penalties(working, &shortlist))
             .map(|(&v, p)| (v, g_attack.undirected(v), p))
             .collect();
-        let chosen = choose_by_normalized_score(scored, lambda, divisor, strong_only);
-        perturbation.add_edge(ctx.target, chosen);
-        working.add_edge(ctx.target, chosen);
-    }
-    perturbation
+        Some(choose_by_normalized_score(scored, lambda, divisor, strong_only))
+    })
 }
 
 /// Picks the `(candidate, attack entry, penalty entry)` whose combined score
@@ -258,10 +250,6 @@ impl TargetedAttack for GeAttack {
         greedy_joint_attack(ctx, self.config.candidate_pool, rule, |working, shortlist| {
             self.penalty_gradient(ctx.model, working, ctx.target, shortlist, ctx.target_label, &mut rng)
         })
-    }
-
-    fn name(&self) -> &'static str {
-        "GEAttack"
     }
 }
 
@@ -365,7 +353,7 @@ mod tests {
             ..quick_config()
         };
         let ge = GeAttack::new(config).attack(&ctx);
-        let fga = FgaT::default().attack(&ctx);
+        let fga = FgaT.attack(&ctx);
         assert_eq!(ge.added(), fga.added());
     }
 
@@ -404,7 +392,7 @@ mod tests {
             ..quick_config()
         })
         .attack(&ctx);
-        let fga = FgaT::default().attack(&ctx);
+        let fga = FgaT.attack(&ctx);
         if heavy.added() == fga.added() {
             let explainer = GnnExplainer::new(GnnExplainerConfig {
                 epochs: 20,

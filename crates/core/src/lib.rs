@@ -54,9 +54,7 @@ pub mod telemetry;
 
 pub use engine::{CancelToken, CellEvent, Engine, SweepHandle};
 pub use error::{CellFailure, GeError};
-pub use evaluation::{
-    aggregate_runs, evaluate_attack, summarize_run, AggregatedSummary, AttackOutcome, MeanStd, RunSummary,
-};
+pub use evaluation::{evaluate_attack, summarize_run, AttackOutcome, MeanStd, RunSummary};
 pub use geattack::{GeAttack, GeAttackConfig};
 pub use persist::{base_key, pg_stage_key, prepare_base_cached, prepare_on_cached, CODE_VERSION_SALT};
 pub use pg_geattack::{PgGeAttack, PgGeAttackConfig};

@@ -105,10 +105,6 @@ impl TargetedAttack for PgGeAttack {
             self.penalty_gradient(ctx.model, working, ctx.target, shortlist)
         })
     }
-
-    fn name(&self) -> &'static str {
-        "GEAttack"
-    }
 }
 
 #[cfg(test)]

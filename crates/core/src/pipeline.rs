@@ -62,7 +62,7 @@ impl AttackerKind {
     ];
 
     /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             AttackerKind::Fga => "FGA",
             AttackerKind::Rna => "RNA",
@@ -76,7 +76,7 @@ impl AttackerKind {
 
     /// The case-insensitive names this attacker answers to in specs and on the
     /// command line. These are the builtin registry's lookup keys.
-    pub fn aliases(&self) -> &'static [&'static str] {
+    pub fn aliases(self) -> &'static [&'static str] {
         match self {
             AttackerKind::Fga => &["fga"],
             AttackerKind::Rna => &["rna", "random"],
@@ -114,7 +114,7 @@ impl ExplainerKind {
     pub const ALL: [ExplainerKind; 2] = [ExplainerKind::GnnExplainer, ExplainerKind::PgExplainer];
 
     /// Display name used in reports.
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             ExplainerKind::GnnExplainer => "GNNExplainer",
             ExplainerKind::PgExplainer => "PGExplainer",
@@ -123,7 +123,7 @@ impl ExplainerKind {
 
     /// The case-insensitive names this explainer answers to in specs and on
     /// the command line. These are the builtin registry's lookup keys.
-    pub fn aliases(&self) -> &'static [&'static str] {
+    pub fn aliases(self) -> &'static [&'static str] {
         match self {
             ExplainerKind::GnnExplainer => &["gnnexplainer", "gnn-explainer", "gnn"],
             ExplainerKind::PgExplainer => &["pgexplainer", "pg-explainer", "pg"],
@@ -240,20 +240,6 @@ impl PipelineConfig {
         self.victims.count = count;
         self.victims.top_margin = (count / 4).max(1);
         self.victims.bottom_margin = (count / 4).max(1);
-    }
-
-    /// A configuration matching the paper's scale (slow: full-size graphs and 40
-    /// victims).
-    pub fn paper_scale(family: impl Into<String>, seed: u64) -> Self {
-        Self {
-            graph: FamilyConfig::new(1.0, seed),
-            victims: VictimSelectionConfig {
-                count: 40,
-                seed,
-                ..Default::default()
-            },
-            ..Self::quick(family, seed)
-        }
     }
 }
 
@@ -402,7 +388,7 @@ impl Prepared {
         match kind {
             AttackerKind::Fga => Box::new(Fga),
             AttackerKind::Rna => Box::new(RandomAttack::new(self.config.graph.seed)),
-            AttackerKind::FgaT => Box::new(FgaT::default()),
+            AttackerKind::FgaT => Box::new(FgaT),
             AttackerKind::Nettack => Box::new(Nettack::default()),
             AttackerKind::IgAttack => Box::new(IgAttack::default()),
             AttackerKind::FgaTE => Box::new(

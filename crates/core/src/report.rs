@@ -1,11 +1,12 @@
 //! Rendering experiment results as the tables and figure series the paper reports.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::evaluation::{AggregatedSummary, MeanStd};
+use crate::evaluation::MeanStd;
+use crate::sweep::SweepAggregate;
 
-/// Extracts one aggregated metric column from a table summary.
-pub type AggregatedMetric = fn(&AggregatedSummary) -> &MeanStd;
+/// Extracts one aggregated metric column from a sweep aggregate.
+pub type AggregatedMetric = fn(&SweepAggregate) -> &MeanStd;
 
 /// Formats a rate in `[0,1]` as the paper's `percent±std` notation,
 /// e.g. `99.11±0.01`.
@@ -14,12 +15,12 @@ pub fn format_percent(value: &MeanStd) -> String {
 }
 
 /// One dataset block of Table 1 / Table 2: a column per attacker.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TableBlock {
     /// Dataset display name.
     pub dataset: String,
-    /// Per-attacker aggregated results, in column order.
-    pub columns: Vec<AggregatedSummary>,
+    /// Per-attacker aggregates over seeds, in column order.
+    pub columns: Vec<SweepAggregate>,
 }
 
 impl TableBlock {
@@ -58,7 +59,7 @@ impl TableBlock {
 }
 
 /// A single named series of a figure: y (mean ± std) over a swept x value.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     /// Series label (e.g. the metric name).
     pub label: String,
@@ -87,7 +88,7 @@ impl Series {
 }
 
 /// A full figure: one or more series over the same x axis.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure {
     /// Figure title (e.g. "Figure 4: effect of lambda on CORA").
     pub title: String,
@@ -115,24 +116,24 @@ pub fn to_json<T: Serialize>(value: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluation::{aggregate_runs, summarize_run, AttackOutcome};
-    use geattack_explain::DetectionScores;
 
-    fn sample_summary(name: &str) -> AggregatedSummary {
-        let outcome = AttackOutcome {
-            node: 0,
-            degree: 3,
-            perturbation_size: 3,
-            success_any: true,
-            success_target: true,
-            detection: DetectionScores {
-                precision: 0.1,
-                recall: 0.6,
-                f1: 0.17,
-                ndcg: 0.36,
-            },
-        };
-        aggregate_runs(&[summarize_run(name, &[outcome])])
+    fn sample_summary(name: &str) -> SweepAggregate {
+        let rate = |mean| MeanStd { mean, std: 0.0 };
+        SweepAggregate {
+            family: "cora".into(),
+            scale: 0.1,
+            explainer: "GNNExplainer".into(),
+            attacker: name.into(),
+            budget: "degree".into(),
+            seeds: 1,
+            victims: 1,
+            asr: rate(1.0),
+            asr_t: rate(1.0),
+            precision: rate(0.1),
+            recall: rate(0.6),
+            f1: rate(0.17),
+            ndcg: rate(0.36),
+        }
     }
 
     #[test]
@@ -202,17 +203,5 @@ mod tests {
         assert!(text.contains("Figure 4"));
         assert!(text.contains("ASR-T"));
         assert!(text.contains("NDCG@15"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let block = TableBlock {
-            dataset: "ACM".into(),
-            columns: vec![sample_summary("RNA")],
-        };
-        let json = to_json(&block);
-        let back: TableBlock = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.dataset, "ACM");
-        assert_eq!(back.columns.len(), 1);
     }
 }

@@ -351,8 +351,8 @@ pub struct PlannedCell {
 }
 
 /// Identifies the base (graph, split, GCN, victims) a [`PlannedCell`]
-/// prepares on. Every other input of the base (the quick or paper-scale
-/// settings, the victim count) is spec-wide, so within one spec the cells
+/// prepares on. Every other input of the base (the pipeline settings, the
+/// victim count) is spec-wide, so within one spec the cells
 /// that differ only in their explainer share one base.
 pub(crate) type BaseId<'a> = (&'a str, u64, u64);
 
@@ -870,6 +870,19 @@ mod tests {
         assert_eq!(aggregates[0].victims, 3);
         assert!((aggregates[0].asr.mean - 1.0).abs() < 1e-12);
         assert_eq!(aggregates[0].asr.std, 0.0);
+    }
+
+    #[test]
+    fn two_seed_aggregates_carry_mean_and_population_std() {
+        let spec = two_seed_spec();
+        let cells = vec![fabricated_cell(0, 3, 1.0), fabricated_cell(1, 2, 0.0)];
+        let aggregates = aggregate_cells(&spec, &["GNNExplainer".to_string()], &["RNA".to_string()], &cells);
+        assert_eq!(aggregates.len(), 1);
+        assert_eq!((aggregates[0].seeds, aggregates[0].victims), (2, 5));
+        assert!((aggregates[0].asr.mean - 0.5).abs() < 1e-12);
+        assert!((aggregates[0].asr.std - 0.5).abs() < 1e-12);
+        assert!((aggregates[0].f1.mean - 0.1).abs() < 1e-12);
+        assert_eq!(aggregates[0].f1.std, 0.0);
     }
 
     #[test]

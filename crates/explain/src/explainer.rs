@@ -81,33 +81,21 @@ impl Explanation {
 }
 
 /// A post-hoc explanation method for a trained GCN.
+///
+/// An explainer implements one method, [`Explainer::explain_class_with_forward`],
+/// which is handed the clean forward pass its caller already computed (the
+/// evaluation loop scores attack success from it, FGA-T&E shares one across
+/// victims). [`Explainer::explain`] is the convenience entry point that
+/// computes that forward itself.
 pub trait Explainer {
-    /// Explains the model's prediction for `target` on `graph` (which may already
-    /// contain adversarial perturbations — that is exactly the inspection setting
-    /// of the paper). Implementations explain the class the model currently
-    /// predicts for `target`.
-    fn explain(&self, model: &Gcn, graph: &Graph, target: usize) -> Explanation;
-
-    /// [`Explainer::explain`] with the explained class already known.
+    /// Explains the model's prediction `explained_class` for `target` on `graph`
+    /// (which may already contain adversarial perturbations — that is exactly
+    /// the inspection setting of the paper).
     ///
-    /// `explain` starts by predicting `target`'s class on `graph` — a full-graph
-    /// forward pass. Callers that just computed that prediction themselves (the
-    /// evaluation loop scores attack success from the same forward) pass it in
-    /// here and skip the duplicate. `explained_class` **must** equal the model's
-    /// prediction for `target` on `graph`; results are then identical to
-    /// [`Explainer::explain`].
-    fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
-        let _ = explained_class;
-        self.explain(model, graph, target)
-    }
-
-    /// [`Explainer::explain_class`] with the whole clean forward pass already
-    /// computed. `forward` **must** be [`BatchedForward::new(model, graph)`] for
-    /// these exact arguments; explainers that consume full-graph quantities
-    /// beyond the prediction (PGExplainer reads the first-layer embeddings) then
-    /// serve them from the shared forward instead of re-running it. Results are
-    /// identical to [`Explainer::explain_class`] — the shared forward is
-    /// bit-identical to the per-call ones.
+    /// `forward` **must** be [`BatchedForward::new(model, graph)`] for these
+    /// exact arguments and `explained_class` its predicted class for `target`;
+    /// explainers that consume full-graph quantities beyond the prediction
+    /// (PGExplainer reads the first-layer embeddings) serve them from it.
     fn explain_class_with_forward(
         &self,
         model: &Gcn,
@@ -115,26 +103,19 @@ pub trait Explainer {
         target: usize,
         explained_class: usize,
         forward: &BatchedForward,
-    ) -> Explanation {
-        let _ = forward;
-        self.explain_class(model, graph, target, explained_class)
-    }
+    ) -> Explanation;
 
-    /// Human-readable name used in reports.
-    fn name(&self) -> &'static str;
+    /// Explains the class the model currently predicts for `target` on
+    /// `graph`, running the forward pass itself.
+    fn explain(&self, model: &Gcn, graph: &Graph, target: usize) -> Explanation {
+        let forward = BatchedForward::new(model, graph);
+        self.explain_class_with_forward(model, graph, target, forward.predicted_class(target), &forward)
+    }
 }
 
 /// Shared explainer state (e.g. one trained PGExplainer inspected from many
 /// threads or sessions) is itself an explainer.
 impl<T: Explainer + ?Sized> Explainer for std::sync::Arc<T> {
-    fn explain(&self, model: &Gcn, graph: &Graph, target: usize) -> Explanation {
-        (**self).explain(model, graph, target)
-    }
-
-    fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
-        (**self).explain_class(model, graph, target, explained_class)
-    }
-
     fn explain_class_with_forward(
         &self,
         model: &Gcn,
@@ -144,10 +125,6 @@ impl<T: Explainer + ?Sized> Explainer for std::sync::Arc<T> {
         forward: &BatchedForward,
     ) -> Explanation {
         (**self).explain_class_with_forward(model, graph, target, explained_class, forward)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 

@@ -21,7 +21,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_gnn::{EdgeSlots, Gcn, GcnParamVars};
+use geattack_gnn::{BatchedForward, EdgeSlots, Gcn, GcnParamVars};
 use geattack_graph::{computation_subgraph, Graph};
 use geattack_tensor::{grad::grad, init, nn, Adam, Matrix, Optimizer, Tape, Var};
 
@@ -113,18 +113,16 @@ impl GnnExplainer {
 }
 
 impl Explainer for GnnExplainer {
-    fn explain(&self, model: &Gcn, graph: &Graph, target: usize) -> Explanation {
-        let explained_class = model.predict_proba(graph).argmax_row(target);
-        self.explain_class(model, graph, target, explained_class)
-    }
-
-    fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
+    fn explain_class_with_forward(
+        &self,
+        model: &Gcn,
+        graph: &Graph,
+        target: usize,
+        explained_class: usize,
+        _forward: &BatchedForward,
+    ) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.gnnexplainer");
         self.explain_with(model, graph, target, explained_class, Self::optimize_mask)
-    }
-
-    fn name(&self) -> &'static str {
-        "GNNExplainer"
     }
 }
 
@@ -333,7 +331,7 @@ mod tests {
                     "epochs={epochs} target={target}"
                 );
                 assert_eq!(
-                    explanation_bits(&explainer.explain_class(&model, &graph, target, class)),
+                    explanation_bits(&explainer.explain(&model, &graph, target)),
                     explanation_bits(&replayed)
                 );
             }

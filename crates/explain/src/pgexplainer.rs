@@ -353,15 +353,8 @@ impl PgExplainer {
 }
 
 impl Explainer for PgExplainer {
-    fn explain(&self, model: &Gcn, graph: &Graph, target: usize) -> Explanation {
-        let explained_class = model.predict_proba(graph).argmax_row(target);
-        self.explain_class(model, graph, target, explained_class)
-    }
-
-    fn explain_class(&self, model: &Gcn, graph: &Graph, target: usize, explained_class: usize) -> Explanation {
-        self.explain_from_embeddings(graph, target, explained_class, &model.node_embeddings(graph))
-    }
-
+    /// Scores the target's computation subgraph from the full-graph
+    /// first-layer embeddings `forward.hidden()`.
     fn explain_class_with_forward(
         &self,
         _model: &Gcn,
@@ -370,25 +363,6 @@ impl Explainer for PgExplainer {
         explained_class: usize,
         forward: &BatchedForward,
     ) -> Explanation {
-        self.explain_from_embeddings(graph, target, explained_class, forward.hidden())
-    }
-
-    fn name(&self) -> &'static str {
-        "PGExplainer"
-    }
-}
-
-impl PgExplainer {
-    /// The shared tail of `explain_class` / `explain_class_with_forward`: score
-    /// the target's computation subgraph given the full-graph first-layer
-    /// embeddings, however the caller obtained them.
-    fn explain_from_embeddings(
-        &self,
-        graph: &Graph,
-        target: usize,
-        explained_class: usize,
-        embeddings: &Matrix,
-    ) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.pgexplainer");
         let sub = computation_subgraph(graph, target, self.config.hops, &[]);
         let edges = sub.csr.edges();
@@ -396,7 +370,7 @@ impl PgExplainer {
             return Explanation::from_edge_weights(target, explained_class, vec![]);
         }
         let tape = Tape::new();
-        let z = tape.constant(embeddings.gather_rows(&sub.nodes));
+        let z = tape.constant(forward.hidden().gather_rows(&sub.nodes));
         let params = self.insert_params_frozen(&tape);
         let logits = Self::edge_logits(&tape, z, &edges, sub.target_local, &params);
         let gates = tape.value(tape.sigmoid(logits));

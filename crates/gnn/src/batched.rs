@@ -57,11 +57,6 @@ impl BatchedForward {
         &self.probs
     }
 
-    /// Probability row of one node.
-    pub fn probs_row(&self, node: usize) -> &[f64] {
-        self.probs.row(node)
-    }
-
     /// Hard prediction for one node (argmax of its probability row).
     pub fn predicted_class(&self, node: usize) -> usize {
         self.probs.argmax_row(node)

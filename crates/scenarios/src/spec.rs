@@ -106,8 +106,9 @@ pub struct SweepSpec {
     /// Victims per cell (per degree bucket for [`BudgetSpec::DegreeBucket`]
     /// budgets); defaults to 8.
     pub victims: usize,
-    /// Use the fast pipeline profile (reduced explainer epochs etc.); defaults
-    /// to `true`. `false` selects the paper-scale training profile.
+    /// Recorded in the spec (and so in its hash) but changes no result:
+    /// every cell runs the same pipeline settings, with the graph scale and
+    /// the victim count taken from the spec's axes. Defaults to `true`.
     pub quick: bool,
 }
 

@@ -171,12 +171,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies `values` into row `i`.
-    pub fn set_row(&mut self, i: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.cols);
-        self.row_mut(i).copy_from_slice(values);
-    }
-
     /// Returns the scalar value of a `1x1` matrix.
     ///
     /// # Panics
@@ -198,13 +192,6 @@ impl Matrix {
         assert_eq!(self.shape(), out.shape(), "map_into shape mismatch");
         for (o, &x) in out.data.iter_mut().zip(&self.data) {
             *o = f(x);
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -237,14 +224,6 @@ impl Matrix {
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&self, other: &Self) -> Self {
         self.zip_map(other, |a, b| a * b)
-    }
-
-    /// Adds `other` into `self` in place.
-    pub fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
     }
 
     /// Multiplies every element by `s`.

@@ -425,11 +425,6 @@ impl Tape {
         SparseVar { id, rows, cols }
     }
 
-    /// The sparse matrix registered for `v` (cheap `Arc` clone).
-    pub fn sparse_value(&self, v: SparseVar) -> Arc<SparseMatrix> {
-        Arc::clone(&self.sparse_nodes.borrow()[v.id].matrix)
-    }
-
     /// The gradient positions registered for `v` (cheap `Rc` clone).
     pub fn sparse_positions(&self, v: SparseVar) -> Rc<Vec<(usize, usize)>> {
         self.sparse_positions_by_id(v.id)

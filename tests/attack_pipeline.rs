@@ -1,8 +1,9 @@
 //! Integration tests covering every attacker through the shared pipeline.
 
+use geattack_attack::AttackContext;
 use geattack_core::evaluation::summarize_run;
-use geattack_core::pipeline::{run_attacker_kind, AttackerKind};
-use geattack_integration_tests::tiny_prepared;
+use geattack_core::pipeline::{prepare, run_attacker_kind, AttackerKind, ExplainerKind};
+use geattack_integration_tests::{tiny_config, tiny_prepared};
 
 #[test]
 fn every_attacker_respects_the_protocol() {
@@ -57,4 +58,48 @@ fn untargeted_fga_has_asr_but_not_necessarily_asr_t() {
     let fga = summarize_run("FGA", &run_attacker_kind(&prepared, AttackerKind::Fga).unwrap());
     assert!(fga.asr >= fga.asr_t, "ASR must always dominate ASR-T");
     assert!(fga.asr > 0.0, "untargeted FGA flipped nothing at all");
+}
+
+/// Every attacker's inserted edges on every victim, under both explainers,
+/// must match `tests/golden/attacker_picks.txt` exactly: one line per
+/// (explainer, attacker, victim), the edges in insertion order. The golden
+/// render specs only see FGA-T, RNA and GEAttack through 2-decimal means; this
+/// pins each attacker's picks, PG-GEAttack's included.
+#[test]
+fn every_attacker_picks_the_golden_edges() {
+    let mut lines = Vec::new();
+    for explainer in ExplainerKind::ALL {
+        let mut config = tiny_config("cora", 3);
+        config.explainer = explainer;
+        let prepared = prepare(config).expect("tiny config prepares");
+        for kind in AttackerKind::ALL {
+            let attacker = prepared.attacker(kind);
+            for victim in &prepared.victims {
+                let ctx = AttackContext::with_degree_budget(
+                    &prepared.model,
+                    &prepared.graph,
+                    victim.node,
+                    victim.target_label,
+                );
+                let edges: Vec<String> = attacker
+                    .attack(&ctx)
+                    .added()
+                    .iter()
+                    .map(|(u, v)| format!("{u}-{v}"))
+                    .collect();
+                lines.push(format!(
+                    "{} {} node={} target={}: {}",
+                    explainer.name(),
+                    kind.name(),
+                    victim.node,
+                    victim.target_label,
+                    edges.join(" ")
+                ));
+            }
+        }
+    }
+    let rendered = lines.join("\n") + "\n";
+    let path = format!("{}/golden/attacker_picks.txt", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path).expect("golden attacker picks");
+    assert_eq!(rendered, expected, "attacker picks drifted:\n{rendered}");
 }

@@ -17,7 +17,7 @@ fn gnnexplainer_detects_fga_t_edges_on_average() {
     let mut recalls = Vec::new();
     for victim in prepared.victims.iter().take(5) {
         let ctx = AttackContext::with_degree_budget(&prepared.model, &prepared.graph, victim.node, victim.target_label);
-        let perturbation = FgaT::default().attack(&ctx);
+        let perturbation = FgaT.attack(&ctx);
         let attacked = perturbation.apply(&prepared.graph);
         let explanation = explainer.explain(&prepared.model, &attacked, victim.node).truncated(20);
         recalls.push(detection_scores(&explanation, perturbation.added(), 15).recall);
@@ -38,7 +38,7 @@ fn pgexplainer_pipeline_produces_valid_detection_scores() {
     let inspector = prepared.inspector().unwrap();
     let victim = prepared.victims[0];
     let ctx = AttackContext::with_degree_budget(&prepared.model, &prepared.graph, victim.node, victim.target_label);
-    let perturbation = FgaT::default().attack(&ctx);
+    let perturbation = FgaT.attack(&ctx);
     let attacked = perturbation.apply(&prepared.graph);
     let explanation = inspector.explain(&prepared.model, &attacked, victim.node);
     assert!(!explanation.is_empty());
