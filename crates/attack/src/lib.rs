@@ -365,13 +365,13 @@ pub fn best_candidate_by_gradient(grad: &TargetGradient, candidates: &[usize]) -
 mod tests {
     use super::*;
     use geattack_gnn::{train, TrainConfig};
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     pub(crate) fn small_setup(seed: u64) -> (Graph, Gcn) {
-        let cfg = GeneratorConfig::at_scale(0.06, seed);
+        let cfg = FamilyConfig::new(0.06, seed);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

@@ -160,7 +160,7 @@ fn main() {
     if let Some(cache) = &run.cache {
         eprintln!(
             "cache: {} hits, {} misses, {} evictions over {} prepared cells",
-            cache.hits, cache.misses, cache.evictions, run.prepared_cells
+            cache.hits, cache.misses, cache.evictions, run.telemetry.planned_cells
         );
     }
 
@@ -171,7 +171,7 @@ fn main() {
             println!(
                 "shard {} done: {} prepared cells, {} result cells (JSON written to {})",
                 shard.label(),
-                run.prepared_cells,
+                run.telemetry.planned_cells,
                 run.shard.cells.len(),
                 path.display()
             );

@@ -108,8 +108,10 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 
+use geattack_cache::CacheCounters;
 use geattack_core::engine::{CancelToken, CellEvent, Engine};
 use geattack_core::sweep::{PlannedCell, Shard};
+use geattack_core::telemetry::{cache_value, latency_value};
 use geattack_scenarios::SweepSpec;
 
 use crate::pool::{AdmissionError, WorkerPool};
@@ -140,16 +142,7 @@ fn event_value(event: &CellEvent) -> Value {
             ("event", Value::String("cell".into())),
             ("position", Value::Number(*position as f64)),
             ("cells", serde_json::to_value(cells)),
-            (
-                "timing_ms",
-                object(vec![
-                    ("prepare", Value::Number(timing.prepare_ms)),
-                    ("attack", Value::Number(timing.attack_ms)),
-                    ("explain", Value::Number(timing.explain_ms)),
-                    ("detect", Value::Number(timing.detect_ms)),
-                    ("total", Value::Number(timing.total_ms)),
-                ]),
-            ),
+            ("timing_ms", serde_json::to_value(timing)),
         ]),
         CellEvent::Failed { position, error } => object(vec![
             ("event", Value::String("failed".into())),
@@ -175,29 +168,6 @@ fn error_value(message: &str) -> Value {
     object(vec![
         ("event", Value::String("error".into())),
         ("error", Value::String(message.to_string())),
-    ])
-}
-
-/// Milliseconds latency distribution as the protocol's `{count,p50,p95,p99,max}`
-/// object.
-fn latency_value(latency: &geattack_core::LatencySummary) -> Value {
-    object(vec![
-        ("count", Value::Number(latency.count as f64)),
-        ("p50", Value::Number(latency.p50)),
-        ("p95", Value::Number(latency.p95)),
-        ("p99", Value::Number(latency.p99)),
-        ("max", Value::Number(latency.max)),
-    ])
-}
-
-/// Same summary shape, straight from a histogram snapshot.
-fn histogram_value(snap: &geattack_telemetry::HistogramSnapshot) -> Value {
-    object(vec![
-        ("count", Value::Number(snap.count as f64)),
-        ("p50", Value::Number(snap.p50)),
-        ("p95", Value::Number(snap.p95)),
-        ("p99", Value::Number(snap.p99)),
-        ("max", Value::Number(snap.max)),
     ])
 }
 
@@ -342,14 +312,6 @@ impl ServeShared {
     fn is_stopping(&self) -> bool {
         self.stopping.load(Ordering::SeqCst)
     }
-
-    /// Refreshes the live queue/in-flight gauges from the pool.
-    fn refresh_gauges(&self) {
-        let (running, queued) = self.pool.depth();
-        let metrics = self.engine.metrics();
-        metrics.gauge("serve.in_flight").set(running as f64);
-        metrics.gauge("serve.queue_depth").set(queued as f64);
-    }
 }
 
 /// The `health` response: liveness plus uptime.
@@ -435,7 +397,7 @@ fn stats_value(shared: &ServeShared) -> Value {
             ("detect", "phase.detect_ms"),
         ]
         .into_iter()
-        .map(|(label, name)| (label, histogram_value(&metrics.histogram(name).snapshot())))
+        .map(|(label, name)| (label, latency_value(&metrics.histogram(name).snapshot())))
         .collect(),
     );
     let (running, queued) = shared.pool.depth();
@@ -546,40 +508,17 @@ fn stream_sweep_session(
     }) {
         Ok((run, payload)) => {
             let cache = match (counters_before, engine.cache_counters()) {
-                (Some(before), Some(after)) => object(vec![
-                    ("hits", Value::Number(after.hits.saturating_sub(before.hits) as f64)),
-                    (
-                        "misses",
-                        Value::Number(after.misses.saturating_sub(before.misses) as f64),
-                    ),
-                    (
-                        "evictions",
-                        Value::Number(after.evictions.saturating_sub(before.evictions) as f64),
-                    ),
-                ]),
-                _ => Value::Null,
+                (Some(before), Some(after)) => Some(CacheCounters {
+                    hits: after.hits.saturating_sub(before.hits),
+                    misses: after.misses.saturating_sub(before.misses),
+                    evictions: after.evictions.saturating_sub(before.evictions),
+                }),
+                _ => None,
             };
-            let t = &run.telemetry;
-            let telemetry = object(vec![
-                ("planned_cells", Value::Number(t.planned_cells as f64)),
-                ("finished_cells", Value::Number(t.finished_cells as f64)),
-                ("failed_cells", Value::Number(t.failed_cells as f64)),
-                (
-                    "phase_totals_ms",
-                    object(vec![
-                        ("prepare", Value::Number(t.phase_totals.prepare_ms)),
-                        ("attack", Value::Number(t.phase_totals.attack_ms)),
-                        ("explain", Value::Number(t.phase_totals.explain_ms)),
-                        ("detect", Value::Number(t.phase_totals.detect_ms)),
-                        ("total", Value::Number(t.phase_totals.total_ms)),
-                    ]),
-                ),
-                ("cell_latency_ms", latency_value(&t.cell_latency)),
-            ]);
             let mut fields = vec![("event", Value::String("done".into()))];
             fields.extend(payload);
-            fields.push(("cache", cache));
-            fields.push(("telemetry", telemetry));
+            fields.push(("cache", cache_value(cache)));
+            fields.push(("telemetry", serde_json::to_value(&run.telemetry)));
             let done = object(fields);
             writeln!(out, "{}", line(&done))?;
             RequestEnd::Done
@@ -660,7 +599,6 @@ fn run_sweep_request(
             .record(enqueued.elapsed().as_secs_f64() * 1e3);
         let (running, _) = shared.pool.depth();
         shared.peak_in_flight.fetch_max(running, Ordering::SeqCst);
-        shared.refresh_gauges();
 
         let run_started = Instant::now();
         let outcome = stream_sweep_session(engine, spec, shard, &cancel, out);
@@ -669,7 +607,6 @@ fn run_sweep_request(
             .histogram("request.run_ms")
             .record(run_started.elapsed().as_secs_f64() * 1e3);
         drop(permit);
-        shared.refresh_gauges();
         match outcome? {
             RequestEnd::Done => shared.served.fetch_add(1, Ordering::SeqCst),
             RequestEnd::Failed => shared.failed.fetch_add(1, Ordering::SeqCst),
@@ -681,7 +618,6 @@ fn run_sweep_request(
         // The connection died mid-request: the session was cancelled and
         // drained by the streamer; account it here.
         shared.cancelled.fetch_add(1, Ordering::SeqCst);
-        shared.refresh_gauges();
     }
     shared.active.lock().expect("active-request lock").remove(&id);
     shared.finish_request();

@@ -269,3 +269,90 @@ fn stats_and_health_requests_report_live_engine_state() {
     assert_eq!(served, 2, "control requests never count toward --max-requests");
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// Sends one sweep request and returns its whole event stream, up to and
+/// including the final `done`/`error` event.
+fn stream_events(addr: &str, spec: &str) -> Vec<Value> {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = geattack_bench::serve::connect_retry(addr, Duration::from_secs(10)).expect("connects");
+    let mut writer = stream.try_clone().expect("clone");
+    let compact = serde_json::to_string(&serde_json::from_str::<Value>(spec).expect("spec is JSON")).expect("compacts");
+    writeln!(writer, "{compact}").expect("sends");
+    let mut events = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let event: Value = serde_json::from_str(&line.expect("reads")).expect("event parses");
+        let last = matches!(event.get_field("event"), Ok(Value::String(e)) if e == "done" || e == "error");
+        events.push(event);
+        if last {
+            break;
+        }
+    }
+    events
+}
+
+/// Every key path of a JSON value, in document order.
+fn key_paths(value: &Value, prefix: &str, out: &mut Vec<String>) {
+    if let Value::Object(fields) = value {
+        for (key, child) in fields {
+            let path = format!("{prefix}.{key}");
+            out.push(path.clone());
+            key_paths(child, &path, out);
+        }
+    }
+}
+
+fn object_keys(value: &Value) -> Vec<&str> {
+    match value {
+        Value::Object(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+        other => panic!("expected an object, found {other:?}"),
+    }
+}
+
+#[test]
+fn done_and_cell_events_share_the_sidecar_telemetry_schema() {
+    let spec = SweepSpec::from_json(SPEC).expect("spec parses");
+    let run = Engine::new().serial(true).run(&spec, None).expect("reference run");
+    let meta: Value = serde_json::from_str(&run.meta_json()).expect("sidecar parses");
+    let mut sidecar_paths = Vec::new();
+    key_paths(
+        meta.get_field("telemetry").expect("sidecar telemetry"),
+        "",
+        &mut sidecar_paths,
+    );
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let engine = Engine::new().serial(true);
+    let daemon = std::thread::spawn(move || serve(listener, &engine, ServeOptions::with_max_requests(Some(1))));
+    let events = stream_events(&addr, SPEC);
+    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
+
+    let done = events.last().expect("the stream ends with an event");
+    assert_eq!(done.get_field("event"), Ok(&Value::String("done".to_string())));
+    let telemetry = done.get_field("telemetry").expect("done telemetry");
+    let mut done_paths = Vec::new();
+    key_paths(telemetry, "", &mut done_paths);
+    assert_eq!(
+        done_paths, sidecar_paths,
+        "the done event renders the sidecar's telemetry object"
+    );
+
+    let phase_totals = telemetry.get_field("phase_totals_ms").expect("phase totals");
+    let cells: Vec<&Value> = events
+        .iter()
+        .filter(|e| e.get_field("event") == Ok(&Value::String("cell".to_string())))
+        .collect();
+    assert_eq!(cells.len(), spec.prepared_cells());
+    for cell in cells {
+        let timing = cell.get_field("timing_ms").expect("cell timing");
+        assert_eq!(object_keys(timing), object_keys(phase_totals));
+    }
+
+    // The protocol rounds like the sidecar: whole microseconds.
+    if let Value::Object(fields) = phase_totals {
+        for (phase, value) in fields {
+            let micros = value.as_f64().expect("a number") * 1e3;
+            assert!((micros - micros.round()).abs() < 1e-6, "{phase} = {value:?} ms");
+        }
+    }
+}

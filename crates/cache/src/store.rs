@@ -44,17 +44,6 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-impl CacheCounters {
-    /// Adds another snapshot's counts (used to combine per-shard metadata).
-    pub fn merged(self, other: CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
-}
-
 /// Result of one garbage-collection pass ([`CacheStore::gc_to_budget`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcStats {
@@ -457,27 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_payloads_and_counter_merge() {
+    fn empty_payloads_round_trip() {
         let t = TempStore::new("empty");
         t.store.store("ee", b"").unwrap();
         assert_eq!(t.store.load("ee").unwrap(), b"");
-        let a = CacheCounters {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-        };
-        let b = CacheCounters {
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-        };
-        assert_eq!(
-            a.merged(b),
-            CacheCounters {
-                hits: 11,
-                misses: 22,
-                evictions: 33
-            }
-        );
     }
 }

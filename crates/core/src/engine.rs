@@ -55,7 +55,7 @@ use crate::sweep::{
     PlannedCell, Shard, ShardReport, SweepCell, SweepReport, SweepRun,
 };
 use crate::targets::victims_with_degree;
-use crate::telemetry::{CellTiming, LatencySummary, PhaseAccumulator, SweepTelemetry};
+use crate::telemetry::{CellTiming, PhaseAccumulator, SweepTelemetry};
 
 /// A shared cancellation flag for one sweep session. Cloning shares the flag;
 /// setting it makes the session skip every cell that has not started yet —
@@ -253,16 +253,6 @@ impl Engine {
     /// Registers a custom explainer (rejecting name collisions).
     pub fn register_explainer(&mut self, plugin: Arc<dyn ExplainerPlugin>) -> Result<()> {
         self.explainers.register(plugin)
-    }
-
-    /// Display names of every registered attacker.
-    pub fn attacker_names(&self) -> Vec<String> {
-        self.attackers.names()
-    }
-
-    /// Display names of every registered explainer.
-    pub fn explainer_names(&self) -> Vec<String> {
-        self.explainers.names()
     }
 
     /// Counters of the shared cache, when one is attached. Counters accumulate
@@ -503,7 +493,7 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
             }
         }
     }
-    telemetry.cell_latency = LatencySummary::from_histogram(&session_latency);
+    telemetry.cell_latency = session_latency.snapshot();
     if !failures.is_empty() {
         return Err(GeError::CellsFailed(failures));
     }
@@ -518,7 +508,6 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
             cells,
         },
         cache: context.cache.as_ref().map(|c| c.counters()),
-        prepared_cells: context.owned.len(),
         telemetry,
     })
 }
@@ -663,7 +652,7 @@ fn run_prep_cell<'a>(
                 attacker.as_ref(),
                 inspector.as_ref(),
                 BudgetRule::from(budget),
-                Some(&phases),
+                &phases,
             );
             let summary = summarize_run(plugin.name(), &outcomes);
             out.push(SweepCell {
@@ -774,7 +763,7 @@ mod tests {
         );
 
         let run = session.wait().expect("session succeeds");
-        assert_eq!(run.prepared_cells, 2);
+        assert_eq!(run.telemetry.planned_cells, 2);
         let scales: Vec<f64> = run.shard.cells.iter().map(|c| c.scale).collect();
         assert_eq!(scales, vec![0.07, 0.12], "results re-sorted to grid order");
 

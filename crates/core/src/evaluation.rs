@@ -35,10 +35,10 @@ pub struct AttackOutcome {
 /// explainer's ranking is truncated to its top-`L` edges before the top-`K`
 /// detection metrics are computed, mirroring the paper's protocol.
 ///
-/// When `phases` is given, explain/detect wall-clock accumulates into it:
-/// "explain" is the inspector explaining the attacked prediction, "detect" is
-/// applying the perturbation, re-predicting and scoring adversarial-edge
-/// detection. The computation is identical either way.
+/// Explain/detect wall-clock accumulates into `phases`: "explain" is the
+/// inspector explaining the attacked prediction, "detect" is applying the
+/// perturbation, re-predicting and scoring adversarial-edge detection. The
+/// timing never feeds back into the computation.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_attack(
     model: &Gcn,
@@ -48,7 +48,7 @@ pub fn evaluate_attack(
     perturbation: &Perturbation,
     detection_k: usize,
     explanation_size: usize,
-    phases: Option<&crate::telemetry::PhaseAccumulator>,
+    phases: &crate::telemetry::PhaseAccumulator,
 ) -> AttackOutcome {
     let detect_started = std::time::Instant::now();
     let attacked = perturbation.apply(graph);
@@ -59,9 +59,7 @@ pub fn evaluate_attack(
     let predicted = forward.predicted_class(victim.node);
     let success_any = predicted != victim.true_label;
     let success_target = predicted == victim.target_label;
-    if let Some(phases) = phases {
-        phases.add_detect(detect_started.elapsed());
-    }
+    phases.add_detect(detect_started.elapsed());
 
     // The explainer explains the class the model predicts on the attacked
     // graph — exactly `predicted`, so the forward pass is not repeated.
@@ -76,15 +74,11 @@ pub fn evaluate_attack(
             .explain_class_with_forward(model, &attacked, victim.node, predicted, &forward)
             .truncated(explanation_size)
     };
-    if let Some(phases) = phases {
-        phases.add_explain(explain_started.elapsed());
-    }
+    phases.add_explain(explain_started.elapsed());
 
     let detect_started = std::time::Instant::now();
     let detection = detection_scores(&explanation, perturbation.added(), detection_k);
-    if let Some(phases) = phases {
-        phases.add_detect(detect_started.elapsed());
-    }
+    phases.add_detect(detect_started.elapsed());
 
     AttackOutcome {
         node: victim.node,

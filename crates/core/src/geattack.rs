@@ -259,11 +259,11 @@ mod tests {
     use geattack_attack::FgaT;
     use geattack_explain::{detection_scores, Explainer, GnnExplainer};
     use geattack_gnn::{train, Gcn, TrainConfig};
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
 
     fn small_setup(seed: u64) -> (Graph, Gcn) {
-        let cfg = GeneratorConfig::at_scale(0.06, seed);
+        let cfg = FamilyConfig::new(0.06, seed);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

@@ -70,4 +70,4 @@ pub use sweep::{
 pub use targets::{
     assign_target_labels, select_victims, select_victims_from_probs, victims_with_degree, Victim, VictimSelectionConfig,
 };
-pub use telemetry::{CellTiming, LatencySummary, PhaseAccumulator, SweepTelemetry};
+pub use telemetry::{CellTiming, PhaseAccumulator, SweepTelemetry};

@@ -12,8 +12,8 @@ use rand_chacha::ChaCha8Rng;
 use geattack_attack::candidate_endpoints;
 use geattack_explain::{GnnExplainer, GnnExplainerConfig, PgExplainer, PgExplainerConfig};
 use geattack_gnn::{EdgeSlots, Gcn};
-use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph};
+use geattack_graph::datasets::{load, DatasetName};
+use geattack_graph::{computation_subgraph, ComputationSubgraph, FamilyConfig, Graph};
 use geattack_tensor::grad::{grad, grad_values};
 use geattack_tensor::{init, nn, Matrix, Tape, Var};
 
@@ -89,7 +89,7 @@ fn assert_close(slot: &[f64], dense: &[f64], what: &str) {
 /// A generated graph with an untrained GCN; the identities hold for any
 /// parameters.
 fn fixture(seed: u64) -> (Graph, Gcn) {
-    let graph = load(DatasetName::Cora, &GeneratorConfig::at_scale(0.06, seed));
+    let graph = load(DatasetName::Cora, &FamilyConfig::new(0.06, seed));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let model = Gcn::new(graph.num_features(), 16, graph.num_classes(), &mut rng);
     (graph, model)

@@ -35,7 +35,8 @@
 use geattack_cache::{CacheStore, Decoder, Encoder, KeyHasher};
 use geattack_explain::{PgExplainer, PgExplainerConfig, PgMlpParams};
 use geattack_gnn::{Gcn, GcnParams};
-use geattack_graph::{DataSplit, GeneratorConfig, Graph};
+use geattack_graph::datasets::{MIN_FEATURES, TOPIC_AFFINITY, WORDS_PER_NODE};
+use geattack_graph::{DataSplit, Graph};
 use geattack_tensor::Matrix;
 
 use crate::error::{GeError, Result};
@@ -66,20 +67,19 @@ pub fn base_key_salted(config: &PipelineConfig, salt: &str) -> String {
     let mut h = KeyHasher::new();
     // The graph fields keep the byte layout of the keys earlier builds wrote
     // for registry families (a `"scenario"` tag, two absent scale/seed
-    // overrides, then the citation generator's fields at the family's scale
-    // and seed), so existing `prepare-v4` entries keep hitting.
+    // overrides, then the citation generator's scale, its three fixed knobs
+    // and the seed), so existing `prepare-v4` entries keep hitting.
     h.write_str("geattack-base")
         .write_str(salt)
         .write_str("scenario")
         .write_str(&geattack_scenarios::canonical(&config.family))
         .write_opt_f64(None)
         .write_opt_u64(None);
-    let g = GeneratorConfig::at_scale(config.graph.scale, config.graph.seed);
-    h.write_f64(g.scale)
-        .write_usize(g.min_features)
-        .write_usize(g.words_per_node)
-        .write_f64(g.topic_affinity)
-        .write_u64(g.seed);
+    h.write_f64(config.graph.scale)
+        .write_usize(MIN_FEATURES)
+        .write_usize(WORDS_PER_NODE)
+        .write_f64(TOPIC_AFFINITY)
+        .write_u64(config.graph.seed);
     let t = &config.train;
     h.write_usize(t.hidden)
         .write_usize(t.epochs)

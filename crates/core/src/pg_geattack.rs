@@ -113,13 +113,13 @@ mod tests {
     use geattack_attack::candidate_endpoints;
     use geattack_explain::PgExplainerConfig;
     use geattack_gnn::{train, Gcn, TrainConfig};
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn setup(seed: u64) -> (Graph, Gcn, PgExplainer) {
-        let cfg = GeneratorConfig::at_scale(0.06, seed);
+        let cfg = FamilyConfig::new(0.06, seed);
         let graph = load(DatasetName::Citeseer, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

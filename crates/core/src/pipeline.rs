@@ -481,9 +481,8 @@ pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
 
 /// Runs one attacker over all prepared victims under a per-victim budget rule
 /// (`BudgetRule::Degree` is the paper's protocol) and returns per-victim
-/// outcomes, accumulating per-phase wall-clock into `phases` when given (the
-/// engine's per-cell timing breakdown; timing is additive across victim
-/// threads).
+/// outcomes, accumulating per-phase wall-clock into `phases` (the engine's
+/// per-cell timing breakdown; timing is additive across victim threads).
 ///
 /// With `config.parallel == true`, victims are distributed across threads with
 /// rayon. Every attack draws its randomness from victim-local RNG state, so
@@ -494,7 +493,7 @@ pub fn run_attacker(
     attacker: &(dyn TargetedAttack + Sync),
     inspector: &(dyn Explainer + Sync),
     budget: BudgetRule,
-    phases: Option<&PhaseAccumulator>,
+    phases: &PhaseAccumulator,
 ) -> Vec<AttackOutcome> {
     let config = prepared.config();
     let evaluate = |victim: &Victim| {
@@ -514,9 +513,7 @@ pub fn run_attacker(
             );
             attacker.attack(&ctx)
         };
-        if let Some(phases) = phases {
-            phases.add_attack(attack_started.elapsed());
-        }
+        phases.add_attack(attack_started.elapsed());
         evaluate_attack(
             &prepared.model,
             &prepared.graph,
@@ -546,7 +543,7 @@ pub fn run_attacker_kind(prepared: &Prepared, kind: AttackerKind) -> Result<Vec<
         attacker.as_ref(),
         inspector.as_ref(),
         BudgetRule::Degree,
-        None,
+        &PhaseAccumulator::new(),
     ))
 }
 
@@ -697,12 +694,13 @@ pub(crate) mod tests {
         let prepared = prepare(tiny_config(95)).unwrap();
         let attacker = prepared.attacker(AttackerKind::FgaT);
         let inspector = prepared.inspector().unwrap();
+        let phases = PhaseAccumulator::new();
         let fixed = run_attacker(
             &prepared,
             attacker.as_ref(),
             inspector.as_ref(),
             BudgetRule::Fixed(1),
-            None,
+            &phases,
         );
         assert!(fixed.iter().all(|o| o.perturbation_size <= 1), "fixed budget of 1 edge");
         let degree = run_attacker(
@@ -710,7 +708,7 @@ pub(crate) mod tests {
             attacker.as_ref(),
             inspector.as_ref(),
             BudgetRule::Degree,
-            None,
+            &phases,
         );
         for (o, victim) in degree.iter().zip(&prepared.victims) {
             assert!(o.perturbation_size <= victim.degree.max(1));

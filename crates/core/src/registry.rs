@@ -326,11 +326,6 @@ macro_rules! registry {
                     plugin.with_params(&params)
                 }
             }
-
-            /// Whether a name resolves.
-            pub fn is_known(&self, name: &str) -> bool {
-                self.resolve(name).is_ok()
-            }
         }
     };
 }
@@ -413,7 +408,7 @@ mod tests {
     fn builtin_registries_resolve_every_kind_and_alias() {
         let attackers = AttackerRegistry::builtin();
         for kind in AttackerKind::ALL {
-            assert!(attackers.is_known(kind.name()), "{} must resolve", kind.name());
+            assert!(attackers.resolve(kind.name()).is_ok(), "{} must resolve", kind.name());
             for alias in kind.aliases() {
                 assert_eq!(
                     attackers.resolve(&alias.to_ascii_uppercase()).unwrap().name(),
@@ -421,7 +416,7 @@ mod tests {
                 );
             }
         }
-        assert!(!attackers.is_known("nope"));
+        assert!(attackers.resolve("nope").is_err());
         let explainers = ExplainerRegistry::builtin();
         for kind in ExplainerKind::ALL {
             for alias in kind.aliases() {
@@ -430,7 +425,7 @@ mod tests {
                 assert_eq!(plugin.prepare_kind(), kind);
             }
         }
-        assert!(!explainers.is_known("shap"));
+        assert!(explainers.resolve("shap").is_err());
     }
 
     #[test]
@@ -448,8 +443,8 @@ mod tests {
     fn custom_plugins_register_and_collisions_are_rejected() {
         let mut registry = AttackerRegistry::builtin();
         registry.register(Arc::new(Custom)).unwrap();
-        assert!(registry.is_known("CHAOS"));
-        assert!(registry.is_known("chaos-monkey"));
+        assert!(registry.resolve("CHAOS").is_ok());
+        assert!(registry.resolve("chaos-monkey").is_ok());
         assert_eq!(registry.resolve("chaos").unwrap().name(), "Chaos");
 
         // Registering the same name (or an alias colliding with a builtin)

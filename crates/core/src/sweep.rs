@@ -255,17 +255,15 @@ impl ShardReport {
 }
 
 /// One finished sweep execution: the shard report plus run-level metadata
-/// (cache counters, prepared-cell count) for the `.meta.json` sidecar.
+/// (cache counters, session timing) for the `.meta.json` sidecar.
 #[derive(Clone, Debug)]
 pub struct SweepRun {
     /// The cells this run produced, as a shard report (`0/1` when unsharded).
     pub shard: ShardReport,
     /// Cache counters, when a cache directory was in use.
     pub cache: Option<geattack_cache::CacheCounters>,
-    /// Number of experiments this run prepared (== cache hits + misses when
-    /// caching).
-    pub prepared_cells: usize,
-    /// Aggregated session timing: per-phase totals and the per-cell latency
+    /// Aggregated session timing: the prepared-cell count (== cache hits +
+    /// misses when caching), per-phase totals and the per-cell latency
     /// distribution.
     pub telemetry: crate::telemetry::SweepTelemetry,
 }
@@ -278,56 +276,22 @@ impl SweepRun {
     /// timing behavior.
     pub fn meta_json(&self) -> String {
         use serde::Value;
-        let cache = match &self.cache {
-            None => Value::Null,
-            Some(c) => Value::Object(vec![
-                ("hits".to_string(), Value::Number(c.hits as f64)),
-                ("misses".to_string(), Value::Number(c.misses as f64)),
-                ("evictions".to_string(), Value::Number(c.evictions as f64)),
-            ]),
-        };
         let shard = if self.shard.shard_count == 1 {
             Value::Null
         } else {
             Value::String(format!("{}/{}", self.shard.shard_index, self.shard.shard_count))
         };
-        // Round timing to microsecond granularity so the sidecar stays tidy;
-        // the values are nondeterministic either way.
-        let ms = |v: f64| Value::Number((v * 1e3).round() / 1e3);
-        let t = &self.telemetry;
-        let telemetry = Value::Object(vec![
-            ("planned_cells".to_string(), Value::Number(t.planned_cells as f64)),
-            ("finished_cells".to_string(), Value::Number(t.finished_cells as f64)),
-            ("failed_cells".to_string(), Value::Number(t.failed_cells as f64)),
-            (
-                "phase_totals_ms".to_string(),
-                Value::Object(vec![
-                    ("prepare".to_string(), ms(t.phase_totals.prepare_ms)),
-                    ("attack".to_string(), ms(t.phase_totals.attack_ms)),
-                    ("explain".to_string(), ms(t.phase_totals.explain_ms)),
-                    ("detect".to_string(), ms(t.phase_totals.detect_ms)),
-                    ("total".to_string(), ms(t.phase_totals.total_ms)),
-                ]),
-            ),
-            (
-                "cell_latency_ms".to_string(),
-                Value::Object(vec![
-                    ("count".to_string(), Value::Number(t.cell_latency.count as f64)),
-                    ("p50".to_string(), ms(t.cell_latency.p50)),
-                    ("p95".to_string(), ms(t.cell_latency.p95)),
-                    ("p99".to_string(), ms(t.cell_latency.p99)),
-                    ("max".to_string(), ms(t.cell_latency.max)),
-                ]),
-            ),
-        ]);
         let meta = Value::Object(vec![
             ("sweep".to_string(), Value::String(self.shard.sweep.clone())),
             ("spec_hash".to_string(), Value::String(self.shard.spec_hash.clone())),
             ("shard".to_string(), shard),
-            ("prepared_cells".to_string(), Value::Number(self.prepared_cells as f64)),
+            (
+                "prepared_cells".to_string(),
+                Value::Number(self.telemetry.planned_cells as f64),
+            ),
             ("result_cells".to_string(), Value::Number(self.shard.cells.len() as f64)),
-            ("cache".to_string(), cache),
-            ("telemetry".to_string(), telemetry),
+            ("cache".to_string(), crate::telemetry::cache_value(self.cache)),
+            ("telemetry".to_string(), serde_json::to_value(&self.telemetry)),
         ]);
         serde_json::to_string_pretty(&meta).expect("metadata always serializes")
     }
@@ -1085,7 +1049,7 @@ mod tests {
     fn merging_the_single_full_shard_reproduces_the_report() {
         let spec = tiny_spec();
         let run = Engine::new().serial(true).run(&spec, None).expect("runs");
-        assert_eq!(run.prepared_cells, 1);
+        assert_eq!(run.telemetry.planned_cells, 1);
         assert!(run.cache.is_none());
         let merged = merge_shards(std::slice::from_ref(&run.shard)).expect("merges");
         let direct = run_sweep(&spec, true).expect("runs");
@@ -1141,7 +1105,6 @@ mod tests {
                 misses: 1,
                 evictions: 0,
             }),
-            prepared_cells: 1,
             telemetry,
         };
         let meta = run.meta_json();
@@ -1155,7 +1118,6 @@ mod tests {
         let full = SweepRun {
             shard: fabricated_shard(0, 1, Vec::new()),
             cache: None,
-            prepared_cells: 0,
             telemetry: Default::default(),
         };
         let meta = full.meta_json();

@@ -152,11 +152,11 @@ pub fn victims_with_degree(
 mod tests {
     use super::*;
     use geattack_gnn::{train, TrainConfig};
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
 
     fn setup() -> (Graph, Gcn, Vec<usize>) {
-        let cfg = GeneratorConfig::at_scale(0.08, 81);
+        let cfg = FamilyConfig::new(0.08, 81);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

@@ -1,5 +1,4 @@
-//! Engine-side timing types: per-cell phase breakdowns and the per-session
-//! [`SweepTelemetry`] summary.
+//! Engine-side timing types and the one renderer of run metadata.
 //!
 //! The engine measures phases directly with the monotonic clock — independent
 //! of whether a `geattack-telemetry` recorder is installed — so
@@ -9,11 +8,53 @@
 //! itself: timings surface in the event stream, the serve protocol and the
 //! `results/sweep_<name>.meta.json` sidecar, keeping reports byte-identical
 //! run to run.
+//!
+//! This module owns the JSON shape of that metadata: the `.meta.json`
+//! sidecar, the serve daemon's `cell`/`done`/`stats` events and the fleet
+//! sidecar all render timings through [`ms`], [`CellTiming`]'s and
+//! [`SweepTelemetry`]'s `Serialize` impls, [`latency_value`] and
+//! [`cache_value`], so a schema change is made once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use geattack_telemetry::Histogram;
+use geattack_cache::CacheCounters;
+use geattack_telemetry::HistogramSnapshot;
+use serde::{Serialize, Value};
+
+/// A millisecond value rounded to microsecond granularity. Timings are
+/// nondeterministic either way; rounding keeps the sidecars and events tidy.
+pub fn ms(v: f64) -> Value {
+    Value::Number((v * 1e3).round() / 1e3)
+}
+
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A latency distribution as the `{count,p50,p95,p99,max}` object (ms).
+pub fn latency_value(snapshot: &HistogramSnapshot) -> Value {
+    object(vec![
+        ("count", Value::Number(snapshot.count as f64)),
+        ("p50", ms(snapshot.p50)),
+        ("p95", ms(snapshot.p95)),
+        ("p99", ms(snapshot.p99)),
+        ("max", ms(snapshot.max)),
+    ])
+}
+
+/// Cache counters as the `{hits,misses,evictions}` object, `null` when no
+/// cache was in use.
+pub fn cache_value(counters: Option<CacheCounters>) -> Value {
+    match counters {
+        None => Value::Null,
+        Some(c) => object(vec![
+            ("hits", Value::Number(c.hits as f64)),
+            ("misses", Value::Number(c.misses as f64)),
+            ("evictions", Value::Number(c.evictions as f64)),
+        ]),
+    }
+}
 
 /// Wall-clock breakdown of one executed prepared cell, in milliseconds.
 ///
@@ -86,36 +127,6 @@ impl PhaseAccumulator {
     }
 }
 
-/// Latency distribution summary (milliseconds), exported from a fixed-bucket
-/// [`Histogram`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Estimated median.
-    pub p50: f64,
-    /// Estimated 95th percentile.
-    pub p95: f64,
-    /// Estimated 99th percentile.
-    pub p99: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram of cell latencies.
-    pub fn from_histogram(histogram: &Histogram) -> Self {
-        let snap = histogram.snapshot();
-        LatencySummary {
-            count: snap.count,
-            p50: snap.p50,
-            p95: snap.p95,
-            p99: snap.p99,
-            max: snap.max,
-        }
-    }
-}
-
 /// Aggregated timing of one sweep session, assembled by the engine's session
 /// worker and carried on `SweepRun` into the `.meta.json` sidecar (and the
 /// serve protocol's `done` event).
@@ -130,8 +141,34 @@ pub struct SweepTelemetry {
     /// Per-phase totals summed over finished cells (`total_ms` here is the
     /// sum of cell wall-clocks, not the session's elapsed time).
     pub phase_totals: CellTiming,
-    /// Distribution of per-cell wall-clock latencies.
-    pub cell_latency: LatencySummary,
+    /// Distribution of per-cell wall-clock latencies, ms.
+    pub cell_latency: HistogramSnapshot,
+}
+
+/// `{prepare,attack,explain,detect,total}`, ms.
+impl Serialize for CellTiming {
+    fn serialize(&self) -> Value {
+        object(vec![
+            ("prepare", ms(self.prepare_ms)),
+            ("attack", ms(self.attack_ms)),
+            ("explain", ms(self.explain_ms)),
+            ("detect", ms(self.detect_ms)),
+            ("total", ms(self.total_ms)),
+        ])
+    }
+}
+
+/// `{planned_cells,finished_cells,failed_cells,phase_totals_ms,cell_latency_ms}`.
+impl Serialize for SweepTelemetry {
+    fn serialize(&self) -> Value {
+        object(vec![
+            ("planned_cells", Value::Number(self.planned_cells as f64)),
+            ("finished_cells", Value::Number(self.finished_cells as f64)),
+            ("failed_cells", Value::Number(self.failed_cells as f64)),
+            ("phase_totals_ms", self.phase_totals.serialize()),
+            ("cell_latency_ms", latency_value(&self.cell_latency)),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -174,13 +211,14 @@ mod tests {
 
     #[test]
     fn latency_summary_reads_histogram_percentiles() {
-        let histogram = Histogram::new();
+        let histogram = geattack_telemetry::Histogram::new();
         for _ in 0..10 {
             histogram.record(8.0);
         }
-        let summary = LatencySummary::from_histogram(&histogram);
-        assert_eq!(summary.count, 10);
-        assert_eq!(summary.max, 8.0);
-        assert!(summary.p50 > 0.0 && summary.p50 <= 8.0);
+        let summary = latency_value(&histogram.snapshot());
+        assert_eq!(summary.get_field("count"), Ok(&Value::Number(10.0)));
+        assert_eq!(summary.get_field("max"), Ok(&Value::Number(8.0)));
+        let p50 = summary.get_field("p50").and_then(Value::as_f64).unwrap();
+        assert!(p50 > 0.0 && p50 <= 8.0);
     }
 }

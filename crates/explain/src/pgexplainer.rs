@@ -388,11 +388,11 @@ impl Explainer for PgExplainer {
 mod tests {
     use super::*;
     use geattack_gnn::{train, TrainConfig};
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
 
     fn small_setup() -> (Graph, Gcn, Vec<usize>) {
-        let cfg = GeneratorConfig::at_scale(0.06, 31);
+        let cfg = FamilyConfig::new(0.06, 31);
         let graph = load(DatasetName::Citeseer, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

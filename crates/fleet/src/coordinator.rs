@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use geattack_core::engine::CancelToken;
 use geattack_core::sweep::{merge_shards, Shard, ShardReport, SweepReport};
+use geattack_core::telemetry::{latency_value, ms};
 use geattack_core::GeError;
 use geattack_scenarios::SweepSpec;
 use geattack_telemetry::{HistogramSnapshot, MetricsRegistry};
@@ -118,7 +119,6 @@ impl FleetStats {
     /// latency, wall-clock — live here, never in the report).
     pub fn meta_json(&self) -> String {
         use serde::Value;
-        let ms = |v: f64| Value::Number((v * 1e3).round() / 1e3);
         let workers = self
             .workers
             .iter()
@@ -133,16 +133,7 @@ impl FleetStats {
                     ("shards_completed".to_string(), Value::Number(w.shards_completed as f64)),
                     ("failures".to_string(), Value::Number(w.failures as f64)),
                     ("retired".to_string(), Value::Bool(w.retired)),
-                    (
-                        "latency_ms".to_string(),
-                        Value::Object(vec![
-                            ("count".to_string(), Value::Number(w.latency.count as f64)),
-                            ("p50".to_string(), ms(w.latency.p50)),
-                            ("p95".to_string(), ms(w.latency.p95)),
-                            ("p99".to_string(), ms(w.latency.p99)),
-                            ("max".to_string(), ms(w.latency.max)),
-                        ]),
-                    ),
+                    ("latency_ms".to_string(), latency_value(&w.latency)),
                 ])
             })
             .collect();
@@ -214,7 +205,7 @@ struct WorkerLedger {
 pub struct Coordinator {
     workers: Vec<Worker>,
     options: FleetOptions,
-    metrics: std::sync::Arc<MetricsRegistry>,
+    metrics: MetricsRegistry,
     cancel: CancelToken,
 }
 
@@ -234,15 +225,9 @@ impl Coordinator {
         Ok(Coordinator {
             workers,
             options,
-            metrics: std::sync::Arc::new(MetricsRegistry::new()),
+            metrics: MetricsRegistry::new(),
             cancel: CancelToken::new(),
         })
-    }
-
-    /// The coordinator's metric registry (`fleet.*` counters and per-worker
-    /// latency histograms).
-    pub fn metrics(&self) -> &std::sync::Arc<MetricsRegistry> {
-        &self.metrics
     }
 
     /// A handle that aborts the run when cancelled (in-flight worker streams
@@ -288,7 +273,6 @@ impl Coordinator {
             shard_count,
             self.workers.len()
         ));
-        self.metrics.gauge("fleet.workers.live").set(self.workers.len() as f64);
 
         let mut ledgers: Vec<WorkerLedger> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -441,7 +425,6 @@ impl Coordinator {
                         st.completed_cells += shard.owned_count(spec.prepared_cells());
                         st.results[shard.index] = Some(report);
                         ledger.shards_completed += 1;
-                        self.metrics.counter("fleet.shards.completed").inc();
                         emit(format!("[{}] shard {} complete", worker.name, shard.label()));
                     } else {
                         self.metrics.counter("fleet.shards.duplicates").inc();
@@ -504,7 +487,6 @@ impl Coordinator {
         self.metrics.counter("fleet.shards.dispatched").inc();
         emit(format!("[{}] shard {} dispatched", worker.name, shard.label()));
         let timer = self.metrics.histogram(&worker_histogram_key(me, worker)).start_timer();
-        let _fleet_timer = self.metrics.histogram("fleet.shard_attempt_ms").start_timer();
         let total = spec.prepared_cells();
         let started = Instant::now();
         let result = client.submit_shard(spec, shard, &self.cancel, |event| match event {
@@ -548,7 +530,6 @@ impl Coordinator {
                 };
                 match fleet_progress {
                     Some((done, eta)) => {
-                        self.metrics.counter("fleet.cells.finished").inc();
                         emit(format!(
                             "fleet: {done}/{total} cells ({:.1}%){} — [{}] shard {}: cell {position} finished",
                             done as f64 / total.max(1) as f64 * 100.0,
@@ -565,7 +546,6 @@ impl Coordinator {
                 }
             }
             ShardEvent::Failed { position, kind, error } => {
-                self.metrics.counter("fleet.cells.failed").inc();
                 emit(format!(
                     "[{}] shard {}: cell {position} FAILED ({kind}): {error}",
                     worker.name,
@@ -629,8 +609,6 @@ impl Coordinator {
         if ledger.consecutive_failures >= self.options.worker_failure_limit {
             ledger.retired = true;
             st.live_workers -= 1;
-            self.metrics.counter("fleet.workers.retired").inc();
-            self.metrics.gauge("fleet.workers.live").set(st.live_workers as f64);
             lines.push(format!(
                 "[{}] retired after {} consecutive failures",
                 worker.name, ledger.consecutive_failures

@@ -286,12 +286,12 @@ fn fit(
 mod tests {
     use super::*;
     use crate::eval::accuracy;
-    use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-    use geattack_graph::stratified_split;
+    use geattack_graph::datasets::{load, DatasetName};
+    use geattack_graph::{stratified_split, FamilyConfig};
 
     #[test]
     fn training_reduces_loss_on_toy_dataset() {
-        let cfg = GeneratorConfig::at_scale(0.08, 1);
+        let cfg = FamilyConfig::new(0.08, 1);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn trained_gcn_beats_chance_on_test_nodes() {
-        let cfg = GeneratorConfig::at_scale(0.1, 2);
+        let cfg = FamilyConfig::new(0.1, 2);
         let graph = load(DatasetName::Citeseer, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn early_stopping_limits_epochs() {
-        let cfg = GeneratorConfig::at_scale(0.08, 5);
+        let cfg = FamilyConfig::new(0.08, 5);
         let graph = load(DatasetName::Acm, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn sparse_training_is_bit_identical_to_dense_oracle() {
-        let cfg = GeneratorConfig::at_scale(0.06, 12);
+        let cfg = FamilyConfig::new(0.06, 12);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn replayed_training_is_bit_identical_to_fresh_tapes() {
-        let cfg = GeneratorConfig::at_scale(0.08, 5);
+        let cfg = FamilyConfig::new(0.08, 5);
         let graph = load(DatasetName::Acm, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
@@ -401,7 +401,7 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_for_seed() {
-        let cfg = GeneratorConfig::at_scale(0.06, 9);
+        let cfg = FamilyConfig::new(0.06, 9);
         let graph = load(DatasetName::Cora, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);

@@ -24,8 +24,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use geattack_tensor::Matrix;
-
 use crate::builder::GraphBuilder;
 use crate::family::{stream_seed, topic_features, FamilyConfig, GraphFamily};
 use crate::graph::Graph;
@@ -114,62 +112,33 @@ pub struct DatasetSpec {
     pub homophily: f64,
 }
 
-/// Configuration of the synthetic generator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct GeneratorConfig {
-    /// Scale factor applied to node count, edge count and feature dimensionality.
-    /// `1.0` reproduces the paper-scale statistics; the experiment defaults use a
-    /// smaller scale so the full pipeline runs in seconds.
-    pub scale: f64,
-    /// Minimum feature dimensionality after scaling.
-    pub min_features: usize,
-    /// Average number of active words per node.
-    pub words_per_node: usize,
-    /// Probability that an active word is drawn from the node's class topic block.
-    pub topic_affinity: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Minimum feature dimensionality after scaling.
+pub const MIN_FEATURES: usize = 64;
 
-impl Default for GeneratorConfig {
-    fn default() -> Self {
-        Self {
-            scale: 0.25,
-            min_features: 64,
-            words_per_node: 24,
-            topic_affinity: 0.85,
-            seed: 0,
-        }
-    }
-}
+/// Average number of active words per node.
+pub const WORDS_PER_NODE: usize = 24;
 
-impl GeneratorConfig {
-    /// Config at a reduced scale (useful for tests and CI).
-    pub fn at_scale(scale: f64, seed: u64) -> Self {
-        Self {
-            scale,
-            seed,
-            ..Self::default()
-        }
-    }
-}
+/// Probability that an active word is drawn from the node's class topic block.
+pub const TOPIC_AFFINITY: f64 = 0.85;
 
 /// Generates the synthetic stand-in for `name` and returns its largest connected
 /// component, matching the paper's preprocessing.
-pub fn load(name: DatasetName, config: &GeneratorConfig) -> Graph {
+pub fn load(name: DatasetName, config: &FamilyConfig) -> Graph {
     let graph = generate(&name.spec(), config);
     let (lcc, _) = largest_connected_component(&graph);
     lcc
 }
 
 /// Generates a synthetic class-structured citation graph following `spec`.
-pub fn generate(spec: &DatasetSpec, config: &GeneratorConfig) -> Graph {
+/// `config.scale` multiplies the node, edge and feature counts (`1.0`
+/// reproduces the paper-scale statistics).
+pub fn generate(spec: &DatasetSpec, config: &FamilyConfig) -> Graph {
     assert!(config.scale > 0.0 && config.scale <= 1.0, "scale must be in (0, 1]");
     let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(spec.name, config.seed));
 
     let n = ((spec.nodes as f64) * config.scale).round().max(40.0) as usize;
     let target_edges = ((spec.edges as f64) * config.scale).round().max(60.0) as usize;
-    let d = (((spec.features as f64) * config.scale).round() as usize).max(config.min_features);
+    let d = (((spec.features as f64) * config.scale).round() as usize).max(MIN_FEATURES);
     let classes = spec.classes;
 
     // Balanced-ish class assignment with a little randomness.
@@ -177,7 +146,9 @@ pub fn generate(spec: &DatasetSpec, config: &GeneratorConfig) -> Graph {
     labels.shuffle(&mut rng);
 
     let builder = generate_edges(n, target_edges, &labels, spec.homophily, &mut rng);
-    let features = generate_features(n, d, classes, &labels, config, &mut rng);
+    // Sparse bag-of-words features drawn mostly from each node's class topic
+    // block, shared with every synthetic family.
+    let features = topic_features(n, d, classes, &labels, WORDS_PER_NODE, TOPIC_AFFINITY, &mut rng);
 
     Graph::from_csr(builder.into_csr(), features, labels, classes)
 }
@@ -262,21 +233,6 @@ fn pick_partner(
     best
 }
 
-/// Sparse bag-of-words features: the vocabulary is partitioned into per-class
-/// topic blocks plus a shared block; each node activates `words_per_node` words,
-/// mostly from its own class block (shared with every synthetic family via
-/// [`topic_features`]).
-fn generate_features(
-    n: usize,
-    d: usize,
-    classes: usize,
-    labels: &[usize],
-    config: &GeneratorConfig,
-    rng: &mut impl Rng,
-) -> Matrix {
-    topic_features(n, d, classes, labels, config.words_per_node, config.topic_affinity, rng)
-}
-
 /// Adapter exposing one synthetic citation dataset as a [`GraphFamily`], so the
 /// paper's three benchmarks are ordinary members of the scenario registry rather
 /// than the only way to obtain a graph.
@@ -311,10 +267,7 @@ impl GraphFamily for CitationFamily {
     }
 
     fn generate(&self, config: &FamilyConfig) -> Graph {
-        generate(
-            &self.dataset.spec(),
-            &GeneratorConfig::at_scale(config.scale, config.seed),
-        )
+        generate(&self.dataset.spec(), config)
     }
 }
 
@@ -342,7 +295,7 @@ mod tests {
 
     #[test]
     fn generated_graph_matches_scaled_statistics() {
-        let cfg = GeneratorConfig::at_scale(0.15, 7);
+        let cfg = FamilyConfig::new(0.15, 7);
         let spec = DatasetName::Cora.spec();
         let g = generate(&spec, &cfg);
         let expected_nodes = (spec.nodes as f64 * cfg.scale).round() as usize;
@@ -358,7 +311,7 @@ mod tests {
 
     #[test]
     fn generated_graph_is_homophilous() {
-        let cfg = GeneratorConfig::at_scale(0.15, 3);
+        let cfg = FamilyConfig::new(0.15, 3);
         let g = generate(&DatasetName::Citeseer.spec(), &cfg);
         let h = g.edge_homophily();
         assert!(h > 0.55, "homophily {h} too low for a citation-like graph");
@@ -366,13 +319,13 @@ mod tests {
 
     #[test]
     fn features_are_sparse_and_class_correlated() {
-        let cfg = GeneratorConfig::at_scale(0.15, 11);
+        let cfg = FamilyConfig::new(0.15, 11);
         let spec = DatasetName::Acm.spec();
         let g = generate(&spec, &cfg);
         let x = g.features().to_dense();
         // Sparse: average active words per node close to the configured number.
         let avg_active = x.sum() / g.num_nodes() as f64;
-        assert!(avg_active < 1.5 * cfg.words_per_node as f64);
+        assert!(avg_active < 1.5 * WORDS_PER_NODE as f64);
         // Class-correlated: same-class nodes share more active words than
         // different-class nodes on average.
         let labels = g.labels();
@@ -398,7 +351,7 @@ mod tests {
 
     #[test]
     fn load_returns_connected_graph() {
-        let cfg = GeneratorConfig::at_scale(0.12, 5);
+        let cfg = FamilyConfig::new(0.12, 5);
         let g = load(DatasetName::Cora, &cfg);
         let comps = g.csr().connected_components();
         assert!(comps.iter().all(|&c| c == comps[0]), "LCC must be connected");
@@ -407,7 +360,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let cfg = GeneratorConfig::at_scale(0.1, 42);
+        let cfg = FamilyConfig::new(0.1, 42);
         let a = generate(&DatasetName::Citeseer.spec(), &cfg);
         let b = generate(&DatasetName::Citeseer.spec(), &cfg);
         assert_eq!(a.num_edges(), b.num_edges());
@@ -421,20 +374,20 @@ mod tests {
         assert_eq!(family.name(), "cora");
         assert_eq!(family.dataset(), DatasetName::Cora);
         let via_family = family.generate(&FamilyConfig::new(0.1, 42));
-        let direct = generate(&DatasetName::Cora.spec(), &GeneratorConfig::at_scale(0.1, 42));
+        let direct = generate(&DatasetName::Cora.spec(), &FamilyConfig::new(0.1, 42));
         assert_eq!(via_family.csr(), direct.csr());
         assert_eq!(via_family.features(), direct.features());
         assert_eq!(via_family.labels(), direct.labels());
         // The default `load` applies the same LCC preprocessing as `datasets::load`.
         let loaded = family.load(&FamilyConfig::new(0.1, 42));
-        let reference = load(DatasetName::Cora, &GeneratorConfig::at_scale(0.1, 42));
+        let reference = load(DatasetName::Cora, &FamilyConfig::new(0.1, 42));
         assert_eq!(loaded.num_nodes(), reference.num_nodes());
         assert_eq!(loaded.num_edges(), reference.num_edges());
     }
 
     #[test]
     fn different_datasets_get_different_streams() {
-        let cfg = GeneratorConfig::at_scale(0.1, 42);
+        let cfg = FamilyConfig::new(0.1, 42);
         let a = generate(&DatasetName::Citeseer.spec(), &cfg);
         let b = generate(&DatasetName::Cora.spec(), &cfg);
         assert_ne!(a.num_nodes(), b.num_nodes());

@@ -27,7 +27,7 @@ pub mod subgraph;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;
-pub use datasets::{CitationFamily, DatasetName, DatasetSpec, GeneratorConfig};
+pub use datasets::{CitationFamily, DatasetName, DatasetSpec};
 pub use family::{FamilyConfig, GraphFamily};
 pub use graph::Graph;
 pub use perturb::Perturbation;

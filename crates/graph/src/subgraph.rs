@@ -63,11 +63,6 @@ impl ComputationSubgraph {
     pub fn to_local(&self, global: usize) -> Option<usize> {
         self.global_to_local.get(&global).copied()
     }
-
-    /// Translates a local undirected edge to global ids.
-    pub fn edge_to_global(&self, (u, v): (usize, usize)) -> (usize, usize) {
-        (self.nodes[u], self.nodes[v])
-    }
 }
 
 /// Extracts the `hops`-hop computation subgraph around `target`, additionally
@@ -152,7 +147,7 @@ mod tests {
     fn edge_translation_roundtrip() {
         let g = path_graph(5);
         let sub = computation_subgraph(&g, 2, 1, &[]);
-        let (gu, gv) = sub.edge_to_global((0, 1));
+        let (gu, gv) = (sub.to_global(0), sub.to_global(1));
         assert_eq!((gu, gv), (1, 2));
         assert_eq!(sub.to_local(gu), Some(0));
     }

@@ -11,16 +11,15 @@
 //!   `Detail`); whether a span is live is a single relaxed atomic load, so an
 //!   uninstrumented process pays one branch per call site and allocates
 //!   nothing.
-//! * [`recorder`] — the [`Recorder`] sink trait plus the three built-ins:
-//!   [`NoopRecorder`] (accepts and discards, for overhead measurement),
-//!   [`RingRecorder`] (bounded in-memory buffer, for tests and the daemon) and
-//!   [`NdjsonRecorder`] (one JSON object per line to a file, for offline
-//!   analysis; `geattack-sweep --telemetry PATH` installs one).
-//! * [`metrics`] — named [`Counter`]s/[`Gauge`]s/[`Histogram`]s in an
-//!   instantiable [`MetricsRegistry`]. Histograms use fixed latency buckets
-//!   and export p50/p95/p99; registries are per-owner (the engine owns one,
-//!   each `CacheStore` owns one) so per-store counters and per-request deltas
-//!   stay exact instead of being smeared into process-wide globals.
+//! * [`recorder`] — the [`Recorder`] sink trait plus the two built-ins:
+//!   [`RingRecorder`] (bounded in-memory buffer, for tests and the benchmark's
+//!   traced run) and [`NdjsonRecorder`] (one JSON object per line to a file,
+//!   for offline analysis; `geattack-sweep --telemetry PATH` installs one).
+//! * [`metrics`] — named [`Counter`]s/[`Histogram`]s in an instantiable
+//!   [`MetricsRegistry`]. Histograms use fixed latency buckets and export
+//!   p50/p95/p99; registries are per-owner (the engine owns one, each
+//!   `CacheStore` owns one) so per-store counters and per-request deltas stay
+//!   exact instead of being smeared into process-wide globals.
 //!
 //! Recording is process-global and off by default: [`install`] a recorder to
 //! start capturing, [`uninstall`] to stop. Reports stay byte-identical with
@@ -31,8 +30,8 @@ pub mod metrics;
 pub mod recorder;
 pub mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{NdjsonRecorder, NoopRecorder, Recorder, RingRecorder};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, HistogramTimer, MetricsRegistry, MetricsSnapshot};
+pub use recorder::{NdjsonRecorder, Recorder, RingRecorder};
 pub use span::{span, span_labeled, Level, SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -1,4 +1,4 @@
-//! Named counters, gauges and fixed-bucket latency histograms.
+//! Named counters and fixed-bucket latency histograms.
 //!
 //! A [`MetricsRegistry`] is an instantiable bag of named instruments —
 //! deliberately *not* a process-global: the engine owns one for cell/phase
@@ -31,22 +31,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` value.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -240,8 +224,8 @@ fn fetch_update_f64(cell: &AtomicU64, update: impl Fn(f64) -> f64) {
     }
 }
 
-/// Exported summary of one histogram.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Exported summary of one histogram (all zero when nothing was recorded).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: f64,
@@ -256,7 +240,6 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -270,12 +253,6 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut counters = self.counters.lock().unwrap();
         Arc::clone(counters.entry(name.to_string()).or_default())
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut gauges = self.gauges.lock().unwrap();
-        Arc::clone(gauges.entry(name.to_string()).or_default())
     }
 
     /// The histogram named `name` (default latency buckets), created on first
@@ -300,13 +277,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, g)| (name.clone(), g.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .lock()
@@ -322,7 +292,6 @@ impl MetricsRegistry {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -331,7 +300,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let registry = MetricsRegistry::new();
         let hits = registry.counter("cache.hits");
         hits.inc();
@@ -339,9 +308,6 @@ mod tests {
         assert_eq!(registry.counter("cache.hits").get(), 5);
         assert_eq!(registry.counter_value("cache.hits"), 5);
         assert_eq!(registry.counter_value("cache.misses"), 0);
-        let gauge = registry.gauge("uptime");
-        gauge.set(1.5);
-        assert_eq!(registry.gauge("uptime").get(), 1.5);
     }
 
     #[test]

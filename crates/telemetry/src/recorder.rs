@@ -1,4 +1,4 @@
-//! Span sinks: the [`Recorder`] trait and the three built-in recorders.
+//! Span sinks: the [`Recorder`] trait and the two built-in recorders.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -24,19 +24,10 @@ pub trait Recorder: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Accepts every span and discards it. Exists so the full recording machinery
-/// (clock reads, stack pushes, label formatting) can be measured without a
-/// sink — the "noop vs recording" overhead benchmark installs this.
-#[derive(Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _span: &SpanRecord) {}
-}
-
 /// A bounded in-memory span buffer: keeps the most recent `capacity` spans and
-/// counts the ones it had to drop. The daemon holds one for live span
-/// summaries; tests use it to assert on instrumentation coverage.
+/// counts the ones it had to drop. Tests use it to assert on instrumentation
+/// coverage, and the benchmark's traced run sums its spans into per-layer
+/// self times.
 #[derive(Debug)]
 pub struct RingRecorder {
     level: Level,

@@ -221,11 +221,6 @@ impl Matrix {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f64) -> Self {
         self.map(|x| x * s)
@@ -557,8 +552,6 @@ mod tests {
     #[test]
     fn hadamard_and_scale() {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![2.0, 0.5, -1.0]);
-        assert!(a.hadamard(&b).approx_eq(&Matrix::row_vector(&[2.0, 1.0, -3.0]), 1e-12));
         assert!(a.scale(2.0).approx_eq(&Matrix::row_vector(&[2.0, 4.0, 6.0]), 1e-12));
     }
 

@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use geattack_gnn::{train, Gcn, TrainConfig};
-use geattack_graph::datasets::{load, DatasetName, GeneratorConfig};
-use geattack_graph::{stratified_split, DataSplit, Graph};
+use geattack_graph::datasets::{load, DatasetName};
+use geattack_graph::{stratified_split, DataSplit, FamilyConfig, Graph};
 
 /// A ready-to-attack setup: graph, trained model, split and a correctly-classified
 /// victim with a chosen (incorrect) target label.
@@ -25,7 +25,7 @@ pub struct DemoSetup {
 
 /// Builds a small CORA-like setup (a few hundred nodes, trains in about a second).
 pub fn demo_setup(scale: f64, seed: u64) -> DemoSetup {
-    let graph = load(DatasetName::Cora, &GeneratorConfig::at_scale(scale, seed));
+    let graph = load(DatasetName::Cora, &FamilyConfig::new(scale, seed));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let split = stratified_split(graph.labels(), graph.num_classes(), 0.1, 0.1, &mut rng);
     let trained = train(

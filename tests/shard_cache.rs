@@ -80,8 +80,11 @@ fn sharded_execution_merges_into_the_unsharded_report() {
     let run_shard = |index: usize| run_with(&spec, Some(Shard { index, count: 2 }), None).expect("shard runs");
     let s0 = run_shard(0);
     let s1 = run_shard(1);
-    assert_eq!(s0.prepared_cells, 1, "each shard owns one of the two prep cells");
-    assert_eq!(s1.prepared_cells, 1);
+    assert_eq!(
+        s0.telemetry.planned_cells, 1,
+        "each shard owns one of the two prep cells"
+    );
+    assert_eq!(s1.telemetry.planned_cells, 1);
     assert_eq!(s0.shard.cells.len(), 2, "one prep cell x two attackers");
     assert_eq!(s0.shard.spec_hash, s1.shard.spec_hash);
 
