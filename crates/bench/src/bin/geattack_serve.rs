@@ -38,7 +38,7 @@ use geattack_core::engine::Engine;
 const DEFAULT_ADDR: &str = "127.0.0.1:7341";
 
 const USAGE: &str = "usage: geattack-serve listen [--addr HOST:PORT] [--workers N] [--queue-limit N] \
-[--serial] [--cache-dir DIR] [--cache-budget-mb N] [--max-requests N] [--fleet-id NAME]\n       \
+[--serial] [--cache-dir DIR] [--cache-budget-mb N] [--max-requests N]\n       \
 geattack-serve submit SPEC.json [--addr HOST:PORT]";
 
 fn fail(message: &str) -> ! {
@@ -72,7 +72,6 @@ fn listen(mut args: impl Iterator<Item = String>) {
     let mut max_requests: Option<usize> = None;
     let mut workers = 1usize;
     let mut queue_limit = 16usize;
-    let mut fleet_id: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = next_value(&mut args, "--addr"),
@@ -106,7 +105,6 @@ fn listen(mut args: impl Iterator<Item = String>) {
                     Err(_) => fail(&format!("--max-requests expects a number, got `{value}`")),
                 }
             }
-            "--fleet-id" => fleet_id = Some(next_value(&mut args, "--fleet-id")),
             other => fail(&format!("unknown option: {other}")),
         }
     }
@@ -140,7 +138,6 @@ fn listen(mut args: impl Iterator<Item = String>) {
         queue_limit,
         max_requests,
         term_signal: Some(sigterm_flag()),
-        fleet_id,
     };
     match serve(listener, &engine, options) {
         Ok(served) => eprintln!("geattack-serve exiting after {served} request(s)"),

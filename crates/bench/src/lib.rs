@@ -9,8 +9,9 @@
 //!
 //! * [`cli`] — the sweep runner's command-line parser and artifact writer;
 //! * [`render`] — the paper's table and figure layouts of a sweep report;
-//! * [`serve`] — the NDJSON sweep-serving protocol (concurrent daemon loop +
-//!   client), with cancellation and graceful drain;
+//! * [`serve`] — the NDJSON sweep-serving protocol (concurrent daemon loop),
+//!   with cancellation and graceful drain;
+//! * [`client`] — the client side of that protocol (`geattack-serve submit`);
 //! * [`pool`] — the daemon's bounded, cost-aware admission gate;
 //! * [`loadtest`] — the FNV-1a report digest `perfbench` compares reports with.
 //!
@@ -18,6 +19,7 @@
 //! binaries here are thin clients of that engine.
 
 pub mod cli;
+pub mod client;
 pub mod loadtest;
 pub mod pool;
 pub mod render;

@@ -21,24 +21,9 @@
 //! {"event":"error","error":"..."}                                  (request-level failure)
 //! ```
 //!
-//! A request line may also be a **sharded** sweep request, wrapping the spec
-//! with a `--shard I/N`-style slice — how the fleet coordinator dispatches
-//! grid slices to workers:
-//!
-//! ```text
-//! {"spec": {...SweepSpec...}, "shard": "1/3"}
-//! ```
-//!
-//! A sharded request streams the same events, echoes the shard in its
-//! `accepted` event (`"shard":"1/3"`) so fleet logs can attribute it, and —
-//! because a partial slice cannot be merged server-side — terminates with a
-//! `done` event embedding the raw `shard_report` instead of a merged
-//! `report`:
-//!
-//! ```text
-//! {"event":"accepted","id":7,"cost":41152.0,"queue_depth":0,"shard":"1/3"}
-//! {"event":"done","sweep":"quick","shard":"1/3","shard_report":{...},"cache":...,"telemetry":...}
-//! ```
+//! A request always runs the spec's whole grid. To split a sweep across
+//! machines, run `geattack-sweep --shard I/N` on each and combine the shard
+//! files with `geattack-merge`.
 //!
 //! A `failed` cell does not abort the session — the engine keeps executing and
 //! streaming the remaining cells — but a request with any failed cell cannot
@@ -90,9 +75,8 @@
 //! spec **byte for byte** — even under concurrent clients, which the CI
 //! `concurrent-serve-smoke` job pins.
 //!
-//! The client side lives in [`geattack_fleet::client`] (shared with the fleet
-//! coordinator); [`submit`], [`control`], [`connect_retry`]
-//! and [`SubmitOutcome`] are re-exported here for compatibility. [`submit`]
+//! The client side lives in [`crate::client`]; [`submit`], [`control`],
+//! [`connect_retry`] and [`SubmitOutcome`] are re-exported here. [`submit`]
 //! connects (with retries, so scripts can start the daemon concurrently),
 //! sends one spec, surfaces progress lines and returns the reassembled pretty
 //! report.
@@ -110,13 +94,13 @@ use serde::Value;
 
 use geattack_cache::CacheCounters;
 use geattack_core::engine::{CancelToken, CellEvent, Engine};
-use geattack_core::sweep::{PlannedCell, Shard};
+use geattack_core::sweep::PlannedCell;
 use geattack_core::telemetry::{cache_value, latency_value};
 use geattack_scenarios::SweepSpec;
 
 use crate::pool::{AdmissionError, WorkerPool};
 
-pub use geattack_fleet::client::{connect_retry, control, submit, SubmitOutcome, MAX_RESPONSE_LINE_BYTES};
+pub use crate::client::{connect_retry, control, submit, SubmitOutcome, MAX_RESPONSE_LINE_BYTES};
 
 /// Serializes one protocol event as a compact single line.
 fn line(value: &Value) -> String {
@@ -183,14 +167,12 @@ pub struct ServeOptions {
     pub queue_limit: usize,
     /// Stop after this many successfully-parsed sweep requests (the CI smoke
     /// tests use this for a clean exit); `None` serves until drained/killed.
+    /// Until the admitted requests finish, the daemon still answers control
+    /// requests and refuses further sweep requests with an `error` event.
     pub max_requests: Option<usize>,
     /// External shutdown flag: when it becomes `true` (e.g. from a SIGTERM
     /// handler — see [`sigterm_flag`]) the daemon drains gracefully.
     pub term_signal: Option<&'static AtomicBool>,
-    /// Worker identity for fleet deployments (`--fleet-id`), surfaced in the
-    /// `stats` response so coordinator logs and telemetry can attribute
-    /// events per worker.
-    pub fleet_id: Option<String>,
 }
 
 impl Default for ServeOptions {
@@ -200,7 +182,6 @@ impl Default for ServeOptions {
             queue_limit: 16,
             max_requests: None,
             term_signal: None,
-            fleet_id: None,
         }
     }
 }
@@ -247,8 +228,6 @@ struct ServeShared {
     pool: WorkerPool,
     started: Instant,
     max_requests: Option<usize>,
-    /// Worker identity for fleet deployments, echoed in `stats`.
-    fleet_id: Option<String>,
     /// Successfully-parsed sweep requests admitted so far (`--max-requests`
     /// accounting; control requests never count).
     accepted: AtomicUsize,
@@ -261,7 +240,8 @@ struct ServeShared {
     failed: AtomicU64,
     /// Requests aborted by `cancel` or client disconnect.
     cancelled: AtomicU64,
-    /// Requests refused by admission control (queue full or draining).
+    /// Sweep requests refused: queue full, draining, or `--max-requests`
+    /// already spent.
     rejected: AtomicU64,
     /// Highest number of requests ever executing at once.
     peak_in_flight: AtomicUsize,
@@ -323,20 +303,10 @@ fn health_value(shared: &ServeShared) -> Value {
     ])
 }
 
-/// The `worker` identity block of the `stats` response: the `--fleet-id`
-/// (null when unset) plus the daemon's pid, so a fleet coordinator can
-/// attribute events and a fleet manifest can be checked against live daemons.
-fn worker_identity_value(shared: &ServeShared) -> Value {
-    object(vec![
-        ("fleet_id", shared.fleet_id.clone().map_or(Value::Null, Value::String)),
-        ("pid", Value::Number(std::process::id() as f64)),
-    ])
-}
-
-/// The `stats` response: daemon-lifetime request counters, the worker
-/// identity, the worker-pool queue, the shared cache's live counters and hit
-/// rate, the engine's cell and base-sharing counters and its latency
-/// histograms summarized to percentiles.
+/// The `stats` response: daemon-lifetime request counters, the worker-pool
+/// queue, the shared cache's live counters and hit rate, the engine's cell
+/// and base-sharing counters and its latency histograms summarized to
+/// percentiles.
 fn stats_value(shared: &ServeShared) -> Value {
     let engine = &shared.engine;
     let cache = match engine.cache_metrics() {
@@ -404,7 +374,6 @@ fn stats_value(shared: &ServeShared) -> Value {
     object(vec![
         ("event", Value::String("stats".into())),
         ("uptime_ms", Value::Number(shared.started.elapsed().as_secs_f64() * 1e3)),
-        ("worker", worker_identity_value(shared)),
         (
             "requests",
             object(vec![
@@ -457,14 +426,13 @@ enum RequestEnd {
 fn stream_sweep_session(
     engine: &Engine,
     spec: SweepSpec,
-    shard: Option<Shard>,
     cancel: &CancelToken,
     out: &mut impl Write,
 ) -> std::io::Result<RequestEnd> {
     // The engine's counters accumulate over its lifetime; the `done` event
     // reports this request's delta.
     let counters_before = engine.cache_counters();
-    let mut session = match engine.submit_cancellable(spec, shard, cancel.clone()) {
+    let mut session = match engine.submit_cancellable(spec, None, cancel.clone()) {
         Ok(session) => session,
         Err(e) => {
             writeln!(out, "{}", line(&error_value(&e.to_string())))?;
@@ -486,27 +454,8 @@ fn stream_sweep_session(
     if let Some(e) = write_error {
         return Err(e);
     }
-    // An unsharded request assembles and embeds the merged report; a sharded
-    // request's slice cannot be merged server-side, so its `done` event embeds
-    // the raw shard report for the coordinator to merge in-process.
-    let end = match finished.and_then(|run| match shard {
-        None => engine.merge(std::slice::from_ref(&run.shard)).map(|report| {
-            let payload = vec![
-                ("sweep", Value::String(report.sweep.clone())),
-                ("report", serde_json::to_value(&report)),
-            ];
-            (run, payload)
-        }),
-        Some(shard) => {
-            let payload = vec![
-                ("sweep", Value::String(run.shard.sweep.clone())),
-                ("shard", Value::String(shard.label())),
-                ("shard_report", serde_json::to_value(&run.shard)),
-            ];
-            Ok((run, payload))
-        }
-    }) {
-        Ok((run, payload)) => {
+    let end = match finished.and_then(|run| Ok((engine.merge(std::slice::from_ref(&run.shard))?, run))) {
+        Ok((report, run)) => {
             let cache = match (counters_before, engine.cache_counters()) {
                 (Some(before), Some(after)) => Some(CacheCounters {
                     hits: after.hits.saturating_sub(before.hits),
@@ -515,11 +464,13 @@ fn stream_sweep_session(
                 }),
                 _ => None,
             };
-            let mut fields = vec![("event", Value::String("done".into()))];
-            fields.extend(payload);
-            fields.push(("cache", cache_value(cache)));
-            fields.push(("telemetry", serde_json::to_value(&run.telemetry)));
-            let done = object(fields);
+            let done = object(vec![
+                ("event", Value::String("done".into())),
+                ("sweep", Value::String(report.sweep.clone())),
+                ("report", serde_json::to_value(&report)),
+                ("cache", cache_value(cache)),
+                ("telemetry", serde_json::to_value(&run.telemetry)),
+            ]);
             writeln!(out, "{}", line(&done))?;
             RequestEnd::Done
         }
@@ -540,14 +491,9 @@ fn stream_sweep_session(
 /// streams the outcome. Owns the request's whole lifecycle: id assignment,
 /// `accepted` event, cost-aware admission, wait/run histograms, cancellation
 /// registration and the daemon's request counters.
-fn run_sweep_request(
-    shared: &ServeShared,
-    spec: SweepSpec,
-    shard: Option<Shard>,
-    out: &mut impl Write,
-) -> std::io::Result<()> {
+fn run_sweep_request(shared: &ServeShared, spec: SweepSpec, out: &mut impl Write) -> std::io::Result<()> {
     let engine = &shared.engine;
-    let cost = match engine.estimate_cost(&spec, shard) {
+    let cost = match engine.estimate_cost(&spec) {
         Ok(cost) => cost,
         Err(e) => {
             shared.failed.fetch_add(1, Ordering::SeqCst);
@@ -566,17 +512,12 @@ fn run_sweep_request(
 
     let result = (|| -> std::io::Result<()> {
         let (_, queued) = shared.pool.depth();
-        let mut fields = vec![
+        let accepted = object(vec![
             ("event", Value::String("accepted".into())),
             ("id", Value::Number(id as f64)),
             ("cost", Value::Number(cost)),
             ("queue_depth", Value::Number(queued as f64)),
-        ];
-        if let Some(shard) = shard {
-            // Echo the slice so fleet coordinator logs can attribute it.
-            fields.push(("shard", Value::String(shard.label())));
-        }
-        let accepted = object(fields);
+        ]);
         writeln!(out, "{}", line(&accepted))?;
         out.flush()?;
 
@@ -601,7 +542,7 @@ fn run_sweep_request(
         shared.peak_in_flight.fetch_max(running, Ordering::SeqCst);
 
         let run_started = Instant::now();
-        let outcome = stream_sweep_session(engine, spec, shard, &cancel, out);
+        let outcome = stream_sweep_session(engine, spec, &cancel, out);
         engine
             .metrics()
             .histogram("request.run_ms")
@@ -622,37 +563,6 @@ fn run_sweep_request(
     shared.active.lock().expect("active-request lock").remove(&id);
     shared.finish_request();
     result
-}
-
-/// Parses a sweep request line: a bare spec (the original protocol), or the
-/// fleet coordinator's `{"spec": {...}, "shard": "I/N"}` wrapper naming a
-/// deterministic grid slice. A wrapper without a `shard` field runs the whole
-/// grid, exactly like the bare form.
-pub fn parse_sweep_request(request: &str) -> Result<(SweepSpec, Option<Shard>), String> {
-    let wrapped = serde_json::from_str::<Value>(request)
-        .ok()
-        .filter(|value| value.get_field("spec").is_ok());
-    let Some(value) = wrapped else {
-        return SweepSpec::from_json(request).map(|spec| (spec, None));
-    };
-    let spec_text =
-        serde_json::to_string(value.get_field("spec").expect("presence checked")).map_err(|e| e.to_string())?;
-    let spec = SweepSpec::from_json(&spec_text)?;
-    let shard = match value.get_field("shard") {
-        Err(_) => None,
-        Ok(Value::String(label)) => {
-            let shard = Shard::parse(label).map_err(|e| e.to_string())?;
-            shard.validate().map_err(|e| e.to_string())?;
-            Some(shard)
-        }
-        Ok(other) => {
-            return Err(format!(
-                "`shard` must be an \"I/N\" string, found {}",
-                serde_json::to_string(other).unwrap_or_default()
-            ))
-        }
-    };
-    Ok((spec, shard))
 }
 
 /// The parsed form of a control request line, when the line is one.
@@ -800,28 +710,29 @@ fn handle_connection(stream: TcpStream, shared: &ServeShared) -> std::io::Result
             writer.flush()?;
             continue;
         }
-        match parse_sweep_request(&request) {
+        match SweepSpec::from_json(&request) {
             Err(e) => {
                 shared.failed.fetch_add(1, Ordering::SeqCst);
                 let err = geattack_core::GeError::Protocol(e);
                 writeln!(writer, "{}", line(&error_value(&err.to_string())))?;
                 writer.flush()?;
             }
-            Ok((spec, shard)) => {
-                if shared.is_draining() {
+            Ok(spec) => {
+                let refused = if shared.is_draining() {
+                    Some("draining")
+                } else if !shared.reserve_request() {
+                    Some("--max-requests reached")
+                } else {
+                    None
+                };
+                if let Some(reason) = refused {
                     shared.rejected.fetch_add(1, Ordering::SeqCst);
-                    let err =
-                        geattack_core::GeError::Protocol("draining: not accepting new sweep requests".to_string());
+                    let err = geattack_core::GeError::Protocol(format!("{reason}: not accepting new sweep requests"));
                     writeln!(writer, "{}", line(&error_value(&err.to_string())))?;
                     writer.flush()?;
                     continue;
                 }
-                if !shared.reserve_request() {
-                    // --max-requests reached: close the connection like the
-                    // serial daemon did once its budget was spent.
-                    break;
-                }
-                run_sweep_request(shared, spec, shard, &mut writer)?;
+                run_sweep_request(shared, spec, &mut writer)?;
                 if shared
                     .max_requests
                     .is_some_and(|max| shared.accepted.load(Ordering::SeqCst) >= max)
@@ -848,7 +759,6 @@ pub fn serve(listener: TcpListener, engine: &Engine, options: ServeOptions) -> s
         pool: WorkerPool::new(options.workers, options.queue_limit),
         started: Instant::now(),
         max_requests: options.max_requests,
-        fleet_id: options.fleet_id.clone(),
         accepted: AtomicUsize::new(0),
         outstanding: AtomicUsize::new(0),
         served: AtomicU64::new(0),
@@ -886,7 +796,7 @@ pub fn serve(listener: TcpListener, engine: &Engine, options: ServeOptions) -> s
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                if shared.is_draining() || budget_spent {
+                if shared.is_draining() {
                     // Refused: the daemon is winding down.
                     drop(stream);
                     continue;

@@ -1,8 +1,8 @@
-//! Property tests of `ServeClient`'s event-line parsing against untrusted
-//! bytes. A fleet coordinator reads every line a worker daemon streams, so
-//! arbitrary, truncated, deeply nested and over-long lines must come back as
-//! `Err` — from `parse_event_line` and from a whole `submit_shard` call — and
-//! never panic the client.
+//! Property tests of the serve client's event-line parsing against untrusted
+//! bytes. `submit` reads every line a daemon streams, so arbitrary,
+//! truncated, deeply nested and over-long lines must come back as `Err` —
+//! from `parse_event_line` and from a whole `submit` call — and never panic
+//! the client.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -11,14 +11,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use geattack_core::engine::CancelToken;
-use geattack_core::sweep::Shard;
-use geattack_fleet::client::{parse_event_line, parse_shard_event, ServeClient, MAX_RESPONSE_LINE_BYTES};
-use geattack_scenarios::SweepSpec;
+use geattack_bench::client::{parse_event_line, submit, MAX_RESPONSE_LINE_BYTES};
 
-/// Well-formed event lines of a sharded sweep stream.
+/// Well-formed event lines of a sweep stream.
 const EVENTS: [&str; 6] = [
-    r#"{"event":"accepted","id":7,"cost":12.5,"queue_depth":0,"shard":"1/2"}"#,
+    r#"{"event":"accepted","id":7,"cost":12.5,"queue_depth":0}"#,
     r#"{"event":"planned","position":3}"#,
     r#"{"event":"started","position":3}"#,
     r#"{"event":"cell","position":3,"cells":[{"family":"cora","asr":0.5}]}"#,
@@ -26,16 +23,9 @@ const EVENTS: [&str; 6] = [
     r#"{"event":"error","error":"cell 1 failed"}"#,
 ];
 
-/// Parses `line`, turning a panic into a test failure that names the input;
-/// an accepted line also goes through the shard-event parser.
+/// Parses `line`, turning a panic into a test failure that names the input.
 fn parses_without_panicking(line: &[u8], what: &str) -> bool {
-    let result = catch_unwind(AssertUnwindSafe(|| match parse_event_line(line) {
-        Ok((_, value)) => {
-            let _ = parse_shard_event(&value);
-            true
-        }
-        Err(_) => false,
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| parse_event_line(line).is_ok()));
     result.unwrap_or_else(|_| panic!("event parsing panicked on {what}"))
 }
 
@@ -46,14 +36,13 @@ fn bytes(raw: Vec<usize>) -> Vec<u8> {
 #[test]
 fn well_formed_events_parse() {
     for line in EVENTS {
-        let (event, value) = parse_event_line(format!("{line}\n").as_bytes()).expect(line);
+        let (event, _) = parse_event_line(format!("{line}\n").as_bytes()).expect(line);
         assert!(line.contains(&format!(r#""event":"{event}""#)));
-        assert!(parse_shard_event(&value).is_ok(), "{line}");
     }
 }
 
 /// A fake daemon that answers one request with `reply` verbatim and hangs up;
-/// returns what `submit_shard` made of it.
+/// returns what `submit` made of it.
 fn submit_against(reply: Vec<u8>) -> Result<(), String> {
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -66,12 +55,8 @@ fn submit_against(reply: Vec<u8>) -> Result<(), String> {
         let mut writer = stream;
         let _ = writer.write_all(&reply);
     });
-    let spec =
-        SweepSpec::from_json(r#"{"name":"p","families":["tree-cycles"],"attackers":["rna"]}"#).expect("spec parses");
-    let client = ServeClient::new(addr).with_timeouts(Duration::from_secs(5), Duration::from_secs(5));
-    let outcome = client
-        .submit_shard(&spec, Shard { index: 0, count: 1 }, &CancelToken::new(), |_| {})
-        .map(|_| ());
+    let spec = r#"{"name":"p","families":["tree-cycles"],"attackers":["rna"]}"#;
+    let outcome = submit(&addr, spec, Duration::from_secs(5), |_| {}).map(|_| ());
     daemon.join().expect("fake daemon exits");
     outcome
 }
@@ -107,7 +92,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn whatever_one_line_a_daemon_sends_a_shard_submit_fails_cleanly(
+    fn whatever_one_line_a_daemon_sends_a_submit_fails_cleanly(
         raw in collection::vec(0usize..256, 0..128),
         which in 0usize..6,
         mode in 0usize..4,
@@ -125,7 +110,7 @@ proptest! {
             _ => format!("{}\n", EVENTS[which]).into_bytes(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| submit_against(reply)));
-        prop_assert!(outcome.is_ok(), "submit_shard panicked");
+        prop_assert!(outcome.is_ok(), "submit panicked");
         prop_assert!(outcome.expect("checked").is_err());
     }
 }

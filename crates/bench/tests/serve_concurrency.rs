@@ -1,8 +1,9 @@
 //! Concurrency behavior of the serve daemon: simultaneous requests execute in
 //! parallel with byte-identical reports, cancellation aborts one session
 //! without disturbing the daemon, admission control rejects when the queue is
-//! full, drain/term-signal shut the daemon down cleanly, and closed
-//! connections do not pile up handler threads.
+//! full, a spent `--max-requests` budget still answers control requests,
+//! drain/term-signal shut the daemon down cleanly, and closed connections do
+//! not pile up handler threads.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -414,7 +415,7 @@ fn hostile_lines_get_error_events_and_the_daemon_stays_up() {
 #[test]
 fn finished_connections_are_reaped_not_held_for_the_daemon_lifetime() {
     let (addr, handle) = daemon(ServeOptions::default());
-    // One connection per request, as the submit and fleet clients do.
+    // One connection per request, as the submit client does.
     for _ in 0..64 {
         let health = &raw_request(&addr, &[r#"{"request":"health"}"#])[0];
         assert!(matches!(field(health, "status"), Value::String(s) if s == "ok"));
@@ -506,6 +507,64 @@ fn drain_refuses_new_sweeps_but_finishes_the_one_in_flight() {
     assert_eq!(outcome.sweep, "drain-rt");
     let accepted = handle.join().expect("daemon thread").expect("daemon drains cleanly");
     assert_eq!(accepted, 1, "only the in-flight sweep was admitted");
+}
+
+#[test]
+fn a_spent_request_budget_still_answers_control_requests_until_the_last_sweep_ends() {
+    // The only sweep `--max-requests 1` admits waits in its attacker build
+    // for the test, so the budget is spent while that sweep is in flight.
+    let gate = Rendezvous::new(2);
+    let (addr, handle) = daemon_with(engine_with(Arc::clone(&gate)), ServeOptions::with_max_requests(Some(1)));
+    let (started_tx, started_rx) = mpsc::channel();
+    let admitted = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            submit(
+                &addr,
+                &rendezvous_spec_json("budget", &[0]),
+                Duration::from_secs(60),
+                move |p| {
+                    if p.contains("started") {
+                        let _ = started_tx.send(());
+                    }
+                },
+            )
+        })
+    };
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the admitted request starts");
+
+    // A new connection is answered, not dropped: control requests never count
+    // toward the budget, and a further sweep gets an error event.
+    let further: Value = serde_json::from_str(&spec_json("over-budget", &[0])).expect("valid json");
+    let further = serde_json::to_string(&further).expect("compact");
+    let responses = raw_request(
+        &addr,
+        &[
+            r#"{"request":"stats"}"#,
+            r#"{"request":"health"}"#,
+            &further,
+            r#"{"request":"stats"}"#,
+        ],
+    );
+    assert!(matches!(field(&responses[0], "event"), Value::String(e) if e == "stats"));
+    assert_eq!(number(&field(&responses[0], "requests"), "in_flight"), 1.0);
+    assert!(matches!(field(&responses[1], "status"), Value::String(s) if s == "ok"));
+    match field(&responses[2], "error") {
+        Value::String(m) => assert!(m.contains("--max-requests"), "{m}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    assert_eq!(number(&field(&responses[3], "requests"), "rejected"), 1.0);
+    gate.arrive();
+
+    let outcome = admitted.join().expect("client").expect("the admitted request finishes");
+    assert_eq!(outcome.sweep, "budget");
+    let accepted = handle
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits once the budget is spent");
+    assert_eq!(accepted, 1, "the refused sweep was never admitted");
 }
 
 #[test]

@@ -7,9 +7,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use geattack_bench::serve::{serve, submit, ServeOptions};
-use geattack_core::engine::{CancelToken, Engine};
-use geattack_core::sweep::{merge_shards, Shard};
-use geattack_fleet::client::{ServeClient, ShardEvent};
+use geattack_core::engine::Engine;
 use geattack_scenarios::SweepSpec;
 use serde::Value;
 
@@ -100,62 +98,6 @@ fn served_reports_are_byte_identical_to_cli_sweeps_and_share_the_cache() {
 }
 
 #[test]
-fn sharded_requests_stream_shard_reports_that_merge_byte_identically() {
-    let spec = SweepSpec::from_json(SPEC).expect("spec parses");
-    let reference = Engine::new()
-        .serial(true)
-        .run_report(&spec)
-        .expect("reference sweep runs")
-        .to_json();
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let engine = Engine::new().serial(true);
-    let options = ServeOptions {
-        fleet_id: Some("w-test".to_string()),
-        ..ServeOptions::with_max_requests(Some(2))
-    };
-    let daemon = std::thread::spawn(move || serve(listener, &engine, options));
-
-    // The worker advertises its fleet identity in `stats`.
-    let client = ServeClient::new(&addr);
-    assert_eq!(client.fleet_id().expect("stats answers"), Some("w-test".to_string()));
-
-    // Dispatch both slices of a 2-way split; each `accepted` event echoes its
-    // shard label, and each `done` event carries the raw shard report.
-    let cancel = CancelToken::new();
-    let mut echoes = Vec::new();
-    let shards: Vec<_> = Shard::split(2)
-        .expect("split")
-        .into_iter()
-        .map(|shard| {
-            client
-                .submit_shard(&spec, shard, &cancel, |event| {
-                    if let ShardEvent::Accepted { shard, .. } = event {
-                        echoes.push(shard);
-                    }
-                })
-                .expect("sharded submit succeeds")
-        })
-        .collect();
-    assert_eq!(
-        echoes,
-        vec![Some("0/2".to_string()), Some("1/2".to_string())],
-        "accepted events must echo the dispatched shard"
-    );
-    assert_eq!(shards[0].shard_index, 0);
-    assert_eq!(shards[1].shard_index, 1);
-
-    let merged = merge_shards(&shards).expect("slices merge strictly");
-    assert_eq!(
-        merged.to_json(),
-        reference,
-        "client-side merge of served shards must be byte-identical to the CLI artifact"
-    );
-    daemon.join().expect("daemon thread").expect("daemon exits cleanly");
-}
-
-#[test]
 fn request_level_errors_come_back_as_error_events_and_the_daemon_survives() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -166,6 +108,13 @@ fn request_level_errors_come_back_as_error_events_and_the_daemon_survives() {
     let bad = r#"{ "name": "bad", "families": ["petersen"], "attackers": ["rna"] }"#;
     let err = submit(&addr, bad, Duration::from_secs(10), |_| {}).unwrap_err();
     assert!(err.contains("unknown graph family"), "{err}");
+
+    // …and so must a spec wrapped with a shard label: a request always runs
+    // the whole grid, and a split sweep is `geattack-sweep --shard` per
+    // machine plus `geattack-merge`.
+    let wrapped = format!(r#"{{"spec":{},"shard":"1/2"}}"#, SPEC);
+    let err = submit(&addr, &wrapped, Duration::from_secs(10), |_| {}).unwrap_err();
+    assert!(err.contains("invalid sweep spec"), "{err}");
 
     // …while the daemon keeps serving: the next (valid) request completes.
     let mut spec = SweepSpec::from_json(SPEC).expect("spec parses");

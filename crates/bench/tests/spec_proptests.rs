@@ -1,24 +1,23 @@
-//! Property tests of the network-facing spec parsers: `SweepSpec::from_json`,
-//! the serve daemon's request parser and the engine's resolution of
-//! parameterised attacker/explainer names. Specs arrive over TCP through
-//! `geattack-serve`, so no input may panic; every spec the parsers accept
-//! must validate and round-trip to the same content hash.
+//! Property tests of the network-facing spec parser, `SweepSpec::from_json`
+//! (what the serve daemon reads each request line with), and the engine's
+//! resolution of parameterised attacker/explainer names. Specs arrive over
+//! TCP through `geattack-serve`, so no input may panic; every spec the parser
+//! accepts must validate and round-trip to the same content hash.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use geattack_bench::serve::parse_sweep_request;
 use geattack_core::engine::Engine;
 use geattack_scenarios::SweepSpec;
 
-/// Well-formed inputs the mutations start from: a plain grid, the
-/// parameterised cell kinds and a fleet shard wrapper.
+/// Well-formed inputs the mutations start from: a plain grid and the
+/// parameterised cell kinds.
 const SEEDS: [&str; 4] = [
     r#"{"name":"quick","families":["ba-shapes","tree-cycles"],"scales":[0.08],"seeds":[0,1],"attackers":["fga-t","rna"],"explainers":["gnnexplainer"],"budgets":["degree"],"victims":4,"quick":true}"#,
     r#"{"name":"fig2_3","families":["citeseer","cora"],"attackers":["nettack"],"victims":{"degrees":[1,2,3],"per_degree":8}}"#,
     r#"{"name":"fig5","families":["cora"],"attackers":["geattack:lambda=20,inner_steps=3"],"explainers":["gnnexplainer:size=40","gnnexplainer:size=10"]}"#,
-    r#"{"spec":{"name":"w","families":["sbm"],"attackers":["geattack:lambda=1"]},"shard":"1/2"}"#,
+    r#"{"name":"w","families":["sbm"],"attackers":["geattack:lambda=1"]}"#,
 ];
 
 /// One of the `|`-separated alternatives (empty ones included).
@@ -27,15 +26,11 @@ fn pick<'a>(rng: &mut ChaCha8Rng, alternatives: &'a str) -> &'a str {
     options[rng.gen_range(0..options.len())]
 }
 
-/// Feeds `text` to every parser. Panics propagate and fail the property; an
+/// Feeds `text` to the parser. Panics propagate and fail the property; an
 /// accepted spec must validate, round-trip to its content hash and resolve
 /// (or be rejected) without panicking.
 fn check(text: &str) -> Result<(), TestCaseError> {
-    let accepted = [
-        SweepSpec::from_json(text).ok(),
-        parse_sweep_request(text).ok().map(|(spec, _)| spec),
-    ];
-    for spec in accepted.into_iter().flatten() {
+    if let Ok(spec) = SweepSpec::from_json(text) {
         prop_assert!(spec.validate().is_ok(), "accepted spec fails validation: {text}");
         let canonical = serde_json::to_string(&spec).expect("specs serialize");
         let back = SweepSpec::from_json(&canonical);
@@ -85,7 +80,7 @@ fn token_soup(rng: &mut ChaCha8Rng) -> String {
 #[test]
 fn the_unmutated_inputs_are_accepted_and_resolve() {
     for text in SEEDS {
-        let (spec, _) = parse_sweep_request(text).expect("seed input parses");
+        let spec = SweepSpec::from_json(text).expect("seed input parses");
         Engine::new().plan(&spec, None).expect("seed input resolves");
         check(text).expect("seed input round-trips");
     }

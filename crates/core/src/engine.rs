@@ -313,14 +313,14 @@ impl Engine {
         self.submit_cancellable(spec, shard, CancelToken::new())
     }
 
-    /// Estimated cost of the owned slice of `spec`'s grid, in the same
-    /// arbitrary units as the cost-ordered scheduler (≈ Σ (nodes²·epochs) per
-    /// prepared cell, scaled by the per-cell (attacker × budget) block size).
+    /// Estimated cost of `spec`'s whole grid, in the same arbitrary units as
+    /// the cost-ordered scheduler (≈ Σ (nodes²·epochs) per prepared cell,
+    /// scaled by the per-cell (attacker × budget) block size).
     /// Only relative order is meaningful; the serve daemon uses it for
     /// cost-aware admission so cheap requests never queue behind sweeps that
     /// are orders of magnitude heavier.
-    pub fn estimate_cost(&self, spec: &SweepSpec, shard: Option<Shard>) -> Result<f64> {
-        let cells = self.plan(spec, shard)?;
+    pub fn estimate_cost(&self, spec: &SweepSpec) -> Result<f64> {
+        let cells = self.plan(spec, None)?;
         let block = (spec.attackers.len() * spec.budgets.len()).max(1);
         Ok(cells.iter().map(estimated_cost).sum::<f64>() * block as f64)
     }
@@ -487,10 +487,7 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
                 telemetry.finished_cells += 1;
                 telemetry.phase_totals.accumulate(&timing);
             }
-            Err(e) => {
-                telemetry.failed_cells += 1;
-                failures.push(CellFailure::new(context.owned[slot].position, &e));
-            }
+            Err(e) => failures.push(CellFailure::new(context.owned[slot].position, &e)),
         }
     }
     telemetry.cell_latency = session_latency.snapshot();
@@ -1029,22 +1026,17 @@ mod tests {
         let quick = tiny_spec();
         let mut heavy = tiny_spec();
         heavy.scales = vec![0.6];
-        let quick_cost = engine.estimate_cost(&quick, None).expect("estimates");
-        let heavy_cost = engine.estimate_cost(&heavy, None).expect("estimates");
+        let quick_cost = engine.estimate_cost(&quick).expect("estimates");
+        let heavy_cost = engine.estimate_cost(&heavy).expect("estimates");
         assert!(quick_cost > 0.0);
         assert!(
             heavy_cost > 10.0 * quick_cost,
             "scale 0.6 must dominate scale 0.07: {heavy_cost} vs {quick_cost}"
         );
-        // Sharding halves the owned slice (2 seeds -> 1 owned cell each).
-        let half = engine
-            .estimate_cost(&quick, Some(Shard { index: 0, count: 2 }))
-            .expect("estimates");
-        assert!(half < quick_cost);
         // Bad specs fail estimation the same way they fail submission.
         let mut bad = tiny_spec();
         bad.attackers = vec!["metattack".to_string()];
-        assert!(engine.estimate_cost(&bad, None).is_err());
+        assert!(engine.estimate_cost(&bad).is_err());
     }
 
     #[test]

@@ -70,11 +70,6 @@ pub enum GeError {
     CellsFailed(Vec<CellFailure>),
     /// A serve-protocol request could not be understood.
     Protocol(String),
-    /// Fleet orchestration failed: a shard exhausted every worker (connect,
-    /// stream or validation failures on each attempt) or no live workers
-    /// remain. Completed shard artifacts are preserved on disk for manual
-    /// `geattack-merge` before this surfaces.
-    Fleet(String),
     /// The session's cancellation token was set before this cell ran; the
     /// cell was skipped, not executed. Carries a human-readable reason
     /// (`"client disconnected"`, `"cancel requested"`, ...).
@@ -105,7 +100,6 @@ impl GeError {
             GeError::Shard(_) => "shard",
             GeError::CellsFailed(_) => "cells-failed",
             GeError::Protocol(_) => "protocol",
-            GeError::Fleet(_) => "fleet",
             GeError::Cancelled(_) => "cancelled",
         }
     }
@@ -131,7 +125,6 @@ impl fmt::Display for GeError {
                 Ok(())
             }
             GeError::Protocol(m) => write!(f, "protocol error: {m}"),
-            GeError::Fleet(m) => write!(f, "fleet error: {m}"),
             GeError::Cancelled(m) => write!(f, "cancelled: {m}"),
         }
     }
@@ -179,8 +172,5 @@ mod tests {
         let cancelled = GeError::Cancelled("client disconnected".into());
         assert_eq!(cancelled.kind(), "cancelled");
         assert!(cancelled.to_string().contains("cancelled: client disconnected"));
-        let fleet = GeError::Fleet("shard 1/3 exhausted all 2 workers".into());
-        assert_eq!(fleet.kind(), "fleet");
-        assert!(fleet.to_string().contains("fleet error: shard 1/3"));
     }
 }

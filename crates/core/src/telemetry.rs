@@ -10,10 +10,10 @@
 //! run to run.
 //!
 //! This module owns the JSON shape of that metadata: the `.meta.json`
-//! sidecar, the serve daemon's `cell`/`done`/`stats` events and the fleet
-//! sidecar all render timings through [`ms`], [`CellTiming`]'s and
-//! [`SweepTelemetry`]'s `Serialize` impls, [`latency_value`] and
-//! [`cache_value`], so a schema change is made once.
+//! sidecar and the serve daemon's `cell`/`done`/`stats` events all render
+//! timings through [`ms`], [`CellTiming`]'s and [`SweepTelemetry`]'s
+//! `Serialize` impls, [`latency_value`] and [`cache_value`], so a schema
+//! change is made once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -134,10 +134,10 @@ impl PhaseAccumulator {
 pub struct SweepTelemetry {
     /// Prepared cells this session owned.
     pub planned_cells: usize,
-    /// Cells that finished successfully.
+    /// Cells that finished successfully. A session with a failed cell ends
+    /// in `GeError::CellsFailed` instead of a `SweepRun`, so every recorded
+    /// session finished all of its planned cells.
     pub finished_cells: usize,
-    /// Cells that failed.
-    pub failed_cells: usize,
     /// Per-phase totals summed over finished cells (`total_ms` here is the
     /// sum of cell wall-clocks, not the session's elapsed time).
     pub phase_totals: CellTiming,
@@ -158,13 +158,12 @@ impl Serialize for CellTiming {
     }
 }
 
-/// `{planned_cells,finished_cells,failed_cells,phase_totals_ms,cell_latency_ms}`.
+/// `{planned_cells,finished_cells,phase_totals_ms,cell_latency_ms}`.
 impl Serialize for SweepTelemetry {
     fn serialize(&self) -> Value {
         object(vec![
             ("planned_cells", Value::Number(self.planned_cells as f64)),
             ("finished_cells", Value::Number(self.finished_cells as f64)),
-            ("failed_cells", Value::Number(self.failed_cells as f64)),
             ("phase_totals_ms", self.phase_totals.serialize()),
             ("cell_latency_ms", latency_value(&self.cell_latency)),
         ])

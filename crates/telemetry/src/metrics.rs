@@ -164,9 +164,8 @@ impl Histogram {
 
     /// Starts a timer that records its elapsed milliseconds into this
     /// histogram when dropped (or earlier via
-    /// [`HistogramTimer::observe_duration`]). The fleet coordinator times each
-    /// per-worker shard attempt this way so retries and early returns are
-    /// still accounted.
+    /// [`HistogramTimer::observe_duration`]), so early returns are still
+    /// accounted.
     pub fn start_timer(self: &Arc<Self>) -> HistogramTimer {
         HistogramTimer {
             histogram: Some(Arc::clone(self)),
@@ -399,7 +398,7 @@ mod tests {
     #[test]
     fn histogram_timer_records_once_on_drop_or_observe() {
         let registry = MetricsRegistry::new();
-        let histogram = registry.histogram("fleet.shard_ms");
+        let histogram = registry.histogram("request.run_ms");
         {
             let _timer = histogram.start_timer();
         }
