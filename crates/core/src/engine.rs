@@ -48,7 +48,7 @@ use geattack_telemetry::{span_labeled, Counter, Histogram, Level, MetricsRegistr
 use crate::error::{CellFailure, GeError, Result};
 use crate::evaluation::summarize_run;
 use crate::persist::{prepare_base_cached, prepare_on_cached};
-use crate::pipeline::{run_attacker, Base, BudgetRule, PipelineConfig, Prepared};
+use crate::pipeline::{run_attacker, Base, PipelineConfig, Prepared};
 use crate::registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 use crate::sweep::{
     estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, BaseId,
@@ -484,7 +484,6 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
         match block.expect("every executed cell lands back in its grid slot") {
             Ok((block, timing)) => {
                 cells.extend(block);
-                telemetry.finished_cells += 1;
                 telemetry.phase_totals.accumulate(&timing);
             }
             Err(e) => failures.push(CellFailure::new(context.owned[slot].position, &e)),
@@ -648,7 +647,7 @@ fn run_prep_cell<'a>(
                 scope.as_ref().unwrap_or(&prepared),
                 attacker.as_ref(),
                 inspector.as_ref(),
-                BudgetRule::from(budget),
+                budget,
                 &phases,
             );
             let summary = summarize_run(plugin.name(), &outcomes);

@@ -27,26 +27,28 @@ pub struct AttackOutcome {
     pub detection: DetectionScores,
 }
 
+/// The detection metrics' cut-off `K`: the paper scores the adversarial edges
+/// among the inspector's top 15.
+pub const DETECTION_K: usize = 15;
+
 /// Applies a perturbation, queries the model and the explainer, and produces the
 /// full outcome record for one victim.
 ///
-/// `detection_k` is the metric cut-off `K` (15 in the paper) and
 /// `explanation_size` is the explanation subgraph size `L` (20 by default): the
 /// explainer's ranking is truncated to its top-`L` edges before the top-`K`
-/// detection metrics are computed, mirroring the paper's protocol.
+/// ([`DETECTION_K`]) detection metrics are computed, mirroring the paper's
+/// protocol.
 ///
 /// Explain/detect wall-clock accumulates into `phases`: "explain" is the
 /// inspector explaining the attacked prediction, "detect" is applying the
 /// perturbation, re-predicting and scoring adversarial-edge detection. The
 /// timing never feeds back into the computation.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_attack(
     model: &Gcn,
     graph: &Graph,
     explainer: &dyn Explainer,
     victim: &Victim,
     perturbation: &Perturbation,
-    detection_k: usize,
     explanation_size: usize,
     phases: &crate::telemetry::PhaseAccumulator,
 ) -> AttackOutcome {
@@ -77,7 +79,7 @@ pub fn evaluate_attack(
     phases.add_explain(explain_started.elapsed());
 
     let detect_started = std::time::Instant::now();
-    let detection = detection_scores(&explanation, perturbation.added(), detection_k);
+    let detection = detection_scores(&explanation, perturbation.added(), DETECTION_K);
     phases.add_detect(detect_started.elapsed());
 
     AttackOutcome {

@@ -15,6 +15,11 @@
 //! helpful gradient, updates `Â` and zeroes the corresponding entry of `B`
 //! (Algorithm 1, line 10).
 //!
+//! The explainer in `M_A^T` is the inspector itself: [`GeAttack`] holds the
+//! cell's [`GnnExplainer`], so the inner steps differentiate the inspector's
+//! objective (its size and entropy coefficients) from an `M_A^0` drawn with
+//! its init std and seed. Only `T` and the step size `η` are the attacker's.
+//!
 //! ## Scalability and calibration notes (documented deviations)
 //!
 //! * The explainer term is evaluated on the target's computation subgraph augmented
@@ -40,12 +45,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use geattack_attack::{greedy_insertions, AttackContext, LossGradients, TargetGradient, TargetedAttack};
-use geattack_explain::{GnnExplainer, GnnExplainerConfig};
-use geattack_gnn::EdgeSlots;
+use geattack_explain::GnnExplainer;
+use geattack_gnn::{EdgeSlots, RECEPTIVE_FIELD_HOPS};
 use geattack_graph::{computation_subgraph, ComputationSubgraph, Graph, Perturbation};
 use geattack_tensor::{grad::grad, init, Tape};
 
-/// Hyper-parameters of GEAttack.
+/// Hyper-parameters of GEAttack's own outer and inner loops. The inner loop's
+/// objective, its `M_A^0` std and its seed belong to the [`GnnExplainer`] the
+/// attacker holds.
 #[derive(Clone, Debug)]
 pub struct GeAttackConfig {
     /// Trade-off `λ` between attacking the GCN and evading the explainer (Eq. 7).
@@ -58,19 +65,10 @@ pub struct GeAttackConfig {
     pub inner_steps: usize,
     /// Inner step size `η` for the mask updates.
     pub inner_lr: f64,
-    /// Computation-subgraph radius for the explainer term.
-    pub hops: usize,
     /// How many of the best candidates (ranked by the `L_GNN` gradient) are
     /// included in the explainer subgraph and considered for selection each outer
     /// iteration.
     pub candidate_pool: usize,
-    /// Standard deviation of the random mask initialization `M_A^0`.
-    pub mask_init_std: f64,
-    /// GNNExplainer hyper-parameters mimicked by the inner loop (size/entropy
-    /// regularizer coefficients).
-    pub explainer: GnnExplainerConfig,
-    /// RNG seed for the mask initialization.
-    pub seed: u64,
 }
 
 impl Default for GeAttackConfig {
@@ -79,26 +77,31 @@ impl Default for GeAttackConfig {
             lambda: 20.0,
             inner_steps: 3,
             inner_lr: 0.1,
-            hops: 2,
             candidate_pool: 48,
-            mask_init_std: 0.1,
-            explainer: GnnExplainerConfig::default(),
-            seed: 0,
         }
     }
 }
 
 /// The GEAttack attacker (against GNNExplainer).
+///
+/// `M_A^T` is the mask of the GNNExplainer that inspects the attack, so the
+/// attacker holds that explainer: the inner loop differentiates its
+/// [`GnnExplainer::loss`] and draws `M_A^0` with its `mask_init_std` from a
+/// stream derived from its seed. Its epochs and learning rate are not read:
+/// the inner loop runs [`GeAttackConfig::inner_steps`] plain gradient steps of
+/// size [`GeAttackConfig::inner_lr`] (Algorithm 1 lines 3-8).
 #[derive(Clone, Debug, Default)]
 pub struct GeAttack {
     /// Attack configuration.
     pub config: GeAttackConfig,
+    /// The inspecting GNNExplainer whose mask the inner loop mimics.
+    pub explainer: GnnExplainer,
 }
 
 impl GeAttack {
-    /// Creates a GEAttack attacker with the given configuration.
-    pub fn new(config: GeAttackConfig) -> Self {
-        Self { config }
+    /// Creates the attacker against `explainer`.
+    pub fn new(explainer: GnnExplainer, config: GeAttackConfig) -> Self {
+        Self { config, explainer }
     }
 
     /// Gradient of the scaled explainer penalty `λ · Σ_j M_A^T[t, j] · B[t, j]`
@@ -122,10 +125,10 @@ impl GeAttack {
         target_label: usize,
         rng: &mut impl rand::Rng,
     ) -> Vec<f64> {
-        let sub = computation_subgraph(working, target, self.config.hops, shortlist);
+        let sub = computation_subgraph(working, target, RECEPTIVE_FIELD_HOPS, shortlist);
         let tl = sub.target_local;
         let (slots, local) = candidate_slots(&sub, shortlist);
-        let explainer = GnnExplainer::new(self.config.explainer.clone());
+        let explainer = &self.explainer;
 
         let tape = Tape::new();
         let a = tape.input(slots.values().clone());
@@ -133,7 +136,7 @@ impl GeAttack {
         // mask nor `a`, so the inner steps share them.
         let params = model.insert_params_frozen(&tape);
         let xw1 = tape.constant(working.project_rows(&sub.nodes, &model.params().w1));
-        let mut mask = tape.input(init::normal(slots.nnz(), 1, 0.0, self.config.mask_init_std, rng));
+        let mut mask = tape.input(init::normal(slots.nnz(), 1, 0.0, explainer.config.mask_init_std, rng));
         // `grad` emits tape operations, so the final mask keeps its dependency
         // on `a`.
         for _ in 0..self.config.inner_steps {
@@ -244,8 +247,8 @@ pub(crate) fn candidate_slots(sub: &ComputationSubgraph, shortlist: &[usize]) ->
 impl TargetedAttack for GeAttack {
     fn attack(&self, ctx: &AttackContext<'_>) -> Perturbation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "attack.geattack");
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(self.config.seed ^ (ctx.target as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let seed = self.explainer.config.seed;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (ctx.target as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let rule = (self.config.lambda, 20.0, true);
         greedy_joint_attack(ctx, self.config.candidate_pool, rule, |working, shortlist| {
             self.penalty_gradient(ctx.model, working, ctx.target, shortlist, ctx.target_label, &mut rng)
@@ -257,7 +260,7 @@ impl TargetedAttack for GeAttack {
 mod tests {
     use super::*;
     use geattack_attack::FgaT;
-    use geattack_explain::{detection_scores, Explainer, GnnExplainer};
+    use geattack_explain::{detection_scores, Explainer, GnnExplainerConfig};
     use geattack_gnn::{train, Gcn, TrainConfig};
     use geattack_graph::datasets::{load, DatasetName};
     use geattack_graph::{stratified_split, FamilyConfig};
@@ -292,10 +295,6 @@ mod tests {
         GeAttackConfig {
             inner_steps: 2,
             candidate_pool: 24,
-            explainer: GnnExplainerConfig {
-                epochs: 15,
-                ..Default::default()
-            },
             ..Default::default()
         }
     }
@@ -311,7 +310,7 @@ mod tests {
             target_label,
             budget: 2,
         };
-        let p = GeAttack::new(quick_config()).attack(&ctx);
+        let p = GeAttack::new(GnnExplainer::default(), quick_config()).attack(&ctx);
         assert!(!p.is_empty());
         assert!(p.size() <= 2);
         for &(u, v) in p.added() {
@@ -324,7 +323,7 @@ mod tests {
         let (graph, model) = small_setup(62);
         let (victim, target_label) = pick_victim(&graph, &model);
         let ctx = AttackContext::with_degree_budget(&model, &graph, victim, target_label);
-        let p = GeAttack::new(quick_config()).attack(&ctx);
+        let p = GeAttack::new(GnnExplainer::default(), quick_config()).attack(&ctx);
         let attacked = p.apply(&graph);
         let before = model.predict_proba(&graph)[(victim, target_label)];
         let after = model.predict_proba(&attacked)[(victim, target_label)];
@@ -352,7 +351,7 @@ mod tests {
             lambda: 0.0,
             ..quick_config()
         };
-        let ge = GeAttack::new(config).attack(&ctx);
+        let ge = GeAttack::new(GnnExplainer::default(), config).attack(&ctx);
         let fga = FgaT.attack(&ctx);
         assert_eq!(ge.added(), fga.added());
     }
@@ -368,8 +367,8 @@ mod tests {
             target_label,
             budget: 2,
         };
-        let a = GeAttack::new(quick_config()).attack(&ctx);
-        let b = GeAttack::new(quick_config()).attack(&ctx);
+        let a = GeAttack::new(GnnExplainer::default(), quick_config()).attack(&ctx);
+        let b = GeAttack::new(GnnExplainer::default(), quick_config()).attack(&ctx);
         assert_eq!(a, b);
     }
 
@@ -387,10 +386,13 @@ mod tests {
             target_label,
             budget: 1,
         };
-        let heavy = GeAttack::new(GeAttackConfig {
-            lambda: 500.0,
-            ..quick_config()
-        })
+        let heavy = GeAttack::new(
+            GnnExplainer::default(),
+            GeAttackConfig {
+                lambda: 500.0,
+                ..quick_config()
+            },
+        )
         .attack(&ctx);
         let fga = FgaT.attack(&ctx);
         if heavy.added() == fga.added() {

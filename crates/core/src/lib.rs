@@ -54,12 +54,12 @@ pub mod telemetry;
 
 pub use engine::{CancelToken, CellEvent, Engine, SweepHandle};
 pub use error::{CellFailure, GeError};
-pub use evaluation::{evaluate_attack, summarize_run, AttackOutcome, MeanStd, RunSummary};
+pub use evaluation::{evaluate_attack, summarize_run, AttackOutcome, MeanStd, RunSummary, DETECTION_K};
 pub use geattack::{GeAttack, GeAttackConfig};
 pub use persist::{base_key, pg_stage_key, prepare_base_cached, prepare_on_cached, CODE_VERSION_SALT};
 pub use pg_geattack::{PgGeAttack, PgGeAttackConfig};
 pub use pipeline::{
-    prepare, prepare_base, prepare_on, run_attacker, run_attacker_kind, AttackerKind, Base, BudgetRule, ExplainerKind,
+    prepare, prepare_base, prepare_on, run_attacker, run_attacker_kind, AttackerKind, Base, ExplainerKind,
     PipelineConfig, Prepared,
 };
 pub use registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 use geattack_attack::candidate_endpoints;
 use geattack_explain::{GnnExplainer, GnnExplainerConfig, PgExplainer, PgExplainerConfig};
-use geattack_gnn::{EdgeSlots, Gcn};
+use geattack_gnn::{EdgeSlots, Gcn, RECEPTIVE_FIELD_HOPS};
 use geattack_graph::datasets::{load, DatasetName};
 use geattack_graph::{computation_subgraph, ComputationSubgraph, FamilyConfig, Graph};
 use geattack_tensor::grad::{grad, grad_values};
@@ -101,7 +101,7 @@ fn hub(graph: &Graph) -> usize {
 
 /// Non-neighbours of `target`: three inside its 2-hop subgraph, five outside.
 fn shortlist(graph: &Graph, target: usize) -> Vec<usize> {
-    let local = computation_subgraph(graph, target, 2, &[]).nodes;
+    let local = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, &[]).nodes;
     let candidates = candidate_endpoints(graph, target, &[]);
     let inside = candidates.iter().copied().filter(|v| local.contains(v)).take(3);
     let outside = candidates.iter().copied().filter(|v| !local.contains(v)).take(5);
@@ -118,7 +118,7 @@ fn tiny() -> (Graph, Gcn) {
 
 fn gnnexplainer_case(graph: &Graph, model: &Gcn, target: usize, seed: u64) {
     let explainer = GnnExplainer::default();
-    let sub = computation_subgraph(graph, target, 2, &[]);
+    let sub = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, &[]);
     let slots = EdgeSlots::new(&sub);
     let class = model.predict_labels(graph)[target];
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -151,9 +151,17 @@ fn gnnexplainer_case(graph: &Graph, model: &Gcn, target: usize, seed: u64) {
 }
 
 fn geattack_case(graph: &Graph, model: &Gcn, target: usize, shortlist: &[usize], seed: u64) {
-    let attack = GeAttack::new(GeAttackConfig::default());
-    let config = &attack.config;
-    let sub = computation_subgraph(graph, target, config.hops, shortlist);
+    // The inspector's coefficients and init std (here not the defaults)
+    // reach both formulations through the one explainer config.
+    let inspector = GnnExplainerConfig {
+        size_coeff: 0.05,
+        entropy_coeff: 0.5,
+        mask_init_std: 0.2,
+        ..Default::default()
+    };
+    let attack = GeAttack::new(GnnExplainer::new(inspector), GeAttackConfig::default());
+    let (config, explainer) = (&attack.config, &attack.explainer.config);
+    let sub = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, shortlist);
     let label = (model.predict_labels(graph)[target] + 1) % model.num_classes();
     let rng = ChaCha8Rng::seed_from_u64(seed);
     let slot_entries = attack.penalty_gradient(model, graph, target, shortlist, label, &mut rng.clone());
@@ -162,14 +170,13 @@ fn geattack_case(graph: &Graph, model: &Gcn, target: usize, shortlist: &[usize],
     // T differentiable inner steps, and the penalty over the full B row.
     let tl = sub.target_local;
     let (slots, _) = candidate_slots(&sub, shortlist);
-    let m0 = init::normal(slots.nnz(), 1, 0.0, config.mask_init_std, &mut rng.clone());
-    let explainer = GnnExplainer::new(config.explainer.clone());
+    let m0 = init::normal(slots.nnz(), 1, 0.0, explainer.mask_init_std, &mut rng.clone());
     let tape = Tape::new();
     let a = tape.input(sub.dense_adjacency());
     let x = tape.constant(graph.features().to_dense().gather_rows(&sub.nodes));
     let mut mask = tape.input(densify(&slots, &m0, |i, j| 0.01 * (i + 2 * j) as f64));
     for _ in 0..config.inner_steps {
-        let inner = dense_gnnexplainer_loss(&tape, &explainer.config, model, a, x, mask, tl, label);
+        let inner = dense_gnnexplainer_loss(&tape, explainer, model, a, x, mask, tl, label);
         let step = grad(&tape, inner, &[mask])[0];
         mask = tape.sub(mask, tape.mul_scalar(step, config.inner_lr));
     }
@@ -194,7 +201,7 @@ fn pg_geattack_case(graph: &Graph, model: &Gcn, target: usize, shortlist: &[usiz
     let attack = PgGeAttack::new(pg_explainer(model, graph, seed), PgGeAttackConfig::default());
     let slot_entries = attack.penalty_gradient(model, graph, target, shortlist);
 
-    let sub = computation_subgraph(graph, target, attack.config.hops, shortlist);
+    let sub = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, shortlist);
     let tl = sub.target_local;
     let pairs: Vec<(usize, usize)> = (0..sub.num_nodes())
         .filter(|&j| j != tl && !graph.has_edge(target, sub.to_global(j)))
@@ -244,7 +251,7 @@ fn slot_core_matches_dense_pgexplainer_loss_and_mlp_gradients() {
         let (graph, model) = fixture(seed);
         let target = hub(&graph);
         let explainer = pg_explainer(&model, &graph, seed);
-        let sub = computation_subgraph(&graph, target, 2, &[]);
+        let sub = computation_subgraph(&graph, target, RECEPTIVE_FIELD_HOPS, &[]);
         let slots = EdgeSlots::new(&sub);
         let edges = sub.csr.edges();
         let class = model.predict_labels(&graph)[target];

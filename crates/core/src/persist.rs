@@ -34,7 +34,7 @@
 
 use geattack_cache::{CacheStore, Decoder, Encoder, KeyHasher};
 use geattack_explain::{PgExplainer, PgExplainerConfig, PgMlpParams};
-use geattack_gnn::{Gcn, GcnParams};
+use geattack_gnn::{Gcn, GcnParams, RECEPTIVE_FIELD_HOPS};
 use geattack_graph::datasets::{MIN_FEATURES, TOPIC_AFFINITY, WORDS_PER_NODE};
 use geattack_graph::{DataSplit, Graph};
 use geattack_tensor::Matrix;
@@ -112,9 +112,11 @@ pub fn pg_stage_key_salted(config: &PipelineConfig, salt: &str) -> Option<String
         .write_str(salt)
         .write_str(&base_key_salted(config, salt));
     let p = &config.pgexplainer;
+    // The hop radius was a PGExplainer setting; it keeps its slot so the
+    // pinned keys keep their bytes.
     h.write_usize(p.epochs)
         .write_f64(p.lr)
-        .write_usize(p.hops)
+        .write_usize(RECEPTIVE_FIELD_HOPS)
         .write_usize(p.hidden)
         .write_f64(p.size_coeff)
         .write_f64(p.entropy_coeff)
@@ -529,7 +531,6 @@ mod tests {
 
         let mut scheduling = tiny_config(7);
         scheduling.parallel = !scheduling.parallel;
-        scheduling.detection_k += 1;
         scheduling.explanation_size += 1;
         scheduling.gnnexplainer.epochs += 5;
         assert_eq!(

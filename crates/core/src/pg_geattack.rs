@@ -11,6 +11,7 @@ use geattack_attack::{AttackContext, TargetedAttack};
 
 use crate::geattack::{candidate_slots, greedy_joint_attack};
 use geattack_explain::PgExplainer;
+use geattack_gnn::RECEPTIVE_FIELD_HOPS;
 use geattack_graph::{computation_subgraph, Graph, Perturbation};
 use geattack_tensor::{grad::grad, Tape};
 
@@ -19,8 +20,6 @@ use geattack_tensor::{grad::grad, Tape};
 pub struct PgGeAttackConfig {
     /// Trade-off between attacking the GCN and evading PGExplainer.
     pub lambda: f64,
-    /// Computation-subgraph radius.
-    pub hops: usize,
     /// Candidate shortlist size per outer iteration.
     pub candidate_pool: usize,
 }
@@ -29,7 +28,6 @@ impl Default for PgGeAttackConfig {
     fn default() -> Self {
         Self {
             lambda: 20.0,
-            hops: 2,
             candidate_pool: 48,
         }
     }
@@ -66,7 +64,7 @@ impl PgGeAttack {
         target: usize,
         shortlist: &[usize],
     ) -> Vec<f64> {
-        let sub = computation_subgraph(working, target, self.config.hops, shortlist);
+        let sub = computation_subgraph(working, target, RECEPTIVE_FIELD_HOPS, shortlist);
         let tl = sub.target_local;
 
         // Penalty pairs: the target with every subgraph node that is not its

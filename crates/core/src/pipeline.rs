@@ -131,36 +131,6 @@ impl ExplainerKind {
     }
 }
 
-/// How many adversarial edges each victim grants the attacker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BudgetRule {
-    /// The paper's default: `Δ = max(degree(victim), 1)`.
-    Degree,
-    /// The same fixed budget for every victim.
-    Fixed(usize),
-}
-
-impl BudgetRule {
-    /// The budget granted for attacking `node` in `graph`.
-    pub fn budget_for(&self, graph: &Graph, node: usize) -> usize {
-        match self {
-            BudgetRule::Degree => graph.degree(node).max(1),
-            BudgetRule::Fixed(edges) => (*edges).max(1),
-        }
-    }
-}
-
-impl From<BudgetSpec> for BudgetRule {
-    fn from(spec: BudgetSpec) -> Self {
-        match spec {
-            BudgetSpec::Degree => BudgetRule::Degree,
-            BudgetSpec::Fixed(edges) => BudgetRule::Fixed(edges),
-            // A bucket's victims all have its degree, so `Δ = degree` is `Δ = D`.
-            BudgetSpec::DegreeBucket(_) => BudgetRule::Degree,
-        }
-    }
-}
-
 /// Full configuration of one experiment run.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -175,7 +145,9 @@ pub struct PipelineConfig {
     pub victims: VictimSelectionConfig,
     /// Which explainer acts as the inspector.
     pub explainer: ExplainerKind,
-    /// GNNExplainer settings (inspection and FGA-T&E / GEAttack inner loop).
+    /// GNNExplainer settings: the inspector's, and so also the explainer
+    /// FGA-T&E excludes with and the one GEAttack's inner loop mimics (its
+    /// objective, `M_A^0` std and seed).
     pub gnnexplainer: GnnExplainerConfig,
     /// PGExplainer settings (only used when `explainer` is `PgExplainer`).
     pub pgexplainer: PgExplainerConfig,
@@ -183,8 +155,6 @@ pub struct PipelineConfig {
     pub geattack: GeAttackConfig,
     /// GEAttack-PG settings.
     pub pg_geattack: PgGeAttackConfig,
-    /// Detection metric cut-off `K` (15 in the paper).
-    pub detection_k: usize,
     /// Explanation size `L` (20 in the paper).
     pub explanation_size: usize,
     /// Run victims in parallel across threads.
@@ -222,12 +192,8 @@ impl PipelineConfig {
                 seed,
                 ..Default::default()
             },
-            geattack: GeAttackConfig {
-                seed,
-                ..Default::default()
-            },
+            geattack: GeAttackConfig::default(),
             pg_geattack: PgGeAttackConfig::default(),
-            detection_k: 15,
             explanation_size: 20,
             parallel: true,
         }
@@ -411,16 +377,23 @@ impl Prepared {
                         },
                     ))
                 }
-                _ => {
-                    let config = &self.config.geattack;
-                    Box::new(GeAttack::new(GeAttackConfig {
-                        lambda: params.lambda.unwrap_or(config.lambda),
-                        inner_steps: params.inner_steps.unwrap_or(config.inner_steps),
-                        ..config.clone()
-                    }))
-                }
+                _ => Box::new(self.geattack(params)),
             },
         }
+    }
+
+    /// GEAttack against this experiment's GNNExplainer inspector, with
+    /// `params` overriding the configured `λ` and `T`.
+    pub(crate) fn geattack(&self, params: &AttackerParams) -> GeAttack {
+        let config = &self.config.geattack;
+        GeAttack::new(
+            GnnExplainer::new(self.config.gnnexplainer.clone()),
+            GeAttackConfig {
+                lambda: params.lambda.unwrap_or(config.lambda),
+                inner_steps: params.inner_steps.unwrap_or(config.inner_steps),
+                ..config.clone()
+            },
+        )
     }
 }
 
@@ -479,8 +452,8 @@ pub fn prepare(config: PipelineConfig) -> Result<Prepared> {
     Ok(prepare_on(&prepare_base(&config)?, config))
 }
 
-/// Runs one attacker over all prepared victims under a per-victim budget rule
-/// (`BudgetRule::Degree` is the paper's protocol) and returns per-victim
+/// Runs one attacker over all prepared victims under a per-victim budget
+/// (`BudgetSpec::Degree` is the paper's protocol) and returns per-victim
 /// outcomes, accumulating per-phase wall-clock into `phases` (the engine's
 /// per-cell timing breakdown; timing is additive across victim threads).
 ///
@@ -492,7 +465,7 @@ pub fn run_attacker(
     prepared: &Prepared,
     attacker: &(dyn TargetedAttack + Sync),
     inspector: &(dyn Explainer + Sync),
-    budget: BudgetRule,
+    budget: BudgetSpec,
     phases: &PhaseAccumulator,
 ) -> Vec<AttackOutcome> {
     let config = prepared.config();
@@ -520,7 +493,6 @@ pub fn run_attacker(
             inspector,
             victim,
             &perturbation,
-            config.detection_k,
             config.explanation_size,
             phases,
         )
@@ -542,7 +514,7 @@ pub fn run_attacker_kind(prepared: &Prepared, kind: AttackerKind) -> Result<Vec<
         prepared,
         attacker.as_ref(),
         inspector.as_ref(),
-        BudgetRule::Degree,
+        BudgetSpec::Degree,
         &PhaseAccumulator::new(),
     ))
 }
@@ -595,7 +567,6 @@ pub(crate) mod tests {
         config.victims.bottom_margin = 2;
         config.gnnexplainer.epochs = 15;
         config.geattack.candidate_pool = 16;
-        config.geattack.explainer.epochs = 15;
         config
     }
 
@@ -699,7 +670,7 @@ pub(crate) mod tests {
             &prepared,
             attacker.as_ref(),
             inspector.as_ref(),
-            BudgetRule::Fixed(1),
+            BudgetSpec::Fixed(1),
             &phases,
         );
         assert!(fixed.iter().all(|o| o.perturbation_size <= 1), "fixed budget of 1 edge");
@@ -707,21 +678,50 @@ pub(crate) mod tests {
             &prepared,
             attacker.as_ref(),
             inspector.as_ref(),
-            BudgetRule::Degree,
+            BudgetSpec::Degree,
             &phases,
         );
         for (o, victim) in degree.iter().zip(&prepared.victims) {
             assert!(o.perturbation_size <= victim.degree.max(1));
         }
+        // A bucket's victims all have its degree, so it grants `Δ = degree`.
+        let node = prepared.victims[0].node;
         assert_eq!(
-            BudgetRule::from(geattack_scenarios::BudgetSpec::Degree),
-            BudgetRule::Degree
+            BudgetSpec::DegreeBucket(7).budget_for(&prepared.graph, node),
+            BudgetSpec::Degree.budget_for(&prepared.graph, node)
         );
-        assert_eq!(
-            BudgetRule::from(geattack_scenarios::BudgetSpec::Fixed(4)),
-            BudgetRule::Fixed(4)
-        );
-        assert_eq!(BudgetRule::Fixed(0).budget_for(&prepared.graph, 0), 1);
+        assert_eq!(BudgetSpec::Fixed(0).budget_for(&prepared.graph, 0), 1);
+    }
+
+    #[test]
+    fn geattack_inner_loop_reads_the_inspectors_gnnexplainer_config() {
+        use rand::SeedableRng as _;
+        let base = prepare_base(&tiny_config(97)).unwrap();
+        let penalty_gradient = |config: PipelineConfig| {
+            let prepared = prepare_on(&base, config);
+            let victim = prepared.victims[0];
+            let shortlist: Vec<usize> = geattack_attack::candidate_endpoints(&prepared.graph, victim.node, &[])
+                .into_iter()
+                .take(8)
+                .collect();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+            prepared.geattack(&AttackerParams::default()).penalty_gradient(
+                &prepared.model,
+                &prepared.graph,
+                victim.node,
+                &shortlist,
+                victim.target_label,
+                &mut rng,
+            )
+        };
+        let default = penalty_gradient(tiny_config(97));
+        assert!(default.iter().any(|g| g.abs() > 0.0), "the penalty has signal");
+        let mut sized = tiny_config(97);
+        sized.gnnexplainer.size_coeff *= 10.0;
+        assert_ne!(default, penalty_gradient(sized), "size coefficient is the inspector's");
+        let mut spread = tiny_config(97);
+        spread.gnnexplainer.mask_init_std *= 3.0;
+        assert_ne!(default, penalty_gradient(spread), "M_A^0 std is the inspector's");
     }
 
     #[test]

@@ -1094,7 +1094,6 @@ mod tests {
     fn meta_json_reports_shard_cache_and_telemetry_state() {
         let mut telemetry = crate::telemetry::SweepTelemetry {
             planned_cells: 1,
-            finished_cells: 1,
             ..Default::default()
         };
         telemetry.phase_totals.attack_ms = 12.3456789;
@@ -1111,7 +1110,6 @@ mod tests {
         assert!(meta.contains("\"shard\": \"1/2\""), "{meta}");
         assert!(meta.contains("\"hits\": 2"), "{meta}");
         assert!(meta.contains("\"prepared_cells\": 1"), "{meta}");
-        assert!(meta.contains("\"finished_cells\": 1"), "{meta}");
         assert!(meta.contains("\"attack\": 12.346"), "timing rounds to µs: {meta}");
         assert!(meta.contains("\"cell_latency_ms\""), "{meta}");
 

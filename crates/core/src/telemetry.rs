@@ -132,13 +132,11 @@ impl PhaseAccumulator {
 /// serve protocol's `done` event).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepTelemetry {
-    /// Prepared cells this session owned.
-    pub planned_cells: usize,
-    /// Cells that finished successfully. A session with a failed cell ends
+    /// Prepared cells this session owned. A session with a failed cell ends
     /// in `GeError::CellsFailed` instead of a `SweepRun`, so every recorded
-    /// session finished all of its planned cells.
-    pub finished_cells: usize,
-    /// Per-phase totals summed over finished cells (`total_ms` here is the
+    /// session finished all of them.
+    pub planned_cells: usize,
+    /// Per-phase totals summed over the cells (`total_ms` here is the
     /// sum of cell wall-clocks, not the session's elapsed time).
     pub phase_totals: CellTiming,
     /// Distribution of per-cell wall-clock latencies, ms.
@@ -158,12 +156,11 @@ impl Serialize for CellTiming {
     }
 }
 
-/// `{planned_cells,finished_cells,phase_totals_ms,cell_latency_ms}`.
+/// `{planned_cells,phase_totals_ms,cell_latency_ms}`.
 impl Serialize for SweepTelemetry {
     fn serialize(&self) -> Value {
         object(vec![
             ("planned_cells", Value::Number(self.planned_cells as f64)),
-            ("finished_cells", Value::Number(self.finished_cells as f64)),
             ("phase_totals_ms", self.phase_totals.serialize()),
             ("cell_latency_ms", latency_value(&self.cell_latency)),
         ])

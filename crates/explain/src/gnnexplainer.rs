@@ -21,7 +21,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_gnn::{BatchedForward, EdgeSlots, Gcn, GcnParamVars};
+use geattack_gnn::{BatchedForward, EdgeSlots, Gcn, GcnParamVars, RECEPTIVE_FIELD_HOPS};
 use geattack_graph::{computation_subgraph, Graph};
 use geattack_tensor::{grad::grad, init, nn, Adam, Matrix, Optimizer, Tape, Var};
 
@@ -35,8 +35,6 @@ pub struct GnnExplainerConfig {
     pub epochs: usize,
     /// Adam learning rate for the mask.
     pub lr: f64,
-    /// Computation-subgraph radius; 2 for the paper's two-layer GCN.
-    pub hops: usize,
     /// Coefficient of the mask-size (L1) regularizer.
     pub size_coeff: f64,
     /// Coefficient of the mask-entropy regularizer.
@@ -52,7 +50,6 @@ impl Default for GnnExplainerConfig {
         Self {
             epochs: 100,
             lr: 0.01,
-            hops: 2,
             size_coeff: 0.005,
             entropy_coeff: 1.0,
             mask_init_std: 0.1,
@@ -148,7 +145,7 @@ impl GnnExplainer {
         explained_class: usize,
         optimize: impl FnOnce(&Self, &MaskProblem, Matrix) -> Matrix,
     ) -> Explanation {
-        let sub = computation_subgraph(graph, target, self.config.hops, &[]);
+        let sub = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, &[]);
         let slots = EdgeSlots::new(&sub);
         if slots.nnz() == 0 {
             return Explanation::from_edge_weights(target, explained_class, Vec::new());

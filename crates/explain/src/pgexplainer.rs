@@ -16,7 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use geattack_gnn::{BatchedForward, EdgeSlots, Gcn};
+use geattack_gnn::{BatchedForward, EdgeSlots, Gcn, RECEPTIVE_FIELD_HOPS};
 use geattack_graph::{computation_subgraph, Graph};
 use geattack_tensor::{grad::grad_values, init, nn, Adam, Matrix, Optimizer, Tape, Var};
 
@@ -29,8 +29,6 @@ pub struct PgExplainerConfig {
     pub epochs: usize,
     /// Adam learning rate for the MLP.
     pub lr: f64,
-    /// Computation-subgraph radius.
-    pub hops: usize,
     /// Hidden width of the edge-scoring MLP.
     pub hidden: usize,
     /// Coefficient of the mask-size regularizer.
@@ -48,7 +46,6 @@ impl Default for PgExplainerConfig {
         Self {
             epochs: 10,
             lr: 0.005,
-            hops: 2,
             hidden: 32,
             size_coeff: 0.01,
             entropy_coeff: 0.5,
@@ -303,7 +300,7 @@ impl PgExplainer {
         let prepared: Vec<InstanceState> = instances
             .iter()
             .filter_map(|&node| {
-                let sub = computation_subgraph(graph, node, config.hops, &[]);
+                let sub = computation_subgraph(graph, node, RECEPTIVE_FIELD_HOPS, &[]);
                 let edges = sub.csr.edges();
                 if edges.is_empty() {
                     return None;
@@ -364,7 +361,7 @@ impl Explainer for PgExplainer {
         forward: &BatchedForward,
     ) -> Explanation {
         let _span = geattack_telemetry::span(geattack_telemetry::Level::Detail, "explain.pgexplainer");
-        let sub = computation_subgraph(graph, target, self.config.hops, &[]);
+        let sub = computation_subgraph(graph, target, RECEPTIVE_FIELD_HOPS, &[]);
         let edges = sub.csr.edges();
         if edges.is_empty() {
             return Explanation::from_edge_weights(target, explained_class, vec![]);

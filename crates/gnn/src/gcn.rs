@@ -10,6 +10,12 @@ use rand::Rng;
 use geattack_graph::Graph;
 use geattack_tensor::{init, nn, Matrix, SparseVar, Tape, Var};
 
+/// Radius, in hops, of the two-layer GCN's receptive field. A node's
+/// prediction reads exactly its 2-hop neighbourhood, so that is the
+/// computation subgraph every explainer and joint attack works on
+/// (GNNExplainer's L-hop computation graph for an L-layer GNN).
+pub const RECEPTIVE_FIELD_HOPS: usize = 2;
+
 /// Trainable parameters of a two-layer GCN.
 #[derive(Clone, Debug)]
 pub struct GcnParams {

@@ -14,6 +14,6 @@ pub mod train;
 
 pub use batched::BatchedForward;
 pub use eval::{accuracy, NodePrediction};
-pub use gcn::{Gcn, GcnParamVars, GcnParams};
+pub use gcn::{Gcn, GcnParamVars, GcnParams, RECEPTIVE_FIELD_HOPS};
 pub use masked::EdgeSlots;
 pub use train::{train, EpochStats, TrainConfig, TrainedGcn};

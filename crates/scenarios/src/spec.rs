@@ -11,6 +11,7 @@
 //! deserializer fills in defaults for omitted grid axes, so the minimal useful
 //! sweep spec is just a name, a family list and an attacker list.
 
+use geattack_graph::Graph;
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::registry;
@@ -47,6 +48,16 @@ impl BudgetSpec {
             _ => Err(format!(
                 "budget must be `degree`, `degree=D` or a positive edge count, got `{s}`"
             )),
+        }
+    }
+
+    /// The budget granted for attacking `node` in `graph`: its degree (at
+    /// least 1) under [`BudgetSpec::Degree`] and, since a bucket's victims all
+    /// have its degree, under [`BudgetSpec::DegreeBucket`] too.
+    pub fn budget_for(&self, graph: &Graph, node: usize) -> usize {
+        match self {
+            BudgetSpec::Degree | BudgetSpec::DegreeBucket(_) => graph.degree(node).max(1),
+            BudgetSpec::Fixed(edges) => (*edges).max(1),
         }
     }
 

@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod span;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, HistogramTimer, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{NdjsonRecorder, Recorder, RingRecorder};
 pub use span::{span, span_labeled, Level, SpanGuard, SpanRecord};
 

@@ -161,48 +161,6 @@ impl Histogram {
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
-
-    /// Starts a timer that records its elapsed milliseconds into this
-    /// histogram when dropped (or earlier via
-    /// [`HistogramTimer::observe_duration`]), so early returns are still
-    /// accounted.
-    pub fn start_timer(self: &Arc<Self>) -> HistogramTimer {
-        HistogramTimer {
-            histogram: Some(Arc::clone(self)),
-            started: std::time::Instant::now(),
-        }
-    }
-}
-
-/// A guard from [`Histogram::start_timer`]: records the elapsed wall-clock
-/// milliseconds exactly once — on drop, or eagerly via
-/// [`HistogramTimer::observe_duration`].
-#[derive(Debug)]
-pub struct HistogramTimer {
-    /// Taken on the first observation so drop-after-observe records nothing.
-    histogram: Option<Arc<Histogram>>,
-    started: std::time::Instant,
-}
-
-impl HistogramTimer {
-    /// Records now and returns the observed milliseconds.
-    pub fn observe_duration(mut self) -> f64 {
-        self.observe()
-    }
-
-    fn observe(&mut self) -> f64 {
-        let elapsed_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        if let Some(histogram) = self.histogram.take() {
-            histogram.record(elapsed_ms);
-        }
-        elapsed_ms
-    }
-}
-
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.observe();
-    }
 }
 
 impl Default for Histogram {
@@ -393,20 +351,6 @@ mod tests {
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].0, "lat");
         assert_eq!(snap.histograms[0].1.count, 1);
-    }
-
-    #[test]
-    fn histogram_timer_records_once_on_drop_or_observe() {
-        let registry = MetricsRegistry::new();
-        let histogram = registry.histogram("request.run_ms");
-        {
-            let _timer = histogram.start_timer();
-        }
-        assert_eq!(histogram.count(), 1, "dropping the timer records one sample");
-        let observed = histogram.start_timer().observe_duration();
-        assert!(observed >= 0.0);
-        assert_eq!(histogram.count(), 2, "observe_duration records exactly once");
-        assert!(histogram.sum() >= 0.0);
     }
 
     #[test]

@@ -56,7 +56,10 @@ fn main() {
     inspect(
         "Attacker 2: GEAttack (attacks the GCN and its explanations)",
         &setup,
-        &GeAttack::new(GeAttackConfig::default()),
+        &GeAttack::new(
+            GnnExplainer::new(GnnExplainerConfig::default()),
+            GeAttackConfig::default(),
+        ),
     );
     println!("The joint attacker keeps its edges out of the top ranks of the explanation,");
     println!("so an inspector examining the explanation subgraph is unlikely to notice them.");

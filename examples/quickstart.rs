@@ -24,9 +24,11 @@ fn main() {
         setup.target_label
     );
 
-    // Run GEAttack with the paper's default λ = 20 and Δ = degree(victim).
+    // Run GEAttack with the paper's default λ = 20 and Δ = degree(victim),
+    // against the GNNExplainer an inspector will run.
     let ctx = AttackContext::with_degree_budget(&setup.model, &setup.graph, setup.victim, setup.target_label);
-    let attack = GeAttack::new(GeAttackConfig::default());
+    let explainer = GnnExplainer::new(GnnExplainerConfig::default());
+    let attack = GeAttack::new(explainer.clone(), GeAttackConfig::default());
     let perturbation = attack.attack(&ctx);
     println!(
         "GEAttack inserted {} adversarial edges: {:?}",
@@ -47,7 +49,6 @@ fn main() {
     );
 
     // Would an inspector running GNNExplainer notice the inserted edges?
-    let explainer = GnnExplainer::new(GnnExplainerConfig::default());
     let explanation = explainer.explain(&setup.model, &attacked, setup.victim).truncated(20);
     let scores = detection_scores(&explanation, perturbation.added(), 15);
     println!(

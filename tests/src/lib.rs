@@ -17,7 +17,6 @@ pub fn tiny_config(family: &str, seed: u64) -> PipelineConfig {
     config.victims.bottom_margin = 3;
     config.gnnexplainer.epochs = 25;
     config.geattack.candidate_pool = 20;
-    config.geattack.explainer.epochs = 20;
     config.pgexplainer.epochs = 2;
     config.pgexplainer.training_instances = 6;
     config

@@ -116,7 +116,7 @@ fn finished_events_and_run_telemetry_carry_real_timings() {
 
     let run = session.wait().expect("session succeeds");
     let t = &run.telemetry;
-    assert_eq!((t.planned_cells, t.finished_cells), (2, 2));
+    assert_eq!((t.planned_cells, t.cell_latency.count), (2, 2));
     assert!(t.phase_totals.attack_ms > 0.0, "attack phase accumulated");
     assert!(t.phase_totals.explain_ms > 0.0, "explain phase accumulated");
     assert!(t.phase_totals.detect_ms > 0.0, "detect phase accumulated");
