@@ -5,9 +5,15 @@
 //! response saturates. Integrated gradients average the gradient along the path
 //! from the clean adjacency to the adjacency with the candidate edges switched on:
 //! `IG_{tv} = (1/m) Σ_{k=1..m} ∂L/∂A_{tv} |_{A + (k/m)·E_cand}` where `E_cand`
-//! switches on the target's candidate edges. Scoring all candidates from the same
-//! `m` interpolation points keeps the cost at `m` backward passes per inserted edge
-//! (the row-restricted variant of the original attack; see `DESIGN.md`).
+//! switches on the target's candidate edges.
+//!
+//! **Deviation from the original attack.** Wu et al. integrate each candidate
+//! edge along its own path, with only that edge switched on, which costs `m`
+//! backward passes per candidate. Here all of the target's candidates share one
+//! path (switched on together) and only the gradient entries of the target's
+//! row are read, so one inserted edge costs `m` backward passes whatever the
+//! candidate count. A candidate's score therefore also reflects the other
+//! candidates being partly switched on along the path.
 
 use geattack_graph::{Graph, Perturbation};
 use geattack_tensor::SparseMatrix;

@@ -8,11 +8,15 @@
 //! power law fitted to the clean graph (likelihood-ratio test, Section 3 of the
 //! Nettack paper).
 //!
-//! Differences from the original, documented in `DESIGN.md`: the surrogate weights
-//! are taken from the victim GCN (`W = W₁ W₂`, the linearization of the trained
-//! model) instead of being retrained, feature co-occurrence constraints are not
-//! needed (we never touch features), and only edge insertions incident to the
-//! target are considered (the paper's setting).
+//! **Deviations from the original.**
+//!
+//! * The surrogate weights are taken from the victim GCN (`W = W₁ W₂`, the
+//!   linearization of the trained model) instead of being retrained.
+//! * There are no feature co-occurrence constraints: features are never
+//!   perturbed.
+//! * Only edge insertions incident to the target are considered (the paper's
+//!   direct, addition-only setting); Nettack also removes edges and attacks
+//!   through neighbours.
 
 use geattack_graph::{Graph, Perturbation};
 use geattack_tensor::Matrix;

@@ -15,8 +15,9 @@
 //!
 //! Distribution flags:
 //!
-//! * `--shard I/N` runs only the prepared cells at grid positions `p` with
-//!   `p % N == I` (zero-based) and writes a *partial* report
+//! * `--shard I/N` runs only the prepared cells of the bases (family, scale,
+//!   seed) that shard `I` of `N` owns (zero-based; see `Shard::owner_of`),
+//!   so every base trains on one shard, and writes a *partial* report
 //!   (`results/sweep_<name>.shard<I>of<N>.json`) for `geattack-merge`, which
 //!   reassembles the byte-identical full report from a complete shard set.
 //! * `--cache-dir DIR` memoizes prepared experiments on disk: a warm re-run
@@ -31,10 +32,8 @@
 //! * `--dry-run` prints the enumerated cell plan (with shard assignments when
 //!   `--shard` is given) without running anything.
 //! * `--list-families` prints Table 3: every registered family's statistics
-//!   at `--scale` (default 0.25, `--full` = 1.0) and `--seed`. That is the
-//!   only effect `--full` has: on a sweep, `--quick`/`--full` only set the
-//!   spec's `quick` flag, which is part of the spec hash and changes no
-//!   result.
+//!   at `--scale` (default 0.25; `--scale 1` for the paper's sizes) and
+//!   `--seed`.
 //!
 //! The shared flags override the spec's axes ([`Options::apply_to`]).
 
@@ -47,9 +46,7 @@ fn main() {
     let parsed = Options::parse_sweep("SWEEP_SPEC.json");
     if parsed.options.list_families {
         let options = &parsed.options;
-        let scale = options
-            .scale
-            .unwrap_or(if options.full == Some(true) { 1.0 } else { 0.25 });
+        let scale = options.scale.unwrap_or(0.25);
         if !(scale > 0.0 && scale <= 1.0) {
             eprintln!("--scale {scale} out of (0, 1]");
             std::process::exit(2);

@@ -15,11 +15,6 @@ use geattack_scenarios::SweepSpec;
 /// Command-line options of the sweep runner.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
-    /// `Some(true)` after `--full`, `Some(false)` after `--quick`, `None`
-    /// when neither flag was given. Sweeps record it as the spec's `quick`
-    /// flag, which changes no result; `--list-families` reads `--full` as
-    /// scale 1.0.
-    pub full: Option<bool>,
     /// Replace the seeds axis with `seed..seed+N` (`--runs N`).
     pub runs: Option<usize>,
     /// Number of victims per cell (overrides the spec's count when set).
@@ -53,7 +48,7 @@ pub struct ParsedArgs {
     pub positional: Vec<String>,
 }
 
-const FLAG_USAGE: &str = "[--quick|--full] [--runs N] [--victims N] [--scale F] [--seed N] [--serial] \
+const FLAG_USAGE: &str = "[--runs N] [--victims N] [--scale F] [--seed N] [--serial] \
 [--shard I/N] [--cache-dir DIR] [--cache-budget-mb N] [--telemetry PATH] [--dry-run] [--list-families]";
 
 impl Options {
@@ -67,9 +62,8 @@ impl Options {
 
     /// Applies the flags to a parsed spec, each replacing one axis
     /// explicitly: `--scale F` the scales axis, `--victims N` the per-cell
-    /// victim count, `--runs N` the seeds axis with `0..N`, `--seed N` offsets
-    /// every seed, and `--quick`/`--full` set the spec's `quick` flag (kept
-    /// in the spec and its hash; it changes no result).
+    /// victim count, `--runs N` the seeds axis with `0..N` and `--seed N`
+    /// offsets every seed.
     pub fn apply_to(&self, spec: &mut SweepSpec) {
         if let Some(scale) = self.scale {
             spec.scales = vec![scale];
@@ -82,9 +76,6 @@ impl Options {
         }
         if self.seed != 0 {
             spec.seeds = spec.seeds.iter().map(|&s| s + self.seed).collect();
-        }
-        if let Some(full) = self.full {
-            spec.quick = !full;
         }
     }
 }
@@ -122,8 +113,6 @@ fn parse(args: impl Iterator<Item = String>, positional_usage: &str) -> ParsedAr
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--full" => options.full = Some(true),
-            "--quick" => options.full = Some(false),
             "--runs" => options.runs = Some(parse_next(&mut args, "--runs")),
             "--victims" => options.victims = Some(parse_next(&mut args, "--victims")),
             "--scale" => options.scale = Some(parse_next(&mut args, "--scale")),
@@ -224,7 +213,6 @@ mod tests {
             victims: Some(3),
             runs: Some(3),
             seed: 7,
-            full: Some(true),
             ..Default::default()
         };
         let mut overridden = spec();
@@ -232,30 +220,19 @@ mod tests {
         assert_eq!(overridden.victims, 3);
         assert_eq!(overridden.scales, vec![0.05]);
         assert_eq!(overridden.seeds, vec![7, 8, 9]);
-        assert!(!overridden.quick);
     }
 
     #[test]
     fn flags_parse_into_options() {
         let parsed = parse(
-            args(&["--seed", "9", "--scale", "0.2", "--serial", "--runs", "3"]),
+            args(&["--seed", "9", "--scale", "0.2", "spec.json", "--serial", "--runs", "3"]),
             "SPEC",
         );
         assert_eq!(parsed.options.seed, 9);
         assert_eq!(parsed.options.scale, Some(0.2));
         assert!(parsed.options.serial);
         assert_eq!(parsed.options.runs, Some(3));
-        assert!(parsed.positional.is_empty());
-    }
-
-    #[test]
-    fn quick_undoes_full_and_positionals_are_collected() {
-        let parsed = parse(args(&["--full", "--quick", "spec.json"]), "SPEC");
-        assert_eq!(parsed.options.full, Some(false));
         assert_eq!(parsed.positional, vec!["spec.json".to_string()]);
-        // Neither profile flag → None, so callers can tell "default" apart
-        // from an explicit `--quick`.
-        assert_eq!(parse(args(&[]), "").options.full, None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `geattack-sweep` at the process boundary: an artifact write that fails
-//! must fail the run instead of claiming the artifact.
+//! must fail the run instead of claiming the artifact, and a flag it does not
+//! know exits 2 before anything runs.
 
 use std::process::Command;
 
@@ -28,4 +29,18 @@ fn sweep_fails_when_its_report_cannot_be_written() {
         "the error names the path:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_flags_are_unknown_options() {
+    for flag in ["--quick", "--full"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_geattack-sweep"))
+            .args(["--list-families", flag])
+            .output()
+            .expect("geattack-sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}:\n{stderr}");
+        assert!(stderr.contains(&format!("unknown option: {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} must not print Table 3");
+    }
 }

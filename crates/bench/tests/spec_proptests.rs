@@ -17,7 +17,7 @@ const SEEDS: [&str; 4] = [
     r#"{"name":"quick","families":["ba-shapes","tree-cycles"],"scales":[0.08],"seeds":[0,1],"attackers":["fga-t","rna"],"explainers":["gnnexplainer"],"budgets":["degree"],"victims":4,"quick":true}"#,
     r#"{"name":"fig2_3","families":["citeseer","cora"],"attackers":["nettack"],"victims":{"degrees":[1,2,3],"per_degree":8}}"#,
     r#"{"name":"fig5","families":["cora"],"attackers":["geattack:lambda=20,inner_steps=3"],"explainers":["gnnexplainer:size=40","gnnexplainer:size=10"]}"#,
-    r#"{"name":"w","families":["sbm"],"attackers":["geattack:lambda=1"]}"#,
+    r#"{"name":"w","families":["powerlaw-cluster"],"attackers":["geattack:lambda=1"]}"#,
 ];
 
 /// One of the `|`-separated alternatives (empty ones included).
@@ -132,7 +132,7 @@ proptest! {
         let (open, close) = [("[", "]"), ("{\"a\":", "}"), ("[{\"victims\":", "}]")][which];
         let nested = format!("{}1{}", open.repeat(depth), close.repeat(depth));
         check(&nested)?;
-        check(&format!(r#"{{"name":"n","families":["sbm"],"attackers":["fga"],"victims":{nested}}}"#))?;
+        check(&format!(r#"{{"name":"n","families":["powerlaw-cluster"],"attackers":["fga"],"victims":{nested}}}"#))?;
         prop_assert!(SweepSpec::from_json(&nested).is_err());
     }
 }

@@ -45,17 +45,6 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends a boolean as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Appends a length-prefixed `f64` slice (exact bits).
     pub fn put_f64_slice(&mut self, values: &[f64]) {
         self.put_usize(values.len());
@@ -69,24 +58,6 @@ impl Encoder {
         self.put_usize(values.len());
         for &v in values {
             self.put_usize(v);
-        }
-    }
-
-    /// Appends a length-prefixed bit set (packed 8 bits per byte, LSB first).
-    pub fn put_bits(&mut self, bits: &[bool]) {
-        self.put_usize(bits.len());
-        let mut byte = 0u8;
-        for (i, &bit) in bits.iter().enumerate() {
-            if bit {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                self.buf.push(byte);
-                byte = 0;
-            }
-        }
-        if !bits.len().is_multiple_of(8) {
-            self.buf.push(byte);
         }
     }
 
@@ -160,22 +131,6 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a boolean, rejecting bytes other than 0/1.
-    pub fn get_bool(&mut self) -> Result<bool, String> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("invalid boolean byte {other}")),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, String> {
-        let len = self.get_len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in string field".to_string())
-    }
-
     /// Reads a length-prefixed `f64` slice.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, String> {
         let len = self.get_len(8)?;
@@ -190,13 +145,6 @@ impl<'a> Decoder<'a> {
     pub fn get_usize_vec(&mut self) -> Result<Vec<usize>, String> {
         let len = self.get_len(8)?;
         (0..len).map(|_| self.get_usize()).collect()
-    }
-
-    /// Reads a length-prefixed bit set written by [`Encoder::put_bits`].
-    pub fn get_bits(&mut self) -> Result<Vec<bool>, String> {
-        let len = self.get_len(0)?;
-        let bytes = self.take(len.div_ceil(8))?;
-        Ok((0..len).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
     }
 
     /// Number of unread bytes.
@@ -227,8 +175,6 @@ mod tests {
         enc.put_usize(42);
         enc.put_f64(-0.0);
         enc.put_f64(f64::MIN_POSITIVE);
-        enc.put_bool(true);
-        enc.put_str("tree-cycles");
         enc.put_f64_slice(&[1.0, 0.1 + 0.2, f64::NAN]);
         enc.put_usize_slice(&[3, 1, 4]);
         let bytes = enc.finish();
@@ -240,27 +186,12 @@ mod tests {
         assert_eq!(dec.get_usize().unwrap(), 42);
         assert_eq!(dec.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(dec.get_f64().unwrap(), f64::MIN_POSITIVE);
-        assert!(dec.get_bool().unwrap());
-        assert_eq!(dec.get_str().unwrap(), "tree-cycles");
         let floats = dec.get_f64_vec().unwrap();
         assert_eq!(floats[0], 1.0);
         assert_eq!(floats[1].to_bits(), (0.1f64 + 0.2).to_bits());
         assert!(floats[2].is_nan());
         assert_eq!(dec.get_usize_vec().unwrap(), vec![3, 1, 4]);
         dec.finish().unwrap();
-    }
-
-    #[test]
-    fn bit_sets_round_trip_at_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 64, 65] {
-            let bits: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
-            let mut enc = Encoder::new();
-            enc.put_bits(&bits);
-            let bytes = enc.finish();
-            let mut dec = Decoder::new(&bytes);
-            assert_eq!(dec.get_bits().unwrap(), bits, "length {len}");
-            dec.finish().unwrap();
-        }
     }
 
     #[test]
@@ -277,10 +208,9 @@ mod tests {
         let bytes = enc.finish();
         let err = Decoder::new(&bytes).get_f64_vec().unwrap_err();
         assert!(err.contains("implausible length"), "{err}");
-        // Invalid boolean byte and trailing garbage.
-        assert!(Decoder::new(&[9]).get_bool().is_err());
+        // Trailing garbage.
         let mut dec = Decoder::new(&[0, 1]);
-        assert!(!dec.get_bool().unwrap());
+        assert_eq!(dec.get_u8().unwrap(), 0);
         assert!(dec.finish().unwrap_err().contains("trailing"));
     }
 

@@ -51,8 +51,8 @@ use crate::persist::{prepare_base_cached, prepare_on_cached};
 use crate::pipeline::{run_attacker, Base, PipelineConfig, Prepared};
 use crate::registry::{AttackerPlugin, AttackerRegistry, ExplainerPlugin, ExplainerRegistry};
 use crate::sweep::{
-    estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, BaseId,
-    PlannedCell, Shard, ShardReport, SweepCell, SweepReport, SweepRun,
+    estimated_cost, execution_order, expand_prep_cells, merge_shards_with, plan_lines_with, resolve_axes, PlannedCell,
+    Shard, ShardReport, SweepCell, SweepReport, SweepRun,
 };
 use crate::targets::victims_with_degree;
 use crate::telemetry::{CellTiming, PhaseAccumulator, SweepTelemetry};
@@ -287,7 +287,7 @@ impl Engine {
         let axes = resolve_axes(spec, &self.attackers, &self.explainers)?;
         Ok(expand_prep_cells(spec, &axes.explainers)
             .into_iter()
-            .filter(|cell| shard.owns(cell.position))
+            .filter(|cell| shard.owns(cell))
             .collect())
     }
 
@@ -343,7 +343,7 @@ impl Engine {
         let axes = resolve_axes(&spec, &self.attackers, &self.explainers)?;
         let owned: Vec<PlannedCell> = expand_prep_cells(&spec, &axes.explainers)
             .into_iter()
-            .filter(|cell| shard.owns(cell.position))
+            .filter(|cell| shard.owns(cell))
             .collect();
 
         let (sender, events) = std::sync::mpsc::channel();
@@ -514,8 +514,8 @@ fn session_worker(context: SessionContext, sender: Sender<CellEvent>) -> Result<
 /// too, so every cell sharing that base gets the same error. A slot counts
 /// the owned cells of its base that have not finished and is dropped with the
 /// last of them, so no base outlives its cells.
-struct BaseMemo<'a> {
-    slots: Mutex<HashMap<BaseId<'a>, Arc<BaseSlot>>>,
+struct BaseMemo {
+    slots: Mutex<HashMap<usize, Arc<BaseSlot>>>,
     /// `prepare.bases_built`: cells that built their base (trained or
     /// decoded it).
     built: Arc<Counter>,
@@ -529,12 +529,12 @@ struct BaseSlot {
     pending: AtomicUsize,
 }
 
-impl<'a> BaseMemo<'a> {
+impl BaseMemo {
     /// A memo for a session's owned cells, counting into `metrics`.
-    fn new(cells: &'a [PlannedCell], metrics: &MetricsRegistry) -> Self {
-        let mut slots: HashMap<BaseId<'a>, Arc<BaseSlot>> = HashMap::new();
+    fn new(cells: &[PlannedCell], metrics: &MetricsRegistry) -> Self {
+        let mut slots: HashMap<usize, Arc<BaseSlot>> = HashMap::new();
         for cell in cells {
-            let slot = slots.entry(cell.base_id()).or_insert_with(|| {
+            let slot = slots.entry(cell.base).or_insert_with(|| {
                 Arc::new(BaseSlot {
                     base: OnceLock::new(),
                     pending: AtomicUsize::new(0),
@@ -551,12 +551,12 @@ impl<'a> BaseMemo<'a> {
 
     /// `cell`'s base: built by `build` if no cell has built it yet, else
     /// shared (after waiting for a build in progress).
-    fn get(&self, cell: &'a PlannedCell, build: impl FnOnce() -> Result<Base>) -> Result<Arc<Base>> {
+    fn get(&self, cell: &PlannedCell, build: impl FnOnce() -> Result<Base>) -> Result<Arc<Base>> {
         let slot = self
             .slots
             .lock()
             .expect("base memo lock")
-            .get(&cell.base_id())
+            .get(&cell.base)
             .cloned()
             .expect("every owned cell's base has a slot until the cell finishes");
         let mut built = false;
@@ -570,12 +570,11 @@ impl<'a> BaseMemo<'a> {
 
     /// Marks `cell` finished, dropping its base's slot with the base's last
     /// owned cell.
-    fn release(&self, cell: &'a PlannedCell) {
-        let id = cell.base_id();
+    fn release(&self, cell: &PlannedCell) {
         let mut slots = self.slots.lock().expect("base memo lock");
-        if let Some(slot) = slots.get(&id) {
+        if let Some(slot) = slots.get(&cell.base) {
             if slot.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                slots.remove(&id);
+                slots.remove(&cell.base);
             }
         }
     }
@@ -587,12 +586,7 @@ impl<'a> BaseMemo<'a> {
 /// Returns the cell's results plus its wall-clock phase breakdown (measured
 /// unconditionally; span emission is gated on the installed recorder).
 /// `prepare_ms` includes any wait on a base another cell is building.
-fn run_prep_cell<'a>(
-    context: &SessionContext,
-    cell: &'a PlannedCell,
-    bases: &BaseMemo<'a>,
-    victim_parallel: bool,
-) -> CellOutcome {
+fn run_prep_cell(context: &SessionContext, cell: &PlannedCell, bases: &BaseMemo, victim_parallel: bool) -> CellOutcome {
     let _cell_span = span_labeled(Level::Cell, "cell", cell.position.to_string());
     let cell_started = Instant::now();
     let spec = &context.spec;
@@ -993,6 +987,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let cell = |explainer: &str| PlannedCell {
             position: 0,
+            base: 0,
             family: "cora".to_string(),
             scale: 0.1,
             seed: 0,

@@ -12,13 +12,14 @@
 //! exactly these cells.
 //!
 //! **Sharding.** Every run is a [`Shard`] of the grid — the default is the
-//! trivial shard `0/1`. Prepared cell `p` (in deterministic grid order)
-//! belongs to shard `p % N`, so `--shard 0/2` and `--shard 1/2` partition the
-//! grid with no coordination. Each shard emits a [`ShardReport`] carrying the
-//! spec and its content hash; [`merge_shards`] validates a complete,
-//! non-overlapping, same-spec set of shard reports and reassembles the exact
-//! [`SweepReport`] an unsharded run produces — byte-identical, because the
-//! unsharded path itself goes through the same merge of its single shard.
+//! trivial shard `0/1`. A prepared cell belongs to the shard of its base
+//! ([`Shard::owner_of`]), so `--shard 0/2` and `--shard 1/2` partition the
+//! grid with no coordination and each base trains on exactly one shard.
+//! Each shard emits a [`ShardReport`] carrying the spec and its content
+//! hash; [`merge_shards`] validates a complete, non-overlapping, same-spec set
+//! of shard reports and reassembles the exact [`SweepReport`] an unsharded
+//! run produces — byte-identical, because the unsharded path itself goes
+//! through the same merge of its single shard.
 
 use std::collections::HashMap;
 
@@ -147,7 +148,7 @@ impl SweepReport {
 }
 
 /// One slice of a sharded sweep: shard `index` of `count` runs the prepared
-/// cells whose deterministic grid position `p` satisfies `p % count == index`.
+/// cells [`Shard::owner_of`] assigns to `index`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shard {
     /// Zero-based shard index.
@@ -193,29 +194,18 @@ impl Shard {
         Ok(())
     }
 
-    /// Whether this shard runs the prepared cell at grid position `p`.
-    pub fn owns(&self, p: usize) -> bool {
-        p % self.count == self.index
+    /// Index of the shard, out of `count`, that runs `cell`: its base's grid
+    /// index modulo `count`. All explainer cells of one base land on one
+    /// shard, so a split trains (or decodes) each base once. This is the
+    /// only statement of the ownership rule: planning, execution, merging
+    /// and the `--dry-run` plan all call it.
+    pub fn owner_of(cell: &PlannedCell, count: usize) -> usize {
+        cell.base % count
     }
 
-    /// The complete `count`-way split of the grid, in index order — the
-    /// coordinator's shard plan. Rejects a zero-way split.
-    pub fn split(count: usize) -> Result<Vec<Shard>> {
-        if count == 0 {
-            return Err(GeError::Shard("shard count must be at least 1".to_string()));
-        }
-        Ok((0..count).map(|index| Shard { index, count }).collect())
-    }
-
-    /// How many of the first `cells` grid positions this shard owns (its
-    /// prepared-cell workload, for progress accounting).
-    pub fn owned_count(&self, cells: usize) -> usize {
-        // Positions owned: index, index + count, index + 2·count, … < cells.
-        if self.index >= cells {
-            0
-        } else {
-            (cells - self.index - 1) / self.count + 1
-        }
+    /// Whether this shard runs `cell`.
+    pub fn owns(&self, cell: &PlannedCell) -> bool {
+        Self::owner_of(cell, self.count) == self.index
     }
 
     /// Display form (`0/2`).
@@ -302,8 +292,13 @@ impl SweepRun {
 /// the `Planned` payload of the engine's event stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedCell {
-    /// Deterministic grid position (shard assignment is `position % N`).
+    /// Deterministic grid position.
     pub position: usize,
+    /// Grid index of the cell's base (graph, split, GCN, victims): the
+    /// position of its (family, scale, seed) triple. Every other input of
+    /// the base is spec-wide, so the cells that differ only in their
+    /// explainer share it. Shard ownership follows it ([`Shard::owner_of`]).
+    pub base: usize,
     /// Graph family (canonical registry name).
     pub family: String,
     /// Dataset scale of this cell.
@@ -312,19 +307,6 @@ pub struct PlannedCell {
     pub seed: u64,
     /// Inspector explainer display name.
     pub explainer: String,
-}
-
-/// Identifies the base (graph, split, GCN, victims) a [`PlannedCell`]
-/// prepares on. Every other input of the base (the pipeline settings, the
-/// victim count) is spec-wide, so within one spec the cells
-/// that differ only in their explainer share one base.
-pub(crate) type BaseId<'a> = (&'a str, u64, u64);
-
-impl PlannedCell {
-    /// The base this cell prepares on.
-    pub(crate) fn base_id(&self) -> BaseId<'_> {
-        (&self.family, self.scale.to_bits(), self.seed)
-    }
 }
 
 /// The spec's attacker/explainer axes resolved against a registry pair: the
@@ -388,18 +370,21 @@ pub(crate) fn resolve_axes(
 /// into this order, so it must never change silently.
 pub(crate) fn expand_prep_cells(spec: &SweepSpec, explainers: &[String]) -> Vec<PlannedCell> {
     let mut prep_cells = Vec::with_capacity(spec.prepared_cells());
+    let mut base = 0;
     for family in &spec.families {
         for &scale in &spec.scales {
             for &seed in &spec.seeds {
                 for explainer in explainers {
                     prep_cells.push(PlannedCell {
                         position: prep_cells.len(),
+                        base,
                         family: geattack_scenarios::canonical(family),
                         scale,
                         seed,
                         explainer: explainer.clone(),
                     });
                 }
+                base += 1;
             }
         }
     }
@@ -493,7 +478,10 @@ pub(crate) fn merge_shards_with(
     // predicts: one block of (attacker x budget) cells per owned prep cell.
     for (index, shard) in by_index.iter().enumerate() {
         let shard = shard.expect("completeness checked above");
-        let owned = prep_cells.iter().filter(|cell| cell.position % count == index).count();
+        let owned = prep_cells
+            .iter()
+            .filter(|cell| Shard::owner_of(cell, count) == index)
+            .count();
         if shard.cells.len() != owned * block {
             return Err(GeError::Shard(format!(
                 "shard {index}/{count} carries {} cells, expected {} ({} prepared cells x {block})",
@@ -504,14 +492,16 @@ pub(crate) fn merge_shards_with(
         }
     }
 
-    // Reassemble in grid order: prep cell p's block comes from shard p % N.
+    // Reassemble in grid order: each prep cell's block comes next from its
+    // owner's cells, which every shard emits in grid order.
     let mut cursors = vec![0usize; count];
     let mut cells = Vec::with_capacity(prep_cells.len() * block);
     for prep in &prep_cells {
         let p = prep.position;
-        let shard = by_index[p % count].expect("completeness checked above");
-        let start = cursors[p % count];
-        cursors[p % count] += block;
+        let owner = Shard::owner_of(prep, count);
+        let shard = by_index[owner].expect("completeness checked above");
+        let start = cursors[owner];
+        cursors[owner] += block;
         for cell in &shard.cells[start..start + block] {
             let matches = cell.family == prep.family
                 && cell.scale.to_bits() == prep.scale.to_bits()
@@ -519,8 +509,7 @@ pub(crate) fn merge_shards_with(
                 && cell.explainer == prep.explainer;
             if !matches {
                 return Err(GeError::Shard(format!(
-                    "shard {}/{count} cell mismatch at grid position {p}: expected ({}, scale {}, seed {}, {}), found ({}, scale {}, seed {}, {})",
-                    p % count,
+                    "shard {owner}/{count} cell mismatch at grid position {p}: expected ({}, scale {}, seed {}, {}), found ({}, scale {}, seed {}, {})",
                     prep.family,
                     prep.scale,
                     prep.seed,
@@ -574,17 +563,17 @@ pub(crate) fn plan_lines_with(
             cell.family, cell.scale, cell.seed, cell.explainer
         );
         if let Some(shard) = shard {
-            let owner = p % shard.count;
+            let owner = Shard::owner_of(cell, shard.count);
             line.push_str(&format!(
                 "  -> shard {owner}/{} ({})",
                 shard.count,
-                if shard.owns(p) { "run" } else { "skip" }
+                if owner == shard.index { "run" } else { "skip" }
             ));
         }
         lines.push(line);
     }
     if let Some(shard) = shard {
-        let owned = prep_cells.iter().filter(|c| shard.owns(c.position)).count();
+        let owned = prep_cells.iter().filter(|c| shard.owns(c)).count();
         lines.push(format!(
             "shard {} runs {owned} of {} prepared cells ({} result cells)",
             shard.label(),
@@ -666,18 +655,18 @@ pub fn estimated_cost(cell: &PlannedCell) -> f64 {
     n * n * geattack_gnn::TrainConfig::default().epochs as f64
 }
 
-/// Execution order of the owned prep cells. Cells of one [`BaseId`] share a
-/// base whatever their explainer, so the first cell of every base runs
+/// Execution order of the owned prep cells. Cells of one base share it
+/// whatever their explainer, so the first cell of every base runs
 /// before any base's second cell; within each of those rounds cells run by
 /// estimated cost descending, ties in grid order (so equal-cost runs keep a
 /// stable, deterministic schedule). A grid with one explainer is a single
 /// round: pure cost order.
 pub(crate) fn execution_order(cells: &[PlannedCell]) -> Vec<usize> {
-    let mut seen: HashMap<BaseId, usize> = HashMap::new();
+    let mut seen: HashMap<usize, usize> = HashMap::new();
     let round: Vec<usize> = cells
         .iter()
         .map(|cell| {
-            let count = seen.entry(cell.base_id()).or_default();
+            let count = seen.entry(cell.base).or_default();
             *count += 1;
             *count - 1
         })
@@ -756,42 +745,6 @@ mod tests {
 
     fn run_sweep(spec: &SweepSpec, serial: bool) -> Result<SweepReport> {
         Engine::new().serial(serial).run_report(spec)
-    }
-
-    #[test]
-    fn shard_split_enumerates_a_complete_partition() {
-        let shards = Shard::split(3).expect("3-way split");
-        assert_eq!(shards.len(), 3);
-        for (i, shard) in shards.iter().enumerate() {
-            assert_eq!((shard.index, shard.count), (i, 3));
-            shard.validate().expect("split shards validate");
-        }
-        // Every grid position is owned by exactly one shard of the split.
-        for p in 0..10 {
-            assert_eq!(shards.iter().filter(|s| s.owns(p)).count(), 1);
-        }
-        assert!(Shard::split(0).is_err(), "zero-way split must be rejected");
-        assert_eq!(Shard::split(1).expect("trivial split"), vec![Shard::FULL]);
-    }
-
-    #[test]
-    fn shard_owned_count_matches_brute_force_ownership() {
-        for count in 1..5 {
-            for index in 0..count {
-                let shard = Shard { index, count };
-                for cells in 0..12 {
-                    let brute = (0..cells).filter(|&p| shard.owns(p)).count();
-                    assert_eq!(
-                        shard.owned_count(cells),
-                        brute,
-                        "shard {}/{} over {} cells",
-                        index,
-                        count,
-                        cells
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -883,6 +836,7 @@ mod tests {
     fn execution_order_puts_expensive_cells_first_and_keeps_reports_in_grid_order() {
         let cell = |position: usize, family: &str, scale: f64, seed: u64| PlannedCell {
             position,
+            base: position,
             family: family.to_string(),
             scale,
             seed,
@@ -957,9 +911,23 @@ mod tests {
             Shard { index: 1, count: 3 },
             Shard { index: 2, count: 3 },
         ];
-        for p in 0..20 {
-            let owners = shards.iter().filter(|s| s.owns(p)).count();
-            assert_eq!(owners, 1, "prep cell {p} owned exactly once");
+        let mut spec = tiny_spec();
+        spec.seeds = (0..7).collect();
+        let explainers = ["GNNExplainer".to_string(), "PGExplainer".to_string()];
+        let two = expand_prep_cells(&spec, &explainers);
+        assert_eq!(two.len(), 14);
+        for cell in &two {
+            let owners: Vec<_> = shards.iter().filter(|s| s.owns(cell)).collect();
+            assert_eq!(owners.len(), 1, "prep cell {} owned exactly once", cell.position);
+            // A base's two explainer cells sit side by side in grid order and
+            // land on the same shard.
+            assert_eq!(cell.base, cell.position / 2);
+            assert_eq!(owners[0].index, cell.base % 3);
+        }
+        // With one explainer every cell is its own base, so its owner is its
+        // grid position modulo N.
+        for cell in expand_prep_cells(&spec, &explainers[..1]) {
+            assert_eq!(Shard::owner_of(&cell, 3), cell.position % 3);
         }
     }
 
@@ -1084,6 +1052,33 @@ mod tests {
         assert!(lines[1].contains("shard 0/2 (skip)"), "{}", lines[1]);
         assert!(lines[2].contains("shard 1/2 (run)"), "{}", lines[2]);
         assert!(lines[3].contains("runs 1 of 2"), "{}", lines[3]);
+
+        // Both explainer cells of seed 1's base go to shard 1.
+        let mut both = spec.clone();
+        both.explainers = vec!["gnnexplainer".to_string(), "pgexplainer".to_string()];
+        let lines = engine.plan_lines(&both, Some(&shard)).expect("plans");
+        assert_eq!(lines.len(), 6, "header + 4 cells + shard summary");
+        assert!(
+            lines[1].contains("seed=0 GNNExplainer  -> shard 0/2 (skip)"),
+            "{}",
+            lines[1]
+        );
+        assert!(
+            lines[2].contains("seed=0 PGExplainer  -> shard 0/2 (skip)"),
+            "{}",
+            lines[2]
+        );
+        assert!(
+            lines[3].contains("seed=1 GNNExplainer  -> shard 1/2 (run)"),
+            "{}",
+            lines[3]
+        );
+        assert!(
+            lines[4].contains("seed=1 PGExplainer  -> shard 1/2 (run)"),
+            "{}",
+            lines[4]
+        );
+        assert!(lines[5].contains("runs 2 of 4"), "{}", lines[5]);
 
         let mut bad = spec;
         bad.attackers = vec!["metattack".to_string()];

@@ -69,15 +69,6 @@ impl Explanation {
         let key = if u <= v { (u, v) } else { (v, u) };
         self.ranked_edges.iter().position(|&(a, b, _)| (a, b) == key)
     }
-
-    /// Importance weight of the given undirected edge, if it appears.
-    pub fn weight_of(&self, u: usize, v: usize) -> Option<f64> {
-        let key = if u <= v { (u, v) } else { (v, u) };
-        self.ranked_edges
-            .iter()
-            .find(|&&(a, b, _)| (a, b) == key)
-            .map(|&(_, _, w)| w)
-    }
 }
 
 /// A post-hoc explanation method for a trained GCN.
@@ -180,7 +171,6 @@ mod tests {
         assert_eq!(e.rank_of(1, 0), Some(0));
         assert_eq!(e.rank_of(3, 1), Some(2));
         assert_eq!(e.rank_of(5, 6), None);
-        assert_eq!(e.weight_of(2, 0), Some(0.5));
     }
 
     #[test]

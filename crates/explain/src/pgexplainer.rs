@@ -7,10 +7,12 @@
 //! style loss as GNNExplainer: make the prediction under the masked adjacency match
 //! the model's prediction, while keeping the mask sparse.
 //!
-//! Simplification relative to the reference implementation (documented in
-//! `DESIGN.md`): the concrete-distribution reparameterization used during training
-//! is replaced by the deterministic sigmoid relaxation. The ranking of edges —
-//! which is all the detection metrics and GEAttack use — is unaffected.
+//! **Deviation from the reference implementation.** Training replaces the
+//! concrete-distribution (Gumbel-softmax) reparameterization of the edge gates
+//! with the deterministic sigmoid relaxation, so no sampling noise enters the
+//! loss and training is reproducible from the seed alone. Explanations rank
+//! edges by the same sigmoid scores, and the ranking is all the detection
+//! metrics and GEAttack read.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

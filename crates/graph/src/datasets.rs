@@ -1,8 +1,8 @@
 //! Synthetic stand-ins for the paper's benchmark datasets.
 //!
 //! The original evaluation uses CITESEER, CORA and ACM (largest connected
-//! component, Table 3 of the paper). Shipping or downloading the raw corpora is
-//! not possible in this environment, so each dataset is replaced by a
+//! component, Table 3 of the paper). The repository ships no raw corpora and the
+//! build downloads nothing, so each dataset is replaced by a
 //! **class-structured synthetic citation graph** with matching statistics:
 //!
 //! * the same number of classes,
@@ -13,10 +13,13 @@
 //!   class label, so a GCN reaches realistic accuracy and both the attacks and the
 //!   explainers have the same signal structure to exploit.
 //!
-//! This substitution is documented in `DESIGN.md`; every algorithm in the paper
-//! consumes only `(A, X, y)` and relies on exactly the properties listed above, so
-//! relative comparisons between attackers (the content of Tables 1–2 and Figures
-//! 2–8) are preserved even though absolute numbers differ from the paper.
+//! **Deviation from the paper.** Every number here comes from these stand-ins,
+//! not from the real corpora. Every algorithm in the paper consumes only
+//! `(A, X, y)` and relies on the properties listed above, so the relative
+//! comparisons between attackers (the content of Tables 1–2 and Figures 2–8)
+//! are meaningful, but absolute numbers differ from the paper's.
+//! `geattack-sweep --list-families --scale 1` prints each stand-in's statistics
+//! beside the paper's Table 3.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -7,8 +7,8 @@
 //! **seeded, deterministic** generator that maps a [`FamilyConfig`] (scale +
 //! seed) to a [`Graph`]. The citation generators of [`crate::datasets`] are one
 //! implementation ([`crate::datasets::CitationFamily`]); the `geattack-scenarios`
-//! crate registers synthetic families with very different topology (BA-Shapes,
-//! SBM, Watts-Strogatz small-world, Tree-Cycles) behind the same trait, so the
+//! crate registers synthetic families with different topology (BA-Shapes,
+//! powerlaw-cluster, Tree-Cycles) behind the same trait, so the
 //! whole attack x explainer pipeline can sweep across graph families without
 //! knowing how any of them is built.
 //!
@@ -26,8 +26,8 @@ use crate::graph::Graph;
 use crate::preprocess::largest_connected_component;
 
 /// The two knobs every graph family understands: how big, and which random
-/// stream. Family-specific shape parameters (motif counts, rewiring
-/// probabilities, block homophily, ...) live on the family value itself.
+/// stream. Family-specific shape parameters (motif counts, triad
+/// probability, ...) live on the family value itself.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FamilyConfig {
     /// Size factor in `(0, 1]`; `1.0` is the family's reference scale.
@@ -161,7 +161,7 @@ mod tests {
     fn stream_seed_separates_families() {
         assert_ne!(stream_seed("ba-shapes", 0), stream_seed("tree-cycles", 0));
         assert_ne!(stream_seed("ba-shapes", 0), stream_seed("ba-shapes", 1));
-        assert_eq!(stream_seed("sbm", 9), stream_seed("sbm", 9));
+        assert_eq!(stream_seed("powerlaw-cluster", 9), stream_seed("powerlaw-cluster", 9));
     }
 
     #[test]

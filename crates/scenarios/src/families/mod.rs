@@ -2,27 +2,21 @@
 //!
 //! Each family is a [`geattack_graph::GraphFamily`]: a seeded, deterministic
 //! generator with a characteristic topology. Together with the citation
-//! adapters from `geattack-graph` they cover six structurally distinct
-//! regimes — hub-dominated preferential attachment with planted motifs
-//! ([`ba_shapes`]), hub-and-triangle powerlaw-cluster graphs
-//! ([`powerlaw_cluster`]), block-community graphs with tunable homophily
-//! ([`sbm`]), near-regular small-world rings ([`watts_strogatz`]),
-//! hub-free `k`-regular expanders ([`k_regular`]) and sparse bridge-heavy
-//! trees with cycle motifs ([`tree_cycles`]).
+//! adapters from `geattack-graph` they cover three structurally distinct
+//! synthetic regimes — hub-dominated preferential attachment with planted
+//! motifs ([`ba_shapes`]), hub-and-triangle powerlaw-cluster graphs
+//! ([`powerlaw_cluster`], whose `huge` preset is the 100k-node rung of the
+//! workload ladder) and sparse bridge-heavy trees with cycle motifs
+//! ([`tree_cycles`]). BA-Shapes and Tree-Cycles are the two synthetic
+//! benchmarks GNNExplainer was evaluated on.
 
 pub mod ba_shapes;
-pub mod k_regular;
 pub mod powerlaw_cluster;
-pub mod sbm;
 pub mod tree_cycles;
-pub mod watts_strogatz;
 
 pub use ba_shapes::BaShapes;
-pub use k_regular::KRegular;
 pub use powerlaw_cluster::PowerlawCluster;
-pub use sbm::StochasticBlockModel;
 pub use tree_cycles::TreeCycles;
-pub use watts_strogatz::WattsStrogatz;
 
 /// Feature dimensionality shared by the synthetic families: enough topic words
 /// per class for a GCN to learn from, scaled down with the graph so quick-mode

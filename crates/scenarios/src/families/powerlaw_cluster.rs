@@ -7,8 +7,7 @@
 //! probability `triad`, the new node also links to a random neighbour of the
 //! node it just attached to — producing hubs **and** high clustering at once.
 //! That combination (social-network-like structure) is a distinct regime from
-//! both the motif-planted BA-Shapes and the near-regular small-world ring:
-//! explanation masks concentrate on dense triangle neighbourhoods while
+//! the motif-planted BA-Shapes: explanation masks concentrate on dense triangle neighbourhoods while
 //! gradient attacks still find cheap hub edges.
 //!
 //! Labels are assigned by attachment wave (contiguous growth phases), so early

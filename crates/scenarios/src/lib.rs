@@ -3,17 +3,13 @@
 //! The scenario subsystem: pluggable graph-family generators plus the
 //! declarative sweep specifications that drive the `geattack-sweep` binary.
 //!
-//! The paper evaluates GEAttack on three citation graphs; this crate widens the
-//! evaluation surface to arbitrary graph families behind the
-//! [`geattack_graph::GraphFamily`] trait:
+//! The paper evaluates GEAttack on three citation graphs; this crate adds the
+//! synthetic families the inspector study and the workload ladder use, all
+//! behind the [`geattack_graph::GraphFamily`] trait:
 //!
 //! * [`families::BaShapes`] — preferential attachment with planted house motifs;
 //! * [`families::PowerlawCluster`] — Holme–Kim preferential attachment with
 //!   triad formation (hubs *and* clustering);
-//! * [`families::StochasticBlockModel`] — block communities with tunable
-//!   homophily (`sbm` and `sbm-het` presets);
-//! * [`families::WattsStrogatz`] — small-world ring lattices;
-//! * [`families::KRegular`] — hub-free random `k`-regular expanders;
 //! * [`families::TreeCycles`] — balanced binary trees with cycle motifs;
 //! * the three citation datasets, adapted by `geattack-graph`.
 //!
@@ -27,6 +23,6 @@ pub mod families;
 pub mod registry;
 pub mod spec;
 
-pub use families::{BaShapes, KRegular, PowerlawCluster, StochasticBlockModel, TreeCycles, WattsStrogatz};
+pub use families::{BaShapes, PowerlawCluster, TreeCycles};
 pub use registry::{canonical, is_known, resolve, unknown_family, FAMILY_NAMES};
 pub use spec::{BudgetSpec, SweepSpec};

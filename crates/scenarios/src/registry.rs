@@ -1,24 +1,20 @@
 //! Name-based registry of every known graph family.
 //!
 //! The registry is the single point where a scenario spec's `family` string
-//! becomes a generator: the four synthetic families of this crate (plus the
-//! heterophilous SBM preset) and the three citation datasets wrapped by
-//! [`geattack_graph::CitationFamily`]. Names are case-insensitive and accept
+//! becomes a generator: the synthetic families of this crate (BA-Shapes,
+//! powerlaw-cluster and its `huge` preset, Tree-Cycles) and the three citation
+//! datasets wrapped by [`geattack_graph::CitationFamily`]. Names are case-insensitive and accept
 //! `_` for `-`.
 
 use geattack_graph::{CitationFamily, DatasetName, GraphFamily};
 
-use crate::families::{BaShapes, KRegular, PowerlawCluster, StochasticBlockModel, TreeCycles, WattsStrogatz};
+use crate::families::{BaShapes, PowerlawCluster, TreeCycles};
 
 /// Registry keys of every built-in family, in presentation order.
-pub const FAMILY_NAMES: [&str; 11] = [
+pub const FAMILY_NAMES: [&str; 7] = [
     "ba-shapes",
     "powerlaw-cluster",
     "powerlaw-cluster-huge",
-    "sbm",
-    "sbm-het",
-    "watts-strogatz",
-    "k-regular",
     "tree-cycles",
     "citeseer",
     "cora",
@@ -31,10 +27,6 @@ pub fn resolve(name: &str) -> Option<Box<dyn GraphFamily>> {
         "ba-shapes" => Some(Box::new(BaShapes::default())),
         "powerlaw-cluster" => Some(Box::new(PowerlawCluster::default())),
         "powerlaw-cluster-huge" => Some(Box::new(PowerlawCluster::huge())),
-        "sbm" => Some(Box::new(StochasticBlockModel::homophilous())),
-        "sbm-het" => Some(Box::new(StochasticBlockModel::heterophilous())),
-        "watts-strogatz" => Some(Box::new(WattsStrogatz::default())),
-        "k-regular" => Some(Box::new(KRegular::default())),
         "tree-cycles" => Some(Box::new(TreeCycles::default())),
         "citeseer" => Some(Box::new(CitationFamily::new(DatasetName::Citeseer))),
         "cora" => Some(Box::new(CitationFamily::new(DatasetName::Cora))),
@@ -61,7 +53,6 @@ pub fn canonical(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geattack_graph::FamilyConfig;
 
     #[test]
     fn every_listed_family_resolves_to_its_name() {
@@ -75,21 +66,8 @@ mod tests {
     fn names_are_case_and_separator_insensitive() {
         assert!(resolve("BA_Shapes").is_some());
         assert!(resolve("  Tree-Cycles ").is_some());
-        assert!(is_known("WATTS_STROGATZ"));
+        assert!(is_known("POWERLAW_CLUSTER"));
         assert!(!is_known("erdos-renyi"));
         assert!(resolve("erdos-renyi").is_none());
-    }
-
-    #[test]
-    fn sbm_presets_differ_in_homophily() {
-        let config = FamilyConfig::new(0.25, 3);
-        let hom = resolve("sbm").unwrap().load(&config);
-        let het = resolve("sbm-het").unwrap().load(&config);
-        assert!(
-            hom.edge_homophily() > het.edge_homophily() + 0.2,
-            "homophilous preset {} must clearly exceed heterophilous {}",
-            hom.edge_homophily(),
-            het.edge_homophily()
-        );
     }
 }

@@ -339,7 +339,7 @@ mod tests {
     fn explicit_axes_roundtrip_through_json() {
         let mut spec = SweepSpec::new(
             "full",
-            vec!["sbm".to_string(), "tree-cycles".to_string()],
+            vec!["ba-shapes".to_string(), "tree-cycles".to_string()],
             vec!["geattack".to_string(), "nettack".to_string()],
         );
         spec.budgets = vec![BudgetSpec::Degree, BudgetSpec::Fixed(3)];
@@ -361,9 +361,10 @@ mod tests {
     fn empty_axes_and_bad_scales_are_rejected() {
         let err = SweepSpec::from_json(r#"{ "name": "x", "families": [], "attackers": ["fga"] }"#).unwrap_err();
         assert!(err.contains("families"), "{err}");
-        let err =
-            SweepSpec::from_json(r#"{ "name": "x", "families": ["sbm"], "attackers": ["fga"], "scales": [1.5] }"#)
-                .unwrap_err();
+        let err = SweepSpec::from_json(
+            r#"{ "name": "x", "families": ["tree-cycles"], "attackers": ["fga"], "scales": [1.5] }"#,
+        )
+        .unwrap_err();
         assert!(err.contains("out of (0, 1]"), "{err}");
     }
 
@@ -395,26 +396,30 @@ mod tests {
     fn duplicate_axis_values_are_rejected() {
         // Case/separator variants of the same family are one value after
         // canonicalization, so they would duplicate every cell of the grid.
-        let err =
-            SweepSpec::from_json(r#"{ "name": "d", "families": ["sbm", "SBM"], "attackers": ["fga"] }"#).unwrap_err();
+        let err = SweepSpec::from_json(
+            r#"{ "name": "d", "families": ["tree-cycles", "Tree_Cycles"], "attackers": ["fga"] }"#,
+        )
+        .unwrap_err();
         assert!(err.contains("`families`") && err.contains("more than once"), "{err}");
-        let err =
-            SweepSpec::from_json(r#"{ "name": "d", "families": ["sbm"], "attackers": ["fga"], "seeds": [1, 2, 1] }"#)
-                .unwrap_err();
+        let err = SweepSpec::from_json(
+            r#"{ "name": "d", "families": ["tree-cycles"], "attackers": ["fga"], "seeds": [1, 2, 1] }"#,
+        )
+        .unwrap_err();
         assert!(err.contains("`seeds`"), "{err}");
-        let err =
-            SweepSpec::from_json(r#"{ "name": "d", "families": ["sbm"], "attackers": ["fga", "FGA"] }"#).unwrap_err();
+        let err = SweepSpec::from_json(r#"{ "name": "d", "families": ["tree-cycles"], "attackers": ["fga", "FGA"] }"#)
+            .unwrap_err();
         assert!(err.contains("`attackers`"), "{err}");
-        let err =
-            SweepSpec::from_json(r#"{ "name": "d", "families": ["sbm"], "attackers": ["fga"], "budgets": [2, "2"] }"#)
-                .unwrap_err();
+        let err = SweepSpec::from_json(
+            r#"{ "name": "d", "families": ["tree-cycles"], "attackers": ["fga"], "budgets": [2, "2"] }"#,
+        )
+        .unwrap_err();
         assert!(err.contains("`budgets`"), "{err}");
     }
 
     #[test]
     fn budgets_accept_strings_and_numbers() {
         let spec = SweepSpec::from_json(
-            r#"{ "name": "b", "families": ["sbm"], "attackers": ["fga"], "budgets": ["degree", "2", 4] }"#,
+            r#"{ "name": "b", "families": ["tree-cycles"], "attackers": ["fga"], "budgets": ["degree", "2", 4] }"#,
         )
         .unwrap();
         assert_eq!(
@@ -460,7 +465,7 @@ mod tests {
 
     #[test]
     fn content_hash_is_stable_and_axis_sensitive() {
-        let spec = SweepSpec::new("h", vec!["sbm".to_string()], vec!["fga".to_string()]);
+        let spec = SweepSpec::new("h", vec!["tree-cycles".to_string()], vec!["fga".to_string()]);
         let hash = spec.content_hash();
         assert_eq!(hash.len(), 32);
         assert_eq!(hash, spec.clone().content_hash(), "hashing is deterministic");

@@ -5,19 +5,11 @@
 use proptest::prelude::*;
 
 use geattack_graph::{FamilyConfig, GraphFamily};
-use geattack_scenarios::{registry, StochasticBlockModel};
+use geattack_scenarios::registry;
 
 /// The synthetic families (the citation adapters are covered by the
 /// `geattack-graph` unit tests).
-const SYNTHETIC: [&str; 7] = [
-    "ba-shapes",
-    "powerlaw-cluster",
-    "sbm",
-    "sbm-het",
-    "watts-strogatz",
-    "k-regular",
-    "tree-cycles",
-];
+const SYNTHETIC: [&str; 3] = ["ba-shapes", "powerlaw-cluster", "tree-cycles"];
 
 fn family(name: &str) -> Box<dyn GraphFamily> {
     registry::resolve(name).unwrap_or_else(|| panic!("{name} must resolve"))
@@ -74,18 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn sbm_homophily_is_within_tolerance(seed in 0u64..100) {
-        for (name, target) in [("sbm", 0.8), ("sbm-het", 0.3)] {
-            let graph = family(name).generate(&FamilyConfig::new(0.5, seed));
-            let h = graph.edge_homophily();
-            prop_assert!(
-                (h - target).abs() < 0.1,
-                "{name}: realized homophily {h} too far from target {target}"
-            );
-        }
-    }
-
-    #[test]
     fn degree_distributions_match_the_family_shape(seed in 0u64..50) {
         // BA-Shapes is hub-dominated: the max degree towers over the average.
         let ba = family("ba-shapes").generate(&FamilyConfig::new(0.3, seed));
@@ -93,14 +73,6 @@ proptest! {
         prop_assert!(
             ba_max as f64 > 3.0 * ba_avg,
             "ba-shapes: expected hubs (max {ba_max} vs avg {ba_avg:.2})"
-        );
-
-        // Watts-Strogatz stays near-regular around the lattice degree.
-        let ws = family("watts-strogatz").generate(&FamilyConfig::new(0.3, seed));
-        let (ws_avg, ws_max) = degree_stats(&ws);
-        prop_assert!(
-            (ws_max as f64) < 2.5 * ws_avg,
-            "watts-strogatz: expected near-regular degrees (max {ws_max} vs avg {ws_avg:.2})"
         );
 
         // Tree-Cycles is sparse: parent + two children + a few cycle anchors.
@@ -132,18 +104,6 @@ proptest! {
             "triad formation must drive the clustering ({} vs {} triangles without triads)",
             triangle_count(&pc),
             triangle_count(&no_triads)
-        );
-
-        // k-regular is the hub-free extreme: every degree is k (= 4), up to
-        // the rare coincident edge of the superimposed random cycles.
-        let kr = family("k-regular").generate(&FamilyConfig::new(0.3, seed));
-        let n = kr.num_nodes();
-        let degrees: Vec<usize> = (0..n).map(|i| kr.degree(i)).collect();
-        prop_assert!(degrees.iter().all(|&d| d <= 4), "k-regular: degree above k");
-        let exactly_k = degrees.iter().filter(|&&d| d == 4).count();
-        prop_assert!(
-            exactly_k * 10 >= n * 9,
-            "k-regular: only {exactly_k}/{n} nodes reached degree k"
         );
     }
 }
@@ -184,12 +144,4 @@ fn scale_grows_every_family() {
             small.num_nodes()
         );
     }
-}
-
-#[test]
-fn tunable_homophily_is_exposed_programmatically() {
-    let custom = StochasticBlockModel::preset("sbm-custom", 0.55);
-    let graph = custom.generate(&FamilyConfig::new(0.5, 7));
-    let h = graph.edge_homophily();
-    assert!((h - 0.55).abs() < 0.1, "custom homophily preset realized {h}");
 }

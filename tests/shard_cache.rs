@@ -118,6 +118,29 @@ fn sharded_execution_merges_into_the_unsharded_report() {
 }
 
 #[test]
+fn a_split_trains_each_base_on_one_shard() {
+    // 2 bases (seeds) x 2 explainers: ownership by base puts both explainer
+    // cells of a seed on one shard, so the split trains each base once.
+    let spec = spec_file("tests/specs/two_explainers.json");
+    let mut bases_built = 0;
+    let mut shards = Vec::new();
+    for index in 0..2 {
+        let engine = Engine::new().serial(true);
+        let run = engine.run(&spec, Some(Shard { index, count: 2 })).expect("shard runs");
+        assert_eq!(
+            run.telemetry.planned_cells, 2,
+            "shard {index} owns one base's two cells"
+        );
+        bases_built += engine.metrics().counter_value("prepare.bases_built");
+        shards.push(run.shard);
+    }
+    assert_eq!(bases_built, 2, "each base trains on exactly one shard");
+    let merged = merge_shards(&shards).expect("merges");
+    let unsharded = run_sweep(&spec, true).expect("unsharded run");
+    assert_eq!(merged.to_json(), unsharded.to_json());
+}
+
+#[test]
 fn cached_rerun_is_byte_identical_and_skips_all_preparation() {
     for (spec, tag) in &[
         (small_spec(), "cache"),
